@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (BumpProfile, LocalizedFamily, MetricFamily,
-                       metric_parameter_derivative, localize, schwarzschild, isotropic)
+from .geometry import (BumpProfile, LocalizedFamily, metric_parameter_derivative,
+                       localize, schwarzschild, isotropic)
 from .quadrature import RegionSpec, integrate, integrate_with_estimate, region_rules
 from .stress_energy import StressEnergyField, covariant_divergence
 
@@ -44,14 +44,18 @@ class GeneratorResult:
     warnings: tuple = ()
 
 
-def generator_density(T: StressEnergyField, family, x: np.ndarray) -> np.ndarray:
-    """Density p(x) at points of shape (..., 4); vectorized."""
+def _density_terms(T: StressEnergyField, family, x: np.ndarray):
+    """(sqrt|det g|, T^munu, dg_munu/dtheta) at points of shape (..., 4)."""
     x = np.asarray(x, dtype=float)
     g0 = family.eval(family.theta0, x)
-    dg = metric_parameter_derivative(family, x) if isinstance(family, MetricFamily) \
-        else family.deriv(x)
+    dg = metric_parameter_derivative(family, x)
     vol = np.sqrt(np.abs(np.linalg.det(g0)))
-    Tv = T.tensor(x)
+    return vol, T.tensor(x), dg
+
+
+def generator_density(T: StressEnergyField, family, x: np.ndarray) -> np.ndarray:
+    """Density p(x) at points of shape (..., 4); vectorized."""
+    vol, Tv, dg = _density_terms(T, family, x)
     return 0.5 * vol * np.einsum("...ij,...ij->...", Tv, dg)
 
 
@@ -79,7 +83,20 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec,
     def dens(pts):
         return generator_density(T, family, pts)
 
-    total, plateau, shell = _split_integrate(dens, bump, region)
+    if bump is None:
+        total = integrate(dens, region)
+        plateau, shell = total, 0.0
+    else:
+        def split(pts):
+            # the full density, then its plateau (chi = 1) and shell
+            # (0 < chi < 1) parts, summed in one pass
+            d = dens(pts)
+            chi = bump(pts)
+            return np.stack([
+                d, np.where(chi >= 1.0 - _PLATEAU_EPS, d, 0.0),
+                np.where((chi > _PLATEAU_EPS) & (chi < 1.0 - _PLATEAU_EPS), d, 0.0)])
+
+        total, plateau, shell = integrate(split, region)
 
     est = 0.0
     if error_estimate:
@@ -88,33 +105,6 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec,
     return GeneratorResult(P_total=float(total), P_plateau=float(plateau),
                            P_shell=float(shell), boundary_term=0.0,
                            error_estimate=float(est), warnings=tuple(notes))
-
-
-def _split_integrate(dens, bump, region: RegionSpec):
-    """One pass over the region accumulating the full sum and, for a
-    localized family, the plateau (chi = 1) and shell (0 < chi < 1)
-    partial sums independently."""
-    rules = region_rules(region)
-    (x0, w0), (x1, w1), (x2, w2), (x3, w3) = rules
-    w123 = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
-    mesh123 = np.stack(np.meshgrid(x1, x2, x3, indexing="ij"), axis=-1)
-    tot = np.zeros(len(x0))
-    plat = np.zeros(len(x0))
-    shl = np.zeros(len(x0))
-    for i, t in enumerate(x0):
-        pts = np.empty(mesh123.shape[:-1] + (4,))
-        pts[..., 0] = t
-        pts[..., 1:] = mesh123
-        d = np.asarray(dens(pts), dtype=float) * w123
-        tot[i] = np.sum(d)
-        if bump is not None:
-            chi = bump(pts)
-            plat[i] = np.sum(np.where(chi >= 1.0 - _PLATEAU_EPS, d, 0.0))
-            shl[i] = np.sum(np.where((chi > _PLATEAU_EPS) & (chi < 1.0 - _PLATEAU_EPS), d, 0.0))
-    total = float(np.sum(tot * w0))
-    if bump is None:
-        return total, total, 0.0
-    return total, float(np.sum(plat * w0)), float(np.sum(shl * w0))
 
 
 def _region_corner_samples(region: RegionSpec) -> np.ndarray:
@@ -136,12 +126,8 @@ def trace_null_residual(T: StressEnergyField, family, region: RegionSpec,
     axes = [np.linspace(region.box[ax, 0], region.box[ax, 1], samples)
             for ax in range(4)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    dens = generator_density(T, family, pts)
-    g0 = family.eval(family.theta0, pts)
-    dg = metric_parameter_derivative(family, pts) if isinstance(family, MetricFamily) \
-        else family.deriv(pts)
-    vol = np.sqrt(np.abs(np.linalg.det(g0)))
-    Tv = T.tensor(pts)
+    vol, Tv, dg = _density_terms(T, family, pts)
+    dens = 0.5 * vol * np.einsum("...ij,...ij->...", Tv, dg)
     scale = 0.5 * vol * np.einsum("...ij,...ij->...", np.abs(Tv), np.abs(dg))
     top = float(np.max(np.abs(dens)))
     bot = float(np.max(scale))
@@ -170,33 +156,16 @@ def boundary_term(T: StressEnergyField, X_field: Callable[[np.ndarray], np.ndarr
     form of the surface element, which is what makes the discrete
     divergence identity close.
     """
-    box = np.asarray(box, dtype=float)
-    if box.shape != (4, 2):
-        raise ValueError("box must have shape (4, 2)")
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise ValueError("degenerate box: every axis needs positive extent")
-    n = int(resolution)
-    if n < 2:
-        raise ValueError("resolution must be >= 2")
+    region = RegionSpec(box=box, resolution=resolution)
+    rules = region_rules(region)
 
     total = 0.0
     for axis in range(4):
-        others = [a for a in range(4) if a != axis]
-        rules = []
-        for a in others:
-            x = np.linspace(box[a, 0], box[a, 1], n)
-            w = np.full(n, (box[a, 1] - box[a, 0]) / (n - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            rules.append((x, w))
-        mesh = np.stack(np.meshgrid(*[r[0] for r in rules], indexing="ij"), axis=-1)
-        w3 = (rules[0][1][:, None, None] * rules[1][1][None, :, None]
-              * rules[2][1][None, None, :])
+        (xa, wa), (xb, wb), (xc, wc) = (rules[a] for a in range(4) if a != axis)
+        mesh = np.stack(np.meshgrid(xa, xb, xc, indexing="ij"), axis=-1)
+        w3 = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
         for side, sign in ((1, 1.0), (0, -1.0)):
-            pts = np.empty(mesh.shape[:-1] + (4,))
-            pts[..., axis] = box[axis, side]
-            for k, a in enumerate(others):
-                pts[..., a] = mesh[..., k]
+            pts = np.insert(mesh, axis, region.box[axis, side], axis=-1)
             g = metric_eval(pts)
             vol = np.sqrt(np.abs(np.linalg.det(g)))
             Tv = T.tensor(pts)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -603,38 +603,3 @@ def localize(family: MetricFamily, bump: BumpProfile) -> LocalizedFamily:
     if not np.all(family.domain.contains(grid)):
         raise ChartDomainError("bump support extends outside the chart domain")
     return LocalizedFamily(base=family, bump=bump)
-
-
-# ---------------------------------------------------------------------------
-# tabulated families (grid import)
-# ---------------------------------------------------------------------------
-
-def tabulated_family(grid0, grid_deriv, theta0: float = 0.0,
-                     chart_name: str = "cartesian", label: str = "tabulated") -> MetricFamily:
-    """Family linear in theta built from two tabulated component grids:
-    g(theta, x) = g0(x) + (theta - theta0) * dg(x), both interpolated
-    multilinearly.  ``grid0`` and ``grid_deriv`` are TensorGrid objects
-    from the stress_energy module (10 independent components each)."""
-    from .stress_energy import TensorGrid  # local import to avoid a cycle
-
-    if not isinstance(grid0, TensorGrid) or not isinstance(grid_deriv, TensorGrid):
-        raise TypeError("tabulated_family expects TensorGrid inputs")
-    if grid0.chart != chart_name or grid_deriv.chart != chart_name:
-        raise ValueError("grid chart labels must match the declared chart")
-
-    t0 = float(theta0)
-
-    def ev(theta, x):
-        t = np.asarray(theta, dtype=float)
-        dt = float(t) - t0 if t.ndim == 0 else (t - t0)[..., None, None]
-        return grid0.interpolate(x) + dt * grid_deriv.interpolate(x)
-
-    def dv(x):
-        return grid_deriv.interpolate(x)
-
-    box = tuple((grid0.origin[i], grid0.origin[i] + grid0.spacing[i] * (grid0.shape[i] - 1))
-                for i in range(4))
-    dom = ChartDomain(box=box, closed_axes=(0, 1, 2, 3), note="tabulated grid extent")
-    return MetricFamily(label=label, chart_name=chart_name, theta0=t0,
-                        eval_fn=ev, deriv_fn=dv, domain=dom,
-                        sample_box=np.array(box))

@@ -9,7 +9,7 @@ reduction, which is deterministic for a fixed evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -101,25 +101,29 @@ def region_rules(region: RegionSpec):
     return out
 
 
-def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
-              chunk_axis0: bool = True):
-    """Integrate fn over the region.  fn maps points (..., 4) to scalar
-    (...) values and must be vectorized.  Returns the quadrature sum.
+def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec):
+    """Integrate fn over the region.  fn maps points (..., 4) to values
+    (...), or to k stacked integrands (k, ...), and must be vectorized.
+    Returns the quadrature sum: a float, or a (k,) array when stacked.
 
-    Evaluation is chunked along axis 0 to bound memory on fine grids.
+    Evaluation goes one axis-0 node at a time to bound memory on fine
+    grids.  Each integrand's weighted slice is summed on its own, then
+    its row of slice sums is weighted along axis 0, so an integrand sums
+    to the same bits whether or not it is stacked with others.
     """
-    rules = region_rules(region)
-    (x0, w0), (x1, w1), (x2, w2), (x3, w3) = rules
+    (x0, w0), (x1, w1), (x2, w2), (x3, w3) = region_rules(region)
     w123 = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
     mesh123 = np.stack(np.meshgrid(x1, x2, x3, indexing="ij"), axis=-1)
-    total = np.zeros(len(x0))
-    for i, t in enumerate(x0):
+    slice_sums = []
+    for t in x0:
         pts = np.empty(mesh123.shape[:-1] + (4,))
         pts[..., 0] = t
         pts[..., 1:] = mesh123
-        vals = np.asarray(fn(pts), dtype=float)
-        total[i] = np.sum(vals * w123)
-    return float(np.sum(total * w0))
+        weighted = np.asarray(fn(pts), dtype=float) * w123
+        slice_sums.append([np.sum(slab) for slab in weighted.reshape((-1,) + w123.shape)])
+    rows = np.ascontiguousarray(np.transpose(slice_sums))
+    out = np.sum(rows * w0, axis=-1)
+    return out if weighted.ndim == 4 else float(out[0])
 
 
 def integrate_with_estimate(fn, region: RegionSpec):

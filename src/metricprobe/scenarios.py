@@ -77,6 +77,8 @@ def _num(d: dict, key: str, path: str, default=None):
     v = d[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ScenarioError(f"{path}.{key}", f"expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ScenarioError(f"{path}.{key}", f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -220,30 +222,30 @@ def build_state(sc: Scenario, required: bool = True) -> Optional[GaussianProbeSt
     tau = _num(sp, "tau", "probe.spectrum")
     cutoff = _num(sp, "dc_cutoff_mult", "probe.spectrum", default=1.0)
     if fam == "monochromatic":
-        spectrum = monochromatic_spectrum(
+        make, kwargs = monochromatic_spectrum, dict(
             omega=_num(sp, "omega", "probe.spectrum"),
-            n_photons=_num(sp, "n_photons", "probe.spectrum"),
-            tau=tau, dc_cutoff_mult=cutoff)
+            n_photons=_num(sp, "n_photons", "probe.spectrum"))
     elif fam == "gaussian-band":
-        spectrum = gaussian_band_spectrum(
+        make, kwargs = gaussian_band_spectrum, dict(
             omega0=_num(sp, "omega", "probe.spectrum"),
             fractional_width=_num(sp, "fractional_width", "probe.spectrum"),
-            n_photons=_num(sp, "n_photons", "probe.spectrum"), tau=tau,
-            n_modes=int(_num(sp, "n_modes", "probe.spectrum", default=101)),
-            dc_cutoff_mult=cutoff)
+            n_photons=_num(sp, "n_photons", "probe.spectrum"),
+            n_modes=int(_num(sp, "n_modes", "probe.spectrum", default=101)))
     elif fam == "flat-band":
-        spectrum = flat_band_spectrum(
+        make, kwargs = flat_band_spectrum, dict(
             omega_lo=_num(sp, "omega_lo", "probe.spectrum"),
             omega_hi=_num(sp, "omega_hi", "probe.spectrum"),
-            n_photons=_num(sp, "n_photons", "probe.spectrum"), tau=tau,
-            n_modes=int(_num(sp, "n_modes", "probe.spectrum", default=101)),
-            dc_cutoff_mult=cutoff)
+            n_photons=_num(sp, "n_photons", "probe.spectrum"),
+            n_modes=int(_num(sp, "n_modes", "probe.spectrum", default=101)))
     elif fam == "table":
-        spectrum = load_spectrum_table(_need(sp, "path", "probe.spectrum"),
-                                       tau=tau, dc_cutoff_mult=cutoff)
+        make, kwargs = load_spectrum_table, dict(path=_need(sp, "path", "probe.spectrum"))
     else:
         raise ScenarioError("probe.spectrum.family",
                             f"unknown spectrum family {fam!r}")
+    try:
+        spectrum = make(tau=tau, dc_cutoff_mult=cutoff, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError("probe.spectrum", str(exc)) from exc
     try:
         return GaussianProbeState(
             spectrum=spectrum,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .geometry import MetricFamily, metric_parameter_derivative
+from .geometry import MetricFamily
 
 _COMPONENT_ORDER = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 _COMPONENT_NAMES = [f"T{i}{j}" for i, j in _COMPONENT_ORDER]
@@ -161,25 +162,17 @@ class TensorGrid:
     def axes(self):
         return [self.origin[i] + self.spacing[i] * np.arange(self.shape[i]) for i in range(4)]
 
+    @cached_property
+    def _interpolator(self) -> RegularGridInterpolator:
+        # built on first use and kept on the instance, so it lives and
+        # dies with the grid it interpolates
+        return RegularGridInterpolator(tuple(self.axes()), self.values,
+                                       method="linear", bounds_error=True)
+
     def interpolate(self, x: np.ndarray) -> np.ndarray:
-        interp = _grid_interpolator(self)
         x = np.asarray(x, dtype=float)
-        flat = x.reshape(-1, 4)
-        vals = interp(flat)
+        vals = self._interpolator(x.reshape(-1, 4))
         return vals.reshape(x.shape[:-1] + (4, 4))
-
-
-_INTERP_CACHE: dict = {}
-
-
-def _grid_interpolator(grid: TensorGrid):
-    key = id(grid)
-    hit = _INTERP_CACHE.get(key)
-    if hit is None:
-        hit = RegularGridInterpolator(tuple(grid.axes()), grid.values,
-                                      method="linear", bounds_error=True)
-        _INTERP_CACHE[key] = hit
-    return hit
 
 
 def save_grid(path, grid: TensorGrid) -> None:

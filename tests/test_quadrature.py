@@ -106,3 +106,15 @@ def test_integration_deterministic():
     r = RegionSpec(box=UNIT_BOX, resolution=(9, 9, 9, 9))
     fn = lambda p: np.exp(-np.sum(p ** 2, axis=-1))
     assert integrate(fn, r) == integrate(fn, r)
+
+
+@pytest.mark.parametrize("rule,res", [("trapezoid", (9, 7, 5, 6)), ("gauss-legendre", (3, 2, 2, 3))])
+def test_stacked_integrands_sum_as_they_would_alone(rule, res):
+    region = RegionSpec(box=np.array([[-1.0, 0.5], [0.0, 2.0], [0.3, 1.0], [-0.7, 0.7]]),
+                        resolution=res, rule=rule)
+    fns = [lambda x: np.exp(-np.sum(x ** 2, axis=-1)),
+           lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] * x[..., 3],
+           lambda x: np.where(x[..., 2] > 0.6, x[..., 1], 0.0)]
+    stacked = integrate(lambda x: np.stack([f(x) for f in fns]), region)
+    assert stacked.shape == (3,)
+    assert [float(v) for v in stacked] == [integrate(f, region) for f in fns]

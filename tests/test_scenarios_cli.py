@@ -422,6 +422,24 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert "kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value,path", [
+    ("stress_energy.em", "omega", math.inf, "stress_energy.em.omega"),
+    ("stress_energy.em", "amplitude", math.nan, "stress_energy.em.amplitude"),
+    ("probe.spectrum", "omega", math.nan, "probe.spectrum.omega"),
+    ("probe.spectrum", "tau", -1.0, "probe.spectrum"),
+])
+def test_cli_bad_number_exits_2_naming_the_key(tmp_path, capsys, section, key, value, path):
+    doc = _tiny_doc()
+    node = doc
+    for part in section.split("."):
+        node = node[part]
+    node[key] = value
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert main(["bound", "--config", str(config)]) == 2
+    assert f"'{path}'" in capsys.readouterr().err
+
+
 def test_cli_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
     assert "nope" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metricprobe.geometry import flrw_closed
-from metricprobe.stress_energy import (EMFieldConfig, StressEnergyField,
+from metricprobe.stress_energy import (EMFieldConfig, StressEnergyField, TensorGrid,
                                        covariant_divergence, divergence_residual,
                                        dust_tensor, em_plane_wave,
                                        em_stress_tensor, em_uniform, load_grid,
@@ -213,3 +213,16 @@ def test_grid_interpolation_is_exact_on_multilinear_fields():
     field = tabulate(StressEnergyField(analytic=fn), box, (3, 3, 3, 3))
     pts = np.array([[0.37, 0.11, 0.92, 0.64]])
     np.testing.assert_allclose(field.tensor(pts), fn(pts), rtol=1e-14)
+
+
+def test_each_grid_interpolates_its_own_values():
+    # grids made and dropped in turn reuse memory, and so ids; an
+    # interpolator kept past its grid would answer for the next one
+    pt = np.full((1, 4), 0.5)
+    wrong = []
+    for k in range(50):
+        got = TensorGrid(values=np.full((2, 2, 2, 2, 4, 4), float(k)),
+                         origin=np.zeros(4), spacing=np.ones(4)).interpolate(pt)[0, 0, 0]
+        if got != k:
+            wrong.append((k, got))
+    assert not wrong
