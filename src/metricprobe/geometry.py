@@ -24,12 +24,6 @@ import numpy as np
 
 MINKOWSKI = np.diag([-1.0, 1.0, 1.0, 1.0])
 
-# Default step for finite-difference parameter derivatives.  Central stencil
-# with one Richardson pass; the floor keeps the step sane at theta0 = 0.
-def _fd_step(theta0: float) -> float:
-    return max(1e-6 * abs(theta0), 1e-8)
-
-
 class ChartDomainError(ValueError):
     """A point lies outside the declared chart domain."""
 
@@ -106,51 +100,16 @@ class MetricFamily:
         return self.deriv_fn(np.asarray(x, dtype=float))
 
 
-def evaluate_metric(family, theta: float, x: np.ndarray, check: bool = True) -> np.ndarray:
-    """Evaluate a family at (theta, x) with chart and sanity checks.
-
-    Raises ChartDomainError outside the chart, ValueError on non-finite
-    components (a singular point) or a non-Lorentzian signature.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 4:
-        raise ValueError("points must have shape (..., 4)")
-    if check:
-        family.domain.require(x)
-    g = family.eval(theta, x)
-    if check:
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite metric component (singular point?)")
-        _require_lorentzian(g)
-    return g
-
-
-def _require_lorentzian(g: np.ndarray) -> None:
-    # Degenerate points (for example poles of a spherical chart, where
-    # det g = 0) are tolerated; any point with det g > 0 or the wrong
-    # eigenvalue signs is rejected.
-    w = np.linalg.eigvalsh(np.asarray(g))
-    neg = np.sum(w < 0.0, axis=-1)
-    pos = np.sum(w > 0.0, axis=-1)
-    ok = (neg == 1) & (pos == 3)
-    degenerate = (neg + pos) < 4
-    if not np.all(ok | degenerate):
-        raise ValueError("metric is not Lorentzian at a requested point")
-
-
-def metric_parameter_derivative(family, x: np.ndarray, fd_step: Optional[float] = None) -> np.ndarray:
+def metric_parameter_derivative(family, x: np.ndarray) -> np.ndarray:
     """d g_munu / d theta at theta0: analytic when declared, else central
-    finite differences with one Richardson extrapolation pass."""
+    finite differences with one Richardson extrapolation pass.  The step
+    is 1e-6 |theta0|, floored at 1e-8 to stay sane at theta0 = 0."""
     x = np.asarray(x, dtype=float)
     d = family.deriv(x)
     if d is not None:
         return d
-    h = _fd_step(family.theta0) if fd_step is None else float(fd_step)
-    return _fd_theta_derivative(family, x, h)
-
-
-def _fd_theta_derivative(family, x: np.ndarray, h: float) -> np.ndarray:
     t0 = family.theta0
+    h = max(1e-6 * abs(t0), 1e-8)
 
     def central(step):
         return (family.eval(t0 + step, x) - family.eval(t0 - step, x)) / (2.0 * step)
@@ -474,48 +433,18 @@ def _smoothstep(u: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-_MOLLIFIER_NODES = 64
-_moll_x, _moll_w = np.polynomial.legendre.leggauss(_MOLLIFIER_NODES)
-
-
-def _mollifier_kernel(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    inside = np.abs(v) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - v[inside] ** 2))
-    return out
-
-
-_MOLLIFIER_NORM = float(np.sum(_moll_w * _mollifier_kernel(_moll_x)))
-
-
-def _mollifier_step(u: np.ndarray) -> np.ndarray:
-    """C-infinity transition on [0, 1]: normalized antiderivative of the
-    exp(-1/(1-v^2)) mollifier, exactly 0 / 1 outside and 1/2 at u = 1/2."""
-    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-    w = 2.0 * u - 1.0
-    # integral of the kernel from -1 to w, Gauss-Legendre nodes mapped
-    # per element: v = -1 + half * (node + 1), half = (w + 1) / 2
-    half = 0.5 * (w + 1.0)
-    v = -1.0 + half[..., None] * (_moll_x + 1.0)
-    vals = _mollifier_kernel(v)
-    integ = half * np.sum(_moll_w * vals, axis=-1)
-    return integ / _MOLLIFIER_NORM
-
-
 @dataclass(frozen=True)
 class BumpProfile:
     """Separable bump chi(x) = prod_i chi_i(x_i), equal to 1 on the plateau
-    box, 0 outside the support box, with a smooth transition in between.
-
-    kind 'smoothstep' gives C^order seams (polynomial); kind 'mollifier'
-    gives C-infinity seams.  The per-axis margins (support minus plateau)
-    are the transition widths; sensitivity to them shows up in the shell
-    contribution reported by the generator quadrature.
+    box, 0 outside the support box, with a polynomial smoothstep
+    transition in between whose seams are C^order.  The per-axis margins
+    (support minus plateau) are the transition widths; sensitivity to
+    them shows up in the shell contribution reported by the generator
+    quadrature.
     """
 
     plateau: np.ndarray
     support: np.ndarray
-    kind: str = "smoothstep"
     order: int = 3
 
     def __post_init__(self):
@@ -527,17 +456,10 @@ class BumpProfile:
             raise ValueError("boxes must have positive extent on every axis")
         if np.any(p[:, 0] <= s[:, 0]) or np.any(p[:, 1] >= s[:, 1]):
             raise ValueError("plateau must lie strictly inside support on every axis")
-        if self.kind not in ("smoothstep", "mollifier"):
-            raise ValueError(f"unknown bump kind {self.kind!r}")
-        if self.kind == "smoothstep" and self.order < 1:
+        if self.order < 1:
             raise ValueError("smoothstep order must be >= 1")
         object.__setattr__(self, "plateau", p)
         object.__setattr__(self, "support", s)
-
-    def _step(self, u: np.ndarray) -> np.ndarray:
-        if self.kind == "smoothstep":
-            return _smoothstep(u, self.order)
-        return _mollifier_step(u)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -546,8 +468,8 @@ class BumpProfile:
             s0, s1 = self.support[ax]
             p0, p1 = self.plateau[ax]
             c = x[..., ax]
-            lo = self._step((c - s0) / (p0 - s0))
-            hi = self._step((s1 - c) / (s1 - p1))
+            lo = _smoothstep((c - s0) / (p0 - s0), self.order)
+            hi = _smoothstep((s1 - c) / (s1 - p1), self.order)
             prof = np.where(c < p0, lo, np.where(c > p1, hi, 1.0))
             prof = np.where((c <= s0) | (c >= s1), 0.0, prof)
             out = out * prof

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -37,29 +36,19 @@ REFERENCE_KINDS = ("vacuum-coherent", "squeezed-vacuum")
 
 @dataclass(frozen=True)
 class ModeLattice:
-    """Discrete set of probe modes: wavevectors (N, 3), positive cell
-    weights (N,) and a polarization label per mode ('y' for the standard
-    beam geometry).  Frequencies are |k| (units c = 1)."""
+    """Discrete set of probe modes of the standard y-polarized beam:
+    wavevectors (N, 3), frequencies |k| (units c = 1).  Mode-cell
+    weights are absorbed into the spectrum's |alpha_k|^2."""
 
     k: np.ndarray
-    weights: Optional[np.ndarray] = None
-    polarization: str = "y"
 
     def __post_init__(self):
         k = np.atleast_2d(np.asarray(self.k, dtype=float))
         if k.ndim != 2 or k.shape[1] != 3 or k.shape[0] == 0:
             raise ValueError("k must have shape (N, 3) with N >= 1")
-        w = self.weights
-        w = np.ones(k.shape[0]) if w is None else np.asarray(w, dtype=float)
-        if w.shape != (k.shape[0],):
-            raise ValueError("weights must have shape (N,)")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("weights must be positive and finite")
-        om = np.linalg.norm(k, axis=1)
-        if np.any(om <= 0):
+        if np.any(np.linalg.norm(k, axis=1) <= 0):
             raise ValueError("every mode needs omega = |k| > 0")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "weights", w)
 
     @property
     def omega(self) -> np.ndarray:
@@ -125,8 +114,6 @@ class ModeSpectrum:
             warnings.warn("spectrum is not paraxial along +x; the beam-quadrature "
                           "reduction assumes k ~ omega x-hat "
                           f"(off-axis weight {off_axis:.2e})")
-        if self.lattice.polarization != "y":
-            warnings.warn("beam-quadrature reduction assumes y polarization")
 
 
 def _active_sums(spec: ModeSpectrum):

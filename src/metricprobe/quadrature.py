@@ -1,10 +1,10 @@
-"""Tensor-product quadrature over 4D coordinate boxes.
+"""Tensor-product composite trapezoid quadrature over 4D coordinate boxes.
 
-Two rules: composite trapezoid (default; superalgebraic on smooth
-compactly supported integrands) and Gauss-Legendre panels.  Both expose
-nested refinement so callers can form a conservative error estimate as
-|I_fine - I_coarse|.  Sums are accumulated with numpy's pairwise
-reduction, which is deterministic for a fixed evaluation order.
+The trapezoid rule is superalgebraic on smooth compactly supported
+integrands, and its grids nest (2n - 1 nodes refine n), so callers form
+a conservative error estimate as |I_fine - I_coarse|.  Sums are
+accumulated with numpy's pairwise reduction, which is deterministic for
+a fixed evaluation order.
 """
 from __future__ import annotations
 
@@ -13,22 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-_GL_ORDER = 4
-_gl_x, _gl_w = np.polynomial.legendre.leggauss(_GL_ORDER)
-
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """A coordinate box with per-axis resolution.
-
-    For rule 'trapezoid', resolution counts nodes per axis (>= 2,
-    endpoints included).  For rule 'gauss-legendre', resolution counts
-    panels per axis (>= 1), each holding a fixed-order Gauss rule.
-    """
+    """A coordinate box with per-axis resolution: trapezoid nodes per
+    axis (>= 2, endpoints included)."""
 
     box: np.ndarray
     resolution: tuple
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         b = np.asarray(self.box, dtype=float)
@@ -37,68 +29,41 @@ class RegionSpec:
         if np.any(b[:, 1] <= b[:, 0]):
             raise ValueError("box must have positive extent on every axis")
         res = tuple(int(n) for n in np.broadcast_to(self.resolution, (4,)))
-        if self.rule == "trapezoid":
-            if any(n < 2 for n in res):
-                raise ValueError("trapezoid rule needs at least 2 nodes per axis")
-        elif self.rule == "gauss-legendre":
-            if any(n < 1 for n in res):
-                raise ValueError("gauss-legendre rule needs at least 1 panel per axis")
-        else:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
+        if any(n < 2 for n in res):
+            raise ValueError("trapezoid rule needs at least 2 nodes per axis")
         object.__setattr__(self, "box", b)
         object.__setattr__(self, "resolution", res)
 
     def refined(self) -> "RegionSpec":
-        """Nested refinement: trapezoid doubles intervals (2n - 1 nodes),
-        Gauss-Legendre doubles panels."""
-        if self.rule == "trapezoid":
-            res = tuple(2 * n - 1 for n in self.resolution)
-        else:
-            res = tuple(2 * n for n in self.resolution)
-        return replace(self, resolution=res)
+        """Nested refinement: intervals double (2n - 1 nodes)."""
+        return replace(self, resolution=tuple(2 * n - 1 for n in self.resolution))
 
     def coarsened(self) -> "RegionSpec":
         """Nested coarsening (inverse of refined for odd node counts)."""
-        if self.rule == "trapezoid":
-            res = tuple(max(2, (n + 1) // 2) for n in self.resolution)
-        else:
-            res = tuple(max(1, n // 2) for n in self.resolution)
-        return replace(self, resolution=res)
+        return replace(self, resolution=tuple(max(2, (n + 1) // 2)
+                                              for n in self.resolution))
 
     def scaled(self, mult: float) -> "RegionSpec":
         """Resolution scaled by a positive factor (CLI --resolution knob)."""
         if mult <= 0:
             raise ValueError("resolution multiplier must be positive")
-        if self.rule == "trapezoid":
-            res = tuple(max(2, int(round((n - 1) * mult)) + 1) for n in self.resolution)
-        else:
-            res = tuple(max(1, int(round(n * mult))) for n in self.resolution)
-        return replace(self, resolution=res)
+        return replace(self, resolution=tuple(max(2, int(round((n - 1) * mult)) + 1)
+                                              for n in self.resolution))
 
 
-def axis_rule(lo: float, hi: float, n: int, rule: str):
-    """Nodes and weights of the 1D rule on [lo, hi]."""
-    if rule == "trapezoid":
-        x = np.linspace(lo, hi, n)
-        w = np.full(n, (hi - lo) / (n - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return x, w
-    edges = np.linspace(lo, hi, n + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * _gl_x).reshape(-1)
-    w = (half[:, None] * _gl_w).reshape(-1)
+def axis_rule(lo: float, hi: float, n: int):
+    """Nodes and weights of the n-node trapezoid rule on [lo, hi]."""
+    x = np.linspace(lo, hi, n)
+    w = np.full(n, (hi - lo) / (n - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
     return x, w
 
 
 def region_rules(region: RegionSpec):
     """Per-axis (nodes, weights) lists for the region."""
-    out = []
-    for ax in range(4):
-        out.append(axis_rule(region.box[ax, 0], region.box[ax, 1],
-                             region.resolution[ax], region.rule))
-    return out
+    return [axis_rule(region.box[ax, 0], region.box[ax, 1], region.resolution[ax])
+            for ax in range(4)]
 
 
 def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec):

@@ -58,9 +58,17 @@ class Scenario:
                 raise ScenarioError(key, "section is required for kind "
                                     f"'{self.kind}'")
             return None
-        if not isinstance(val, dict):
-            raise ScenarioError(key, "must be a mapping")
-        return val
+        return _mapping(val, key)
+
+
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(path, "must be a mapping")
+    return value
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _need(d: dict, key: str, path: str):
@@ -80,6 +88,30 @@ def _num(d: dict, key: str, path: str, default=None):
     if not math.isfinite(v):
         raise ScenarioError(f"{path}.{key}", f"expected a finite number, got {v!r}")
     return float(v)
+
+
+def _int(d: dict, key: str, path: str, default: int) -> int:
+    v = d.get(key, default)
+    if not _is_int(v):
+        raise ScenarioError(f"{path}.{key}", f"expected an integer, got {v!r}")
+    return v
+
+
+def _array(d: dict, key: str, path: str) -> np.ndarray:
+    v = _need(d, key, path)
+    try:
+        arr = np.asarray(v, dtype=float)
+        if np.all(np.isfinite(arr)):
+            return arr
+    except (TypeError, ValueError):
+        pass
+    raise ScenarioError(f"{path}.{key}", f"expected an array of finite numbers, got {v!r}")
+
+
+def _only(d: dict, key: str, path: str, value: str) -> None:
+    """Accept an optional key whose one allowed value is also its default."""
+    if d.get(key, value) != value:
+        raise ScenarioError(f"{path}.{key}", f"must be {value!r}, got {d[key]!r}")
 
 
 def load_scenario(path) -> Scenario:
@@ -121,12 +153,12 @@ def _build_profile(spec: dict, path: str):
 
 
 def _build_bump(spec: dict, path: str) -> geo.BumpProfile:
-    plateau = np.asarray(_need(spec, "plateau", path), dtype=float)
-    support = np.asarray(_need(spec, "support", path), dtype=float)
+    plateau = _array(spec, "plateau", path)
+    support = _array(spec, "support", path)
+    _only(spec, "kind_name", path, "smoothstep")
+    order = _int(spec, "order", path, default=3)
     try:
-        return geo.BumpProfile(plateau=plateau, support=support,
-                               kind=spec.get("kind_name", "smoothstep"),
-                               order=int(spec.get("order", 3)))
+        return geo.BumpProfile(plateau=plateau, support=support, order=order)
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from exc
 
@@ -134,7 +166,7 @@ def _build_bump(spec: dict, path: str) -> geo.BumpProfile:
 def build_family(sc: Scenario):
     spec = sc.section("family")
     name = _need(spec, "name", "family")
-    params = dict(spec.get("parameters") or {})
+    params = dict(_mapping(spec.get("parameters") or {}, "family.parameters"))
     if name not in geo.BUILTIN_FAMILIES:
         raise ScenarioError("family.name",
                             f"unknown family {name!r}; built-ins: "
@@ -149,7 +181,7 @@ def build_family(sc: Scenario):
         fam = geo.BUILTIN_FAMILIES[name](**params)
     except TypeError as exc:
         raise ScenarioError("family.parameters", str(exc)) from exc
-    bump_spec = sc.raw.get("bump")
+    bump_spec = sc.section("bump", required=False)
     if bump_spec is not None:
         bump = _build_bump(bump_spec, "bump")
         fam = geo.localize(fam, bump)
@@ -168,10 +200,11 @@ def build_field(sc: Scenario, family=None) -> se.StressEnergyField:
         raise ScenarioError("stress_energy.frame",
                             f"must be 'chart' or 'orthonormal', got {frame!r}")
     if grid_spec is not None:
-        path = _need(grid_spec, "path", "stress_energy.grid")
+        path = _need(_mapping(grid_spec, "stress_energy.grid"), "path",
+                     "stress_energy.grid")
         grid = se.load_grid(path)
         return se.StressEnergyField(grid=grid, chart=grid.chart, label=sc.name)
-    kind = _need(em_spec, "kind", "stress_energy.em")
+    kind = _need(_mapping(em_spec, "stress_energy.em"), "kind", "stress_energy.em")
     if kind == "plane-wave":
         cfg = se.em_plane_wave(
             amplitude=_num(em_spec, "amplitude", "stress_energy.em"),
@@ -198,12 +231,14 @@ def build_field(sc: Scenario, family=None) -> se.StressEnergyField:
 
 def build_region(sc: Scenario, resolution_mult: float = 1.0) -> RegionSpec:
     spec = sc.section("region")
-    box = np.asarray(_need(spec, "box", "region"), dtype=float)
+    box = _array(spec, "box", "region")
     res = _need(spec, "resolution", "region")
-    rule = spec.get("rule", "trapezoid")
+    if not all(_is_int(n) for n in (res if isinstance(res, list) else [res])):
+        raise ScenarioError("region.resolution",
+                            f"expected an integer or a list of integers, got {res!r}")
+    _only(spec, "rule", "region", "trapezoid")
     try:
-        region = RegionSpec(box=box, resolution=tuple(np.atleast_1d(res)),
-                            rule=rule)
+        region = RegionSpec(box=box, resolution=tuple(np.atleast_1d(res)))
     except ValueError as exc:
         raise ScenarioError("region", str(exc)) from exc
     if resolution_mult != 1.0:
@@ -230,13 +265,13 @@ def build_state(sc: Scenario, required: bool = True) -> Optional[GaussianProbeSt
             omega0=_num(sp, "omega", "probe.spectrum"),
             fractional_width=_num(sp, "fractional_width", "probe.spectrum"),
             n_photons=_num(sp, "n_photons", "probe.spectrum"),
-            n_modes=int(_num(sp, "n_modes", "probe.spectrum", default=101)))
+            n_modes=_int(sp, "n_modes", "probe.spectrum", default=101))
     elif fam == "flat-band":
         make, kwargs = flat_band_spectrum, dict(
             omega_lo=_num(sp, "omega_lo", "probe.spectrum"),
             omega_hi=_num(sp, "omega_hi", "probe.spectrum"),
             n_photons=_num(sp, "n_photons", "probe.spectrum"),
-            n_modes=int(_num(sp, "n_modes", "probe.spectrum", default=101)))
+            n_modes=_int(sp, "n_modes", "probe.spectrum", default=101))
     elif fam == "table":
         make, kwargs = load_spectrum_table, dict(path=_need(sp, "path", "probe.spectrum"))
     else:
@@ -246,12 +281,15 @@ def build_state(sc: Scenario, required: bool = True) -> Optional[GaussianProbeSt
         spectrum = make(tau=tau, dc_cutoff_mult=cutoff, **kwargs)
     except ValueError as exc:
         raise ScenarioError("probe.spectrum", str(exc)) from exc
+    if not np.any(spectrum.active):
+        raise ScenarioError("probe.spectrum", "no modes survive the DC cutoff "
+                            f"omega >= {spectrum.omega_min:g}")
+    squeeze_r = _num(spec, "squeeze_r", "probe", default=0.0)
+    hbar = _num(spec, "hbar", "probe", default=1.0)
     try:
         return GaussianProbeState(
-            spectrum=spectrum,
-            squeeze_r=_num(spec, "squeeze_r", "probe", default=0.0),
-            reference_kind=spec.get("reference", "vacuum-coherent"),
-            hbar=_num(spec, "hbar", "probe", default=1.0))
+            spectrum=spectrum, squeeze_r=squeeze_r,
+            reference_kind=spec.get("reference", "vacuum-coherent"), hbar=hbar)
     except ValueError as exc:
         raise ScenarioError("probe", str(exc)) from exc
 
@@ -259,11 +297,9 @@ def build_state(sc: Scenario, required: bool = True) -> Optional[GaussianProbeSt
 def build_sim_params(sc: Scenario) -> dict:
     spec = sc.section("simulation", required=False) or {}
     n = spec.get("n_samples", 10 ** 6)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ScenarioError("simulation.n_samples", f"must be a positive integer, got {n!r}")
-    seed = spec.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError("simulation.seed", f"must be an integer, got {seed!r}")
+    seed = _int(spec, "seed", "simulation", default=0)
     return {"n_samples": n, "seed": seed,
             "a_true": _num(spec, "a_true", "simulation", default=0.0)}
 

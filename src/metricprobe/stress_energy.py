@@ -384,12 +384,6 @@ class SupportBox:
     empty: bool
     threshold: float
 
-    def contains_box(self, other: np.ndarray) -> bool:
-        if self.empty:
-            return True
-        o = np.asarray(other, dtype=float)
-        return bool(np.all(self.box[:, 0] >= o[:, 0]) and np.all(self.box[:, 1] <= o[:, 1]))
-
 
 def support_region(field: StressEnergyField, tol: float) -> SupportBox:
     """Smallest grid-aligned box containing every sample with

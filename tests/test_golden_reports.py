@@ -1,7 +1,8 @@
 """Bundled reports against values frozen in tests/data/golden_reports.json.
 
-Covers ``run_bound`` of every bundled scenario except the coordinate check
-and ``run_simulate`` of every bundled scenario with a simulation block.
+Covers ``run_bound`` of every bundled scenario (the coordinate check at
+``resolution_mult=0.5``, 17^4 nodes, to keep it to a few seconds) and
+``run_simulate`` of every bundled scenario with a simulation block.
 Keys, strings, bools and ints must match exactly; floats must match to
 rel 1e-12 / abs 1e-15, loose enough for other CPUs' rounding and tight
 enough to catch any change of the numerics.
@@ -23,6 +24,8 @@ from metricprobe.scenarios import (bundled_scenario_names, load_bundled,
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_reports.json"
 RTOL = 1e-12
 ATOL = 1e-15
+# the coordinate check is frozen at a coarser grid than it runs by default
+CHART_AUDIT_MULT = 0.5
 
 
 def _cases():
@@ -30,6 +33,7 @@ def _cases():
     for name in bundled_scenario_names():
         sc = load_bundled(name)
         if sc.kind == "coordinate-check":
+            cases.append((f"bound@{CHART_AUDIT_MULT}", name))
             continue
         cases.append(("bound", name))
         if "simulation" in sc.raw:
@@ -39,7 +43,12 @@ def _cases():
 
 def _report(mode: str, name: str) -> dict:
     sc = load_bundled(name)
-    rep = run_simulate(sc) if mode == "simulate" else run_bound(sc)
+    if mode == "simulate":
+        rep = run_simulate(sc)
+    elif mode == "bound":
+        rep = run_bound(sc)
+    else:
+        rep = run_bound(sc, resolution_mult=CHART_AUDIT_MULT)
     # the JSON round trip turns tuples into lists, as in the golden file
     return json.loads(json.dumps(rep))
 

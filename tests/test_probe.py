@@ -257,8 +257,6 @@ def test_validation_errors():
         ModeLattice(k=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ModeLattice(k=np.array([[0.0, 0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        ModeLattice(k=np.array([[1.0, 0, 0]]), weights=np.array([-1.0]))
     lat = ModeLattice(k=np.array([[8.0, 0, 0]]))
     with pytest.raises(ValueError):
         ModeSpectrum(lattice=lat, alpha=np.array([1.0, 2.0], dtype=complex), tau=1.0)

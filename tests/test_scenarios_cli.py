@@ -422,22 +422,50 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert "kind" in capsys.readouterr().err
 
 
+_BUMP = {"plateau": [[0.3, 0.7], [0.3, 0.7], [0.1, 0.15], [0.1, 0.15]],
+         "support": [[0.1, 0.9], [0.1, 0.9], [0.05, 0.2], [0.05, 0.2]]}
+_FLAT_BAND = {"family": "flat-band", "omega_lo": 60.0, "omega_hi": 65.0,
+              "n_photons": 1.0e4, "tau": 1.0}
+
+
+# section is a dotted path into the tiny scenario, "" for its root
 @pytest.mark.parametrize("section,key,value,path", [
     ("stress_energy.em", "omega", math.inf, "stress_energy.em.omega"),
     ("stress_energy.em", "amplitude", math.nan, "stress_energy.em.amplitude"),
     ("probe.spectrum", "omega", math.nan, "probe.spectrum.omega"),
     ("probe.spectrum", "tau", -1.0, "probe.spectrum"),
+    # sections that are not mappings
+    ("family", "parameters", [1, 2], "family.parameters"),
+    ("", "bump", "oops", "bump"),
+    ("stress_energy", "em", [1], "stress_energy.em"),
+    ("region", "box", "x", "region.box"),
+    ("region", "box", [[0.0, math.inf]] * 4, "region.box"),
+    # every mode under the DC cutoff 2 pi / tau
+    ("probe", "spectrum", {"family": "flat-band", "omega_lo": 1.0, "omega_hi": 2.0,
+                           "n_photons": 10.0, "tau": 1.0, "n_modes": 2},
+     "probe.spectrum"),
+    # integer fields given non-integers or bools
+    ("probe", "spectrum", dict(_FLAT_BAND, n_modes=2.5), "probe.spectrum.n_modes"),
+    ("region", "resolution", [5.5, 5, 3, 3], "region.resolution"),
+    ("", "bump", dict(_BUMP, order=2.5), "bump.order"),
+    ("", "bump", dict(_BUMP, order=True), "bump.order"),
+    # a bad probe number is named once, not inside a 'probe' error
+    ("probe", "squeeze_r", "1", "probe.squeeze_r"),
+    # the one quadrature rule and the one bump shape
+    ("region", "rule", "gauss-legendre", "region.rule"),
+    ("region", "rule", "simpson", "region.rule"),
+    ("", "bump", dict(_BUMP, kind_name="mollifier"), "bump.kind_name"),
 ])
 def test_cli_bad_number_exits_2_naming_the_key(tmp_path, capsys, section, key, value, path):
     doc = _tiny_doc()
     node = doc
-    for part in section.split("."):
+    for part in filter(None, section.split(".")):
         node = node[part]
     node[key] = value
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(doc))
     assert main(["bound", "--config", str(config)]) == 2
-    assert f"'{path}'" in capsys.readouterr().err
+    assert f"error: scenario key '{path}':" in capsys.readouterr().err
 
 
 def test_cli_verify_unknown_suite_exits_2(capsys):

@@ -1,0 +1,158 @@
+"""Byte-identity gate: do two source trees write the same reports?
+
+    python3 tools/identity.py --against REV
+
+unpacks ``git archive REV`` into a temporary directory, then writes the
+``dumps_report`` text of a fixed corpus once from that tree and once from
+the tree this script lives in, each in a fresh child process that imports
+``metricprobe`` from the tree's own ``src/``.  The corpus (87 reports):
+
+* ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
+* ``run_simulate`` of every bundled scenario with a simulation block;
+* ``workloads.run_jobs`` of seed 7: bound-sweep ops 1-8, chart-audit
+  ops 1-6 and readout-mc ops 1-6.
+
+The workload inputs come from this tree's ``bench/workloads.py`` for both
+trees, so both libraries see the same scenario dicts.  The script prints
+``N of N identical``; for the first file that differs it also prints the
+JSON key path, both values and, for floats, their distance in ulps.  It
+exits 0 when every file is identical and 1 otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
+OPS = {"bound-sweep": range(1, 9), "chart-audit": range(1, 7), "readout-mc": range(1, 7)}
+
+
+def write_corpus(out_dir: str) -> None:
+    """Write every corpus report as one file under out_dir (child side)."""
+    from metricprobe import reports, scenarios
+    import workloads
+
+    def put(name: str, text: str) -> None:
+        (Path(out_dir) / f"{name}.json").write_text(text)
+
+    for name in scenarios.bundled_scenario_names():
+        sc = scenarios.load_bundled(name)
+        for mult in (1.0, 0.5):
+            put(f"bound@{mult}_{name}",
+                reports.dumps_report(scenarios.run_bound(sc, resolution_mult=mult)))
+        if "simulation" in sc.raw:
+            put(f"simulate_{name}", reports.dumps_report(scenarios.run_simulate(sc)))
+    for workload, ops in OPS.items():
+        wl = workloads.Workload(workload, SEED, scenarios)
+        for op in ops:
+            done = workloads.run_jobs(wl.jobs(op), scenarios, reports)
+            for job, (_, text) in enumerate(done):
+                put(f"{workload}_op{op}_job{job}", text)
+
+
+def _run_tree(tree: Path, out_dir: Path) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tree / "src"), str(ROOT / "tools"), str(ROOT / "bench")]))
+    code = ("import sys, metricprobe, identity\n"
+            "assert metricprobe.__file__.startswith(sys.argv[1]), metricprobe.__file__\n"
+            "identity.write_corpus(sys.argv[2])\n")
+    return subprocess.Popen([sys.executable, "-c", code, str(tree / "src"), str(out_dir)],
+                            env=env, cwd=out_dir)
+
+
+def _ordered(x: float) -> int:
+    # IEEE doubles as integers that are consecutive for adjacent doubles
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(1 << 63) - i
+
+
+def _first_difference(a, b, path: str = ""):
+    """(key path, value a, value b) of the first differing leaf, or None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in dict.fromkeys([*a, *b]):
+            if key not in a or key not in b:
+                return f"{path}.{key}", a.get(key, "<absent>"), b.get(key, "<absent>")
+            found = _first_difference(a[key], b[key], f"{path}.{key}")
+            if found:
+                return found
+        if list(a) != list(b):
+            return f"{path} (key order)", list(a), list(b)
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = _first_difference(x, y, f"{path}[{i}]")
+            if found:
+                return found
+        if len(a) != len(b):
+            return f"{path} (length)", len(a), len(b)
+        return None
+    if type(a) is not type(b) or a != b:
+        # NaN != NaN, but the texts already say whether they differ
+        if isinstance(a, float) and isinstance(b, float) and a != a and b != b:
+            return None
+        return path or "<root>", a, b
+    return None
+
+
+def compare(dir_a: Path, dir_b: Path) -> tuple:
+    """(number identical, total, text describing the first difference)."""
+    names = sorted({p.name for p in dir_a.iterdir()} | {p.name for p in dir_b.iterdir()})
+    same, first = 0, ""
+    for name in names:
+        pa, pb = dir_a / name, dir_b / name
+        if pa.exists() and pb.exists() and pa.read_bytes() == pb.read_bytes():
+            same += 1
+            continue
+        if first:
+            continue
+        if not (pa.exists() and pb.exists()):
+            first = f"{name}: written by only one tree"
+            continue
+        found = _first_difference(json.loads(pa.read_text()), json.loads(pb.read_text()))
+        if found is None:
+            first = f"{name}: same values, different text"
+            continue
+        path, va, vb = found
+        first = f"{name}: {path}: {va!r} != {vb!r}"
+        if all(type(v) in (int, float) for v in (va, vb)):
+            # the writer prints an integral float such as 0.0 as "0"
+            first += f" ({abs(_ordered(float(va)) - _ordered(float(vb)))} ulp)"
+    return same, len(names), first
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", required=True, metavar="REV",
+                    help="git revision whose reports this tree must reproduce")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        tmp = Path(tmp)
+        other = tmp / "tree"
+        other.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(other)], input=archive, check=True)
+        outs = {"against": tmp / "against", "this": tmp / "this"}
+        procs = []
+        for label, tree in (("against", other), ("this", ROOT)):
+            outs[label].mkdir()
+            procs.append(_run_tree(tree, outs[label]))
+        if any([p.wait() != 0 for p in procs]):
+            print("a child process failed; see its traceback above", file=sys.stderr)
+            return 2
+        same, total, first = compare(outs["against"], outs["this"])
+    print(f"{same} of {total} identical")
+    if first:
+        print(f"first difference ({args.against} vs this tree): {first}")
+    return 0 if same == total else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
