@@ -23,13 +23,16 @@ import numpy as np
 from .geometry import (BumpProfile, LocalizedFamily, metric_parameter_derivative,
                        localize, schwarzschild, isotropic)
 from .quadrature import RegionSpec, integrate, integrate_with_estimate, region_rules
-from .stress_energy import StressEnergyField, covariant_divergence
+from .stress_energy import StressEnergyField, covariant_divergence, divergence_residual
 
 _PLATEAU_EPS = 1e-12
 # finite-difference step of the coordinate check's covariant divergence,
 # and the divergence residual below which its source counts as conserved
 _FD_STEP = 1e-3
 _DIVERGENCE_TOL = 1e-6
+# how far outside a source's support its order-4 divergence stencil can
+# see the source: two steps, with a margin against rounding
+_STENCIL_REACH = 2.0 * _FD_STEP * 1.01
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,8 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
     For localized families the region must contain the bump support;
     a region that clips the support is flagged (the reported bound would
     ignore perturbation outside the window).  Nodes outside the chart
-    domain raise through the family evaluation.
+    domain raise through the family evaluation.  The density is
+    evaluated only inside T's declared support, if it has one.
     """
     notes = []
     bump = family.bump if isinstance(family, LocalizedFamily) else None
@@ -87,7 +91,7 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
         return generator_density(T, family, pts)
 
     if bump is None:
-        total = integrate(dens, region)
+        total = integrate(dens, region, T.support)
         plateau, shell = total, 0.0
     else:
         def split(pts):
@@ -99,9 +103,9 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
                 d, np.where(chi >= 1.0 - _PLATEAU_EPS, d, 0.0),
                 np.where((chi > _PLATEAU_EPS) & (chi < 1.0 - _PLATEAU_EPS), d, 0.0)])
 
-        total, plateau, shell = integrate(split, region)
+        total, plateau, shell = integrate(split, region, T.support)
 
-    est = abs(total - integrate(dens, region.coarsened()))
+    est = abs(total - integrate(dens, region.coarsened(), T.support))
     return GeneratorResult(P_total=float(total), P_plateau=float(plateau),
                            P_shell=float(shell), boundary_term=0.0,
                            error_estimate=float(est), warnings=tuple(notes))
@@ -234,6 +238,10 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
     vanishes; for a non-conserved source the three quantities agree at
     a nonzero value within quadrature error.  The source counts as
     conserved when its divergence residual is at most 1e-6.
+
+    When testT declares a support, the volume integrals evaluate only
+    inside it, the divergence within the stencil's reach of it; the
+    boundary flux and the residual sample always run in full.
     """
     fam_s = schwarzschild(0.0)
     fam_i = isotropic(0.0)
@@ -256,7 +264,7 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
         vol = r * r * sth
         return vol * chi(pts) * r * (Tv[..., 2, 2] + sth ** 2 * Tv[..., 3, 3])
 
-    angular, angular_est = integrate_with_estimate(angular_density, region)
+    angular, angular_est = integrate_with_estimate(angular_density, region, testT.support)
 
     def div_r_density(pts):
         g = metric_eval(pts)
@@ -264,7 +272,9 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
         div = covariant_divergence(testT, metric_eval, pts, h=_FD_STEP, order=4)
         return vol * div[..., 1]
 
-    div_integral, div_est = integrate_with_estimate(div_r_density, region)
+    div_support = (None if testT.support is None
+                   else testT.support + np.array([-_STENCIL_REACH, _STENCIL_REACH]))
+    div_integral, div_est = integrate_with_estimate(div_r_density, region, div_support)
 
     X = chart_map_deformation_schwarzschild_isotropic()
     flux = boundary_term(testT, X, region.box, metric_eval,
@@ -273,8 +283,7 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
     # conservation diagnostic on a moderate interior sample
     sample_axes = [np.linspace(region.box[ax, 0], region.box[ax, 1], 7)[1:-1] for ax in range(4)]
     sample = np.stack(np.meshgrid(*sample_axes, indexing="ij"), axis=-1)
-    from .stress_energy import divergence_residual as _div_res
-    resid = _div_res(testT, metric_eval, sample, h=_FD_STEP, order=4)
+    resid = divergence_residual(testT, metric_eval, sample, h=_FD_STEP, order=4)
 
     est = (res_s.error_estimate + res_i.error_estimate
            + angular_est + div_est)
@@ -323,6 +332,14 @@ def _poly_bump_d2(u: np.ndarray, p: int = 6) -> np.ndarray:
 _TEST_CENTER = np.array([0.0, 3.0, 0.0, 0.0])
 _TEST_HALFW = np.array([0.8, 0.8, 0.8, 0.8])
 _TEST_AMP = 0.1
+#: Spherical-chart bounding box of that Cartesian cube, rounded outward:
+#: the conserved source's support.  r runs from 2.2 (near face) to
+#: sqrt(3.8^2 + 2 * 0.8^2) = 3.9648 (far corners); |theta - pi/2| and
+#: |phi| reach atan(0.8 / 2.2) = 0.34877 on the near face's edges.
+_CONSERVED_SUPPORT = np.array([
+    [-0.8, 0.8], [2.2, 3.97], [1.222, 1.92], [-0.349, 0.349]])
+#: (frac, shift) of the nonconserved source's T^thth, T^rr and T^tr bumps
+_NONCONSERVED_BUMPS = ((0.425, 0.0), (0.36, 0.05), (0.30, -0.06))
 
 
 def conserved_test_tensor() -> StressEnergyField:
@@ -374,7 +391,8 @@ def conserved_test_tensor() -> StressEnergyField:
                                 + (Jix * Jjy + Jiy * Jjx) * Txy)
         return T
 
-    return StressEnergyField(analytic=fn, chart="schwarzschild", label="conserved-airy")
+    return StressEnergyField(analytic=fn, chart="schwarzschild", label="conserved-airy",
+                             support=_CONSERVED_SUPPORT.copy())
 
 
 def nonconserved_test_tensor() -> StressEnergyField:
@@ -386,7 +404,10 @@ def nonconserved_test_tensor() -> StressEnergyField:
     difference (their derivative-tensor couplings coincide at m = 0)
     but feed the covariant-divergence route through genuine radial and
     time derivatives, so the Gauss-theorem comparison cannot reduce to
-    a resummation of the direct one."""
+    a resummation of the direct one.  Each bump is centered at
+    center + shift * extent of the plateau and vanishes outside
+    +- frac * extent of that, so the support is the union of the three
+    boxes."""
     plateau = _COORD_PLATEAU
     center = 0.5 * (plateau[:, 0] + plateau[:, 1])
     extent = plateau[:, 1] - plateau[:, 0]
@@ -400,15 +421,21 @@ def nonconserved_test_tensor() -> StressEnergyField:
 
     def fn(pts):
         T = np.zeros(pts.shape[:-1] + (4, 4))
-        T[..., 2, 2] = prod_bump(pts, 0.425, 0.0)
-        T[..., 1, 1] = prod_bump(pts, 0.36, 0.05)
-        trt = prod_bump(pts, 0.30, -0.06)
+        thth, rr, trt = (prod_bump(pts, frac, shift) for frac, shift in _NONCONSERVED_BUMPS)
+        T[..., 2, 2] = thth
+        T[..., 1, 1] = rr
         T[..., 0, 1] = trt
         T[..., 1, 0] = trt
         return T
 
-    return StressEnergyField(analytic=fn, chart="schwarzschild", label="nonconserved-angular")
-
+    lo = [center + shift * extent - frac * extent for frac, shift in _NONCONSERVED_BUMPS]
+    hi = [center + shift * extent + frac * extent for frac, shift in _NONCONSERVED_BUMPS]
+    # c +- frac * extent is rounded; one ulp outward covers every point
+    # the bump's own arithmetic can place inside
+    support = np.nextafter(np.stack([np.min(lo, axis=0), np.max(hi, axis=0)], axis=-1),
+                           [-np.inf, np.inf])
+    return StressEnergyField(analytic=fn, chart="schwarzschild", label="nonconserved-angular",
+                             support=support)
 
 #: Spherical-chart boxes for the bundled coordinate check.  The conserved
 #: source's Cartesian cube (center (3, 0, 0), half-width 0.8) maps into

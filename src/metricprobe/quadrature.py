@@ -66,7 +66,14 @@ def region_rules(region: RegionSpec):
             for ax in range(4)]
 
 
-def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec):
+def _nodes_inside(x: np.ndarray, lo: float, hi: float) -> slice:
+    """Index range of the ascending nodes x that lie in [lo, hi]."""
+    return slice(int(np.searchsorted(x, lo, side="left")),
+                 int(np.searchsorted(x, hi, side="right")))
+
+
+def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
+              support=None):
     """Integrate fn over the region.  fn maps points (..., 4) to values
     (...), or to k stacked integrands (k, ...), and must be vectorized.
     Returns the quadrature sum: a float, or a (k,) array when stacked.
@@ -75,25 +82,53 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec):
     grids.  Each integrand's weighted slice is summed on its own, then
     its row of slice sums is weighted along axis 0, so an integrand sums
     to the same bits whether or not it is stacked with others.
+
+    support, a (4, 2) box outside which fn is exactly 0, restricts
+    evaluation to the nodes inside it: axis-0 nodes outside the box are
+    skipped with slice sums of 0, and each remaining slice is evaluated
+    on its block of inside nodes and written into a zeroed full slice,
+    which is summed as above.  A node where fn is 0 adds nothing to a
+    sum, so the result has the same bits as without support.  Without
+    support every node is evaluated.
     """
-    (x0, w0), (x1, w1), (x2, w2), (x3, w3) = region_rules(region)
+    rules = region_rules(region)
+    (x0, w0), (x1, w1), (x2, w2), (x3, w3) = rules
     w123 = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
     mesh123 = np.stack(np.meshgrid(x1, x2, x3, indexing="ij"), axis=-1)
-    slice_sums = []
-    for t in x0:
+    if support is None:
+        t_nodes, block = slice(None), None
+    else:
+        inside = [_nodes_inside(x, lo, hi)
+                  for (x, _), (lo, hi) in zip(rules, np.asarray(support, dtype=float))]
+        if any(s.start >= s.stop for s in inside):
+            # the box misses the grid: evaluate one empty block, only to
+            # learn how many integrands fn stacks
+            inside = [slice(0, 1)] + [slice(0, 0)] * 3
+        t_nodes, block = inside[0], tuple(inside[1:])
+        mesh123 = mesh123[block]
+    rows = None
+    for i in range(len(x0))[t_nodes]:
         pts = np.empty(mesh123.shape[:-1] + (4,))
-        pts[..., 0] = t
+        pts[..., 0] = x0[i]
         pts[..., 1:] = mesh123
-        weighted = np.asarray(fn(pts), dtype=float) * w123
-        slice_sums.append([np.sum(slab) for slab in weighted.reshape((-1,) + w123.shape)])
-    rows = np.ascontiguousarray(np.transpose(slice_sums))
+        if block is None:
+            weighted = np.asarray(fn(pts), dtype=float) * w123
+        else:
+            values = np.asarray(fn(pts), dtype=float) * w123[block]
+            weighted = np.zeros(values.shape[:-3] + w123.shape)
+            weighted[(Ellipsis,) + block] = values
+        sums = [np.sum(slab) for slab in weighted.reshape((-1,) + w123.shape)]
+        if rows is None:
+            rows = np.zeros((len(sums), len(x0)))
+        rows[:, i] = sums
     out = np.sum(rows * w0, axis=-1)
     return out if weighted.ndim == 4 else float(out[0])
 
 
-def integrate_with_estimate(fn, region: RegionSpec):
+def integrate_with_estimate(fn, region: RegionSpec, support=None):
     """(value at the region's own resolution, conservative error estimate
-    |I - I_coarsened| from one nested coarsening step)."""
-    fine = integrate(fn, region)
-    coarse = integrate(fn, region.coarsened())
+    |I - I_coarsened| from one nested coarsening step).  support is
+    passed to integrate."""
+    fine = integrate(fn, region, support)
+    coarse = integrate(fn, region.coarsened(), support)
     return fine, abs(fine - coarse)

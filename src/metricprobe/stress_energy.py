@@ -241,6 +241,11 @@ class StressEnergyField:
       against the curved metric exactly.
     * grid: TensorGrid with multilinear interpolation between nodes.
     * analytic: a callable (..., 4) -> (..., 4, 4).
+
+    support, when given, is a closed (4, 2) chart-coordinate box outside
+    which every component of T is exactly 0, so integrals of densities
+    that vanish with T need evaluating only inside it.  None means T may
+    be nonzero anywhere.
     """
 
     em: Optional[EMFieldConfig] = None
@@ -249,6 +254,7 @@ class StressEnergyField:
     chart: str = "cartesian"
     frame_metric: Optional[MetricFamily] = None
     label: str = ""
+    support: Optional[np.ndarray] = None
 
     def __post_init__(self):
         n = sum(s is not None for s in (self.em, self.grid, self.analytic))
@@ -256,6 +262,15 @@ class StressEnergyField:
             raise ValueError("exactly one of em, grid, analytic must be set")
         if self.grid is not None and self.grid.chart != self.chart:
             raise ValueError("grid chart label disagrees with field chart")
+        if self.support is not None:
+            box = np.asarray(self.support, dtype=float)
+            if box.shape != (4, 2):
+                raise ValueError("support must have shape (4, 2)")
+            if not np.all(np.isfinite(box)):
+                raise ValueError("support must be finite")
+            if np.any(box[:, 0] >= box[:, 1]):
+                raise ValueError("support must have lo < hi on every axis")
+            object.__setattr__(self, "support", box)
 
     def tensor(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from metricprobe.generator import (CoordinateCheckReport, boundary_term,
+from metricprobe.generator import (_FD_STEP, _TEST_CENTER, _TEST_HALFW,
+                                   CoordinateCheckReport, boundary_term,
                                    bundled_coordinate_bump,
                                    conserved_test_tensor,
                                    coordinate_independence_check,
@@ -313,6 +315,62 @@ def test_nonconserved_source_splits_charts():
     assert abs(diff - rep.angular_integral) <= rep.error_estimate
     assert abs(rep.angular_integral - rep.flux_minus_divergence) <= max(
         rep.error_estimate, 2e-2 * abs(rep.angular_integral))
+
+
+@pytest.mark.parametrize("make", [conserved_test_tensor, nonconserved_test_tensor])
+def test_declared_support_is_sound(make):
+    # the support-aware chart audit rests on T being exactly 0 outside
+    # the declared box
+    T = make()
+    box = T.support
+    lo, hi = box[:, 0], box[:, 1]
+    rng = np.random.default_rng(20261018)
+    test_box = spherical_test_box()
+    pts = test_box[:, 0] + (test_box[:, 1] - test_box[:, 0]) * rng.random((200_000, 4))
+    outside = pts[np.any((pts < lo) | (pts > hi), axis=-1)][:100_000]
+    assert len(outside) == 100_000
+    assert np.all(T.tensor(outside) == 0.0)
+    # points just outside each of the 8 faces, and as far out as the
+    # divergence stencil reaches
+    face = lo + (hi - lo) * rng.random((2000, 4))
+    for ax in range(4):
+        for side, sign in ((0, -1.0), (1, 1.0)):
+            for offset in (1e-9, 2.02 * _FD_STEP):
+                near = face.copy()
+                near[:, ax] = box[ax, side] + sign * offset
+                assert np.all(T.tensor(near) == 0.0), (ax, side, offset)
+    assert np.any(T.tensor(face) != 0.0)
+
+
+def test_conserved_support_covers_its_cartesian_cube():
+    # the conserved source can be nonzero anywhere in the open Cartesian
+    # cube; its extreme r, theta and phi lie on the cube's edges and
+    # corners, which random chart points almost never reach
+    lo = _TEST_CENTER - _TEST_HALFW
+    hi = _TEST_CENTER + _TEST_HALFW
+    rng = np.random.default_rng(7)
+    cube = lo + (hi - lo) * rng.random((30_000, 4))
+    for i, j in [(i, j) for i in range(1, 4) for j in range(i + 1, 4)]:
+        for a in (lo, hi):
+            for b in (lo, hi):
+                edge = cube[:1000].copy()
+                edge[:, i], edge[:, j] = a[i], b[j]
+                cube = np.concatenate([cube, edge])
+    t, x, y, z = np.moveaxis(cube, -1, 0)
+    r = np.sqrt(x * x + y * y + z * z)
+    chart = np.stack([t, r, np.arccos(z / r), np.arctan2(y, x)], axis=-1)
+    box = conserved_test_tensor().support
+    assert np.all((chart >= box[:, 0]) & (chart <= box[:, 1]))
+
+
+@pytest.mark.parametrize("make", [conserved_test_tensor, nonconserved_test_tensor])
+def test_coordinate_check_keeps_every_bit_with_declared_support(make):
+    T = make()
+    undeclared = dataclasses.replace(T, support=None)
+    bump = bundled_coordinate_bump()
+    with_support = coordinate_independence_check(T, _check_region(9), bump=bump)
+    without = coordinate_independence_check(undeclared, _check_region(9), bump=bump)
+    assert repr(dataclasses.astuple(with_support)) == repr(dataclasses.astuple(without))
 
 
 def test_zero_source_everything_vanishes():

@@ -1,7 +1,7 @@
 """Bundled reports against values frozen in tests/data/golden_reports.json.
 
-Covers ``run_bound`` of every bundled scenario (the coordinate check at
-``resolution_mult=0.5``, 17^4 nodes, to keep it to a few seconds) and
+Covers ``run_bound`` of every bundled scenario (the coordinate check both
+at its own 33^4 grid and at ``resolution_mult=0.5``, 17^4 nodes) and
 ``run_simulate`` of every bundled scenario with a simulation block.
 Keys, strings, bools and ints must match exactly; floats must match to
 rel 1e-12 / abs 1e-15, loose enough for other CPUs' rounding and tight
@@ -24,7 +24,7 @@ from metricprobe.scenarios import (bundled_scenario_names, load_bundled,
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_reports.json"
 RTOL = 1e-12
 ATOL = 1e-15
-# the coordinate check is frozen at a coarser grid than it runs by default
+# the coordinate check is also frozen at a coarser grid than it runs by default
 CHART_AUDIT_MULT = 0.5
 
 
@@ -32,10 +32,10 @@ def _cases():
     cases = []
     for name in bundled_scenario_names():
         sc = load_bundled(name)
+        cases.append(("bound", name))
         if sc.kind == "coordinate-check":
             cases.append((f"bound@{CHART_AUDIT_MULT}", name))
             continue
-        cases.append(("bound", name))
         if "simulation" in sc.raw:
             cases.append(("simulate", name))
     return cases

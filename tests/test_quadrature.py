@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metricprobe.quadrature import (RegionSpec, integrate,
-                                    integrate_with_estimate)
+                                    integrate_with_estimate, region_rules)
 
 UNIT_BOX = np.array([[0.0, 1.0]] * 4)
 
@@ -102,3 +102,56 @@ def test_stacked_integrands_sum_as_they_would_alone():
     stacked = integrate(lambda x: np.stack([f(x) for f in fns]), region)
     assert stacked.shape == (3,)
     assert [float(v) for v in stacked] == [integrate(f, region) for f in fns]
+
+
+def _vanishing_outside(box):
+    """A smooth integrand that is exactly 0 outside the closed box."""
+    box = np.asarray(box, dtype=float)
+
+    def fn(x):
+        u = (2.0 * x - box[:, 0] - box[:, 1]) / (box[:, 1] - box[:, 0])
+        return np.prod(np.where(np.abs(u) < 1.0, (1.0 - u * u) ** 3, 0.0), axis=-1) \
+            * (1.0 + x[..., 0] - x[..., 2] * x[..., 3])
+    return fn
+
+
+_SUPPORT_REGION = RegionSpec(box=np.array([[-1.0, 0.5], [0.0, 2.0], [0.3, 1.0], [-0.7, 0.7]]),
+                             resolution=(9, 7, 5, 6))
+
+
+@pytest.mark.parametrize("box", [
+    [[-0.6, 0.2], [0.4, 1.5], [0.45, 0.9], [-0.5, 0.3]],    # not aligned to nodes
+    [[-2.0, 1.0], [-1.0, 3.0], [0.0, 2.0], [-1.0, 1.0]],    # covers the region
+    [[-0.6, 0.2], [0.4, 1.5], [1.2, 1.5], [-0.5, 0.3]],     # beyond the grid on axis 2
+    [[-0.98, -0.85], [0.4, 1.5], [0.45, 0.9], [-0.5, 0.3]],  # between axis-0 nodes
+], ids=["unaligned", "covering", "beyond-axis2", "between-axis0-nodes"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stacked"])
+def test_support_evaluates_only_inside_and_keeps_every_bit(box, stacked):
+    f = _vanishing_outside(box)
+    fn = (lambda x: np.stack([f(x), -2.0 * f(x) * x[..., 1], f(x) ** 2])) if stacked else f
+    seen = []
+
+    def counted(x):
+        seen.append(x.reshape(-1, 4))
+        return fn(x)
+
+    full = integrate(fn, _SUPPORT_REGION)
+    pruned = integrate(counted, _SUPPORT_REGION, support=box)
+    assert type(pruned) is type(full)
+    assert np.shape(pruned) == ((3,) if stacked else ())
+    assert np.asarray(pruned).tobytes() == np.asarray(full).tobytes()
+    pts = np.concatenate(seen)
+    lo, hi = np.asarray(box)[:, 0], np.asarray(box)[:, 1]
+    assert np.all((pts >= lo) & (pts <= hi))
+    inside = np.prod([np.count_nonzero((x >= a) & (x <= b)) for (x, _), (a, b)
+                      in zip(region_rules(_SUPPORT_REGION), box)])
+    assert len(pts) == inside
+    if inside == 0:
+        assert np.all(np.asarray(pruned) == 0.0)
+
+
+def test_estimate_passes_support_through():
+    box = [[-0.6, 0.2], [0.4, 1.5], [0.45, 0.9], [-0.5, 0.3]]
+    fn = _vanishing_outside(box)
+    assert (integrate_with_estimate(fn, _SUPPORT_REGION, support=box)
+            == integrate_with_estimate(fn, _SUPPORT_REGION))

@@ -86,6 +86,26 @@ def test_field_requires_exactly_one_source():
                           analytic=lambda x: np.zeros(x.shape[:-1] + (4, 4)))
 
 
+@pytest.mark.parametrize("support", [
+    np.zeros((3, 2)),
+    [[0.0, 1.0]] * 3 + [[0.0, np.inf]],
+    [[0.0, 1.0]] * 3 + [[np.nan, 1.0]],
+    [[0.0, 1.0]] * 3 + [[1.0, 1.0]],
+    [[0.0, 1.0]] * 3 + [[2.0, 1.0]],
+], ids=["shape", "inf", "nan", "lo-equals-hi", "lo-above-hi"])
+def test_field_rejects_malformed_support(support):
+    with pytest.raises(ValueError, match="support"):
+        StressEnergyField(em=em_uniform(np.zeros(3), np.zeros(3)), support=support)
+
+
+def test_field_keeps_support_as_float_box():
+    field = StressEnergyField(em=em_uniform(np.zeros(3), np.zeros(3)),
+                              support=[[0, 1], [2, 3], [4, 5], [6, 7]])
+    assert field.support.dtype == float
+    assert np.array_equal(field.support, [[0, 1], [2, 3], [4, 5], [6, 7]])
+    assert StressEnergyField(em=field.em).support is None
+
+
 def test_covariant_divergence_of_plane_wave_is_small():
     field = StressEnergyField(em=em_plane_wave(1.0, 3.0))
     rng = np.random.default_rng(4)
