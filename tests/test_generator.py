@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -350,7 +351,7 @@ def test_conserved_support_covers_its_cartesian_cube():
     hi = _TEST_CENTER + _TEST_HALFW
     rng = np.random.default_rng(7)
     cube = lo + (hi - lo) * rng.random((30_000, 4))
-    for i, j in [(i, j) for i in range(1, 4) for j in range(i + 1, 4)]:
+    for i, j in itertools.combinations(range(1, 4), 2):
         for a in (lo, hi):
             for b in (lo, hi):
                 edge = cube[:1000].copy()
