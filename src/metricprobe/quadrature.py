@@ -89,14 +89,13 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
     on its block of inside nodes and written into a zeroed full slice,
     which is summed as above.  A node where fn is 0 adds nothing to a
     sum, so the result has the same bits as without support.  Without
-    support every node is evaluated.
+    support the block is the whole slice and every node is evaluated.
     """
     rules = region_rules(region)
     (x0, w0), (x1, w1), (x2, w2), (x3, w3) = rules
     w123 = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
-    mesh123 = np.stack(np.meshgrid(x1, x2, x3, indexing="ij"), axis=-1)
     if support is None:
-        t_nodes, block = slice(None), None
+        inside = [slice(None)] * 4
     else:
         inside = [_nodes_inside(x, lo, hi)
                   for (x, _), (lo, hi) in zip(rules, np.asarray(support, dtype=float))]
@@ -104,19 +103,17 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
             # the box misses the grid: evaluate one empty block, only to
             # learn how many integrands fn stacks
             inside = [slice(0, 1)] + [slice(0, 0)] * 3
-        t_nodes, block = inside[0], tuple(inside[1:])
-        mesh123 = mesh123[block]
+    block = tuple(inside[1:])
+    mesh123 = np.stack(np.meshgrid(x1[block[0]], x2[block[1]], x3[block[2]],
+                                   indexing="ij"), axis=-1)
     rows = None
-    for i in range(len(x0))[t_nodes]:
+    for i in range(len(x0))[inside[0]]:
         pts = np.empty(mesh123.shape[:-1] + (4,))
         pts[..., 0] = x0[i]
         pts[..., 1:] = mesh123
-        if block is None:
-            weighted = np.asarray(fn(pts), dtype=float) * w123
-        else:
-            values = np.asarray(fn(pts), dtype=float) * w123[block]
-            weighted = np.zeros(values.shape[:-3] + w123.shape)
-            weighted[(Ellipsis,) + block] = values
+        values = np.asarray(fn(pts), dtype=float) * w123[block]
+        weighted = np.zeros(values.shape[:-3] + w123.shape)
+        weighted[(Ellipsis,) + block] = values
         sums = [np.sum(slab) for slab in weighted.reshape((-1,) + w123.shape)]
         if rows is None:
             rows = np.zeros((len(sums), len(x0)))
