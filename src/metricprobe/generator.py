@@ -40,7 +40,8 @@ class GeneratorResult:
     """Quadrature of the generator density over a region.
 
     P_total = P_plateau + P_shell up to accumulated rounding; the error
-    estimate is the conservative |I - I_coarse| from nested coarsening.
+    estimate is the conservative |I - I_coarse| from nested coarsening,
+    and warnings says so when the region's grid does not nest.
     """
 
     P_total: float
@@ -85,6 +86,11 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
             warnings.warn(msg)
             notes.append(msg)
 
+    coarse = region.coarsened()
+    if any((n - 1) % (m - 1) for n, m in zip(region.resolution, coarse.resolution)):
+        notes.append("coarsened grid is not nested in the region's grid; "
+                     "error_estimate is not a nested estimate")
+
     family.domain.require(_region_corner_samples(region))
 
     def dens(pts):
@@ -105,7 +111,7 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
 
         total, plateau, shell = integrate(split, region, T.support)
 
-    est = abs(total - integrate(dens, region.coarsened(), T.support))
+    est = abs(total - integrate(dens, coarse, T.support))
     return GeneratorResult(P_total=float(total), P_plateau=float(plateau),
                            P_shell=float(shell), boundary_term=0.0,
                            error_estimate=float(est), warnings=tuple(notes))

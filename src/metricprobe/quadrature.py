@@ -13,6 +13,10 @@ from typing import Callable
 
 import numpy as np
 
+#: node budget of one fn call in integrate: whole axis-0 slices are
+#: grouped up to this many nodes, a larger slice is evaluated alone
+_BLOCK_NODES = 2048
+
 
 @dataclass(frozen=True)
 class RegionSpec:
@@ -78,18 +82,21 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
     (...), or to k stacked integrands (k, ...), and must be vectorized.
     Returns the quadrature sum: a float, or a (k,) array when stacked.
 
-    Evaluation goes one axis-0 node at a time to bound memory on fine
-    grids.  Each integrand's weighted slice is summed on its own, then
-    its row of slice sums is weighted along axis 0, so an integrand sums
-    to the same bits whether or not it is stacked with others.
+    fn is called on blocks of consecutive axis-0 slices, as many whole
+    slices as fit in _BLOCK_NODES nodes and at least one, which bounds
+    memory on fine grids; a block's points have shape (m, n1, n2, n3, 4).
+    Each slice's values are weighted, written into a zeroed full slice
+    and summed on their own per integrand, then the row of slice sums is
+    weighted along axis 0.  So the result has the same bits whatever the
+    block size, and an integrand sums to the same bits whether or not it
+    is stacked with others.
 
     support, a (4, 2) box outside which fn is exactly 0, restricts
     evaluation to the nodes inside it: axis-0 nodes outside the box are
     skipped with slice sums of 0, and each remaining slice is evaluated
-    on its block of inside nodes and written into a zeroed full slice,
-    which is summed as above.  A node where fn is 0 adds nothing to a
-    sum, so the result has the same bits as without support.  Without
-    support the block is the whole slice and every node is evaluated.
+    only on its inside nodes before the zero fill.  A node where fn is 0
+    adds nothing to a sum, so the result has the same bits as without
+    support.  Without support every node is evaluated.
     """
     rules = region_rules(region)
     (x0, w0), (x1, w1), (x2, w2), (x3, w3) = rules
@@ -106,18 +113,22 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
     block = tuple(inside[1:])
     mesh123 = np.stack(np.meshgrid(x1[block[0]], x2[block[1]], x3[block[2]],
                                    indexing="ij"), axis=-1)
+    slices = range(len(x0))[inside[0]]
+    per_block = max(1, _BLOCK_NODES // max(1, mesh123[..., 0].size))
     rows = None
-    for i in range(len(x0))[inside[0]]:
-        pts = np.empty(mesh123.shape[:-1] + (4,))
-        pts[..., 0] = x0[i]
+    for start in range(0, len(slices), per_block):
+        group = slices[start:start + per_block]
+        pts = np.empty((len(group),) + mesh123.shape[:-1] + (4,))
+        pts[..., 0] = x0[group, None, None, None]
         pts[..., 1:] = mesh123
-        values = np.asarray(fn(pts), dtype=float) * w123[block]
-        weighted = np.zeros(values.shape[:-3] + w123.shape)
-        weighted[(Ellipsis,) + block] = values
-        sums = [np.sum(slab) for slab in weighted.reshape((-1,) + w123.shape)]
-        if rows is None:
-            rows = np.zeros((len(sums), len(x0)))
-        rows[:, i] = sums
+        values = np.asarray(fn(pts), dtype=float)
+        for j, i in enumerate(group):
+            weighted = np.zeros(values.shape[:-4] + w123.shape)
+            weighted[(Ellipsis,) + block] = values[..., j, :, :, :] * w123[block]
+            sums = [np.sum(slab) for slab in weighted.reshape((-1,) + w123.shape)]
+            if rows is None:
+                rows = np.zeros((len(sums), len(x0)))
+            rows[:, i] = sums
     out = np.sum(rows * w0, axis=-1)
     return out if weighted.ndim == 4 else float(out[0])
 

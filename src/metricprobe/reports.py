@@ -17,6 +17,8 @@ def _format_float(x: float) -> str:
         return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        return "-0.0"  # "-0" would read back as the int 0
     return format(x, ".17g")
 
 

@@ -154,6 +154,17 @@ def test_clipped_support_warns():
     assert "clips" in res.warnings[0]
 
 
+def test_non_nested_coarsening_warns():
+    field = _plane_wave_field(amplitude=1.0, omega=4.0)
+    region = RegionSpec(box=np.array([[0.0, 1.0]] * 4), resolution=(17, 5, 5, 5))
+    assert integrate_generator(field, gw_plane_wave(0.0), region).warnings == ()
+    scaled = region.scaled(1.3)
+    assert scaled.resolution[0] == 22 and scaled.coarsened().resolution[0] == 11
+    res = integrate_generator(field, gw_plane_wave(0.0), scaled)
+    assert len(res.warnings) == 1
+    assert "not nested" in res.warnings[0]
+
+
 def test_region_outside_chart_raises():
     fam = schwarzschild(1.0)
     region = RegionSpec(box=np.array([[0.0, 1.0], [1.0, 4.0], [1.0, 2.0], [0.0, 1.0]]),

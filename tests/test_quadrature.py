@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metricprobe import quadrature
 from metricprobe.quadrature import (RegionSpec, integrate,
                                     integrate_with_estimate, region_rules)
 
@@ -155,3 +156,66 @@ def test_estimate_passes_support_through():
     fn = _vanishing_outside(box)
     assert (integrate_with_estimate(fn, _SUPPORT_REGION, support=box)
             == integrate_with_estimate(fn, _SUPPORT_REGION))
+
+
+def _per_slice_reference(fn, region):
+    """The documented sum with one fn call per axis-0 slice on the full
+    grid: weighted slices summed per integrand, then weighted along axis 0."""
+    (x0, w0), (x1, w1), (x2, w2), (x3, w3) = region_rules(region)
+    w123 = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
+    mesh = np.stack(np.meshgrid(x1, x2, x3, indexing="ij"), axis=-1)
+    rows = None
+    for i, t in enumerate(x0):
+        pts = np.concatenate([np.full(mesh.shape[:-1] + (1,), t), mesh], axis=-1)
+        values = np.asarray(fn(pts), dtype=float)
+        slabs = (values * w123).reshape((-1,) + w123.shape)
+        if rows is None:
+            rows = np.zeros((len(slabs), len(x0)))
+        rows[:, i] = [np.sum(slab) for slab in slabs]
+    out = np.sum(rows * w0, axis=-1)
+    return out if values.ndim == 4 else float(out[0])
+
+
+_BLOCK_REGION = RegionSpec(box=np.array([[-1.0, 0.5], [0.0, 2.0], [0.3, 1.0], [-0.7, 0.7]]),
+                           resolution=(13, 7, 5, 6))
+
+
+@pytest.mark.parametrize("budget", [None, 500, 100, 20],
+                         ids=["default", "two-slices", "one-slice", "under-one-slice"])
+@pytest.mark.parametrize("support", [
+    None,
+    [[-0.6, 0.2], [0.4, 1.5], [0.45, 0.9], [-0.5, 0.3]],
+    [[-0.6, 0.2], [0.4, 1.5], [1.2, 1.5], [-0.5, 0.3]],
+], ids=["no-support", "support", "support-misses-grid"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stacked"])
+def test_blocks_keep_every_bit_and_stay_within_budget(monkeypatch, budget, support, stacked):
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", budget)
+    box = support if support is not None else _BLOCK_REGION.box
+    f = _vanishing_outside(box) if support is not None else \
+        (lambda x: np.exp(-np.sum(x ** 2, axis=-1)) * np.cos(3.0 * x[..., 0]))
+    fn = (lambda x: np.stack([f(x), -2.0 * f(x) * x[..., 1], f(x) ** 2])) if stacked else f
+    calls = []
+
+    def recorded(x):
+        calls.append(x.reshape(-1, 4).copy())
+        return fn(x)
+
+    got = integrate(recorded, _BLOCK_REGION, support=support)
+    want = _per_slice_reference(fn, _BLOCK_REGION)
+    assert type(got) is type(want)
+    assert np.all(got == want)
+
+    counts = [np.count_nonzero((x >= lo) & (x <= hi)) for (x, _), (lo, hi)
+              in zip(region_rules(_BLOCK_REGION), box)]
+    n_slices, per_slice = counts[0], int(np.prod(counts[1:]))
+    if per_slice == 0:
+        n_slices = 1   # a missed box still makes one empty call
+    limit = quadrature._BLOCK_NODES
+    assert all(len(x) <= max(limit, per_slice) for x in calls)
+    assert len(calls) == -(-n_slices // max(1, limit // max(1, per_slice)))
+    pts = np.concatenate(calls)
+    assert len(pts) == n_slices * per_slice
+    assert len(np.unique(pts, axis=0)) == len(pts)
+    lo, hi = np.asarray(box)[:, 0], np.asarray(box)[:, 1]
+    assert np.all((pts >= lo) & (pts <= hi))

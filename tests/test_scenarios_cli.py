@@ -1,11 +1,15 @@
 import copy
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from metricprobe import generator, scenarios
 from metricprobe.cli import main
 from metricprobe.reports import dumps_report, render_summary, write_report
 from metricprobe.scenarios import (KINDS, Scenario, ScenarioError,
@@ -322,6 +326,39 @@ def test_simulate_requires_probe():
 # reports
 # ---------------------------------------------------------------------------
 
+class _SeenRegion(Exception):
+    pass
+
+
+@pytest.mark.parametrize("mult", [1.0, 0.5])
+def test_bundled_grids_nest_under_coarsening(monkeypatch, mult):
+    # every generator integral of every bundled scenario keeps the nested
+    # error estimate; the chart audit's sources share one region, so its
+    # first generator integral stands for the rest
+    seen = []
+
+    def spy(T, family, region):
+        res = real(T, family, region)
+        seen.append(res.warnings)
+        if stop:
+            raise _SeenRegion
+        return res
+
+    real = generator.integrate_generator
+    monkeypatch.setattr(generator, "integrate_generator", spy)
+    monkeypatch.setattr(scenarios, "integrate_generator", spy)
+    for name in EXPECTED_SCENARIOS:
+        sc = load_bundled(name)
+        stop = sc.kind == "coordinate-check"
+        if stop:
+            with pytest.raises(_SeenRegion):
+                run_bound(sc, resolution_mult=mult)
+        else:
+            run_bound(sc, resolution_mult=mult)
+    assert len(seen) == len(EXPECTED_SCENARIOS)
+    assert not any("not nested" in w for ws in seen for w in ws)
+
+
 def test_report_json_round_trips_exactly(tmp_path):
     rep = run_bound(load_bundled("gw-monochromatic-coherent"))
     text = dumps_report(rep)
@@ -344,6 +381,22 @@ def test_report_serializes_infinity_and_nan():
     assert parsed["d"] is None
     assert parsed["e"] == [True, False]
     assert parsed["f"] == []
+
+
+@settings(database=None)
+@given(st.floats())
+@example(-0.0)
+@example(0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+def test_report_float_round_trips_bit_exactly(x):
+    back = float(json.loads(dumps_report({"x": x}))["x"])
+    if math.isnan(x):
+        assert math.isnan(back)
+    else:
+        assert struct.pack("<d", back) == struct.pack("<d", x)
 
 
 def test_report_rejects_foreign_types():
