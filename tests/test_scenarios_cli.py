@@ -336,6 +336,7 @@ def test_bundled_grids_nest_under_coarsening(monkeypatch, mult):
     # error estimate; the chart audit's sources share one region, so its
     # first generator integral stands for the rest
     seen = []
+    real = generator.integrate_generator
 
     def spy(T, family, region):
         res = real(T, family, region)
@@ -344,7 +345,6 @@ def test_bundled_grids_nest_under_coarsening(monkeypatch, mult):
             raise _SeenRegion
         return res
 
-    real = generator.integrate_generator
     monkeypatch.setattr(generator, "integrate_generator", spy)
     monkeypatch.setattr(scenarios, "integrate_generator", spy)
     for name in EXPECTED_SCENARIOS:
