@@ -16,7 +16,7 @@ from .geometry import (BUILTIN_FAMILIES, BumpProfile, LocalizedFamily,
                        localize, minkowski_component, schwarzschild)
 from .stress_energy import (StressEnergyField, em_plane_wave, em_stress_tensor,
                             em_uniform, trace)
-from .quadrature import RegionSpec, integrate, integrate_with_estimate
+from .quadrature import RegionSpec, integrate
 from .generator import (GeneratorResult, CoordinateCheckReport,
                         coordinate_independence_check, generator_density,
                         integrate_generator, trace_null_residual)
@@ -42,7 +42,7 @@ __all__ = [
     "isotropic", "localize", "minkowski_component", "schwarzschild",
     "StressEnergyField", "em_plane_wave", "em_stress_tensor", "em_uniform",
     "trace",
-    "RegionSpec", "integrate", "integrate_with_estimate",
+    "RegionSpec", "integrate",
     "GeneratorResult", "CoordinateCheckReport",
     "coordinate_independence_check", "generator_density",
     "integrate_generator", "trace_null_residual",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import (BumpProfile, LocalizedFamily, metric_parameter_derivative,
                        localize, schwarzschild, isotropic)
-from .quadrature import RegionSpec, integrate, integrate_with_estimate, region_rules
+from .quadrature import RegionSpec, integrate, region_rules
 from .stress_energy import StressEnergyField, covariant_divergence, divergence_residual
 
 _PLATEAU_EPS = 1e-12
@@ -39,15 +39,14 @@ _STENCIL_REACH = 2.0 * _FD_STEP * 1.01
 class GeneratorResult:
     """Quadrature of the generator density over a region.
 
-    P_total = P_plateau + P_shell up to accumulated rounding; the error
-    estimate is the conservative |I - I_coarse| from nested coarsening,
-    and warnings says so when the region's grid does not nest.
+    P_total = P_plateau + P_shell up to accumulated rounding;
+    error_estimate is integrate's nested estimate for P_total, and
+    warnings name the axes that do not halve and a clipped bump support.
     """
 
     P_total: float
     P_plateau: float
     P_shell: float
-    boundary_term: float
     error_estimate: float
     warnings: tuple = ()
 
@@ -86,10 +85,9 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
             warnings.warn(msg)
             notes.append(msg)
 
-    coarse = region.coarsened()
-    if any((n - 1) % (m - 1) for n, m in zip(region.resolution, coarse.resolution)):
-        notes.append("coarsened grid is not nested in the region's grid; "
-                     "error_estimate is not a nested estimate")
+    notes += [f"axis {ax} has {n} nodes, an even count: this axis does not halve, "
+              "so error_estimate leaves out its error"
+              for ax, n in enumerate(region.resolution) if n > 2 and n % 2 == 0]
 
     family.domain.require(_region_corner_samples(region))
 
@@ -97,7 +95,7 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
         return generator_density(T, family, pts)
 
     if bump is None:
-        total = integrate(dens, region, T.support)
+        total, est = integrate(dens, region, T.support)
         plateau, shell = total, 0.0
     else:
         def split(pts):
@@ -109,12 +107,11 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
                 d, np.where(chi >= 1.0 - _PLATEAU_EPS, d, 0.0),
                 np.where((chi > _PLATEAU_EPS) & (chi < 1.0 - _PLATEAU_EPS), d, 0.0)])
 
-        total, plateau, shell = integrate(split, region, T.support)
+        (total, plateau, shell), (est, _, _) = integrate(split, region, T.support)
 
-    est = abs(total - integrate(dens, coarse, T.support))
     return GeneratorResult(P_total=float(total), P_plateau=float(plateau),
-                           P_shell=float(shell), boundary_term=0.0,
-                           error_estimate=float(est), warnings=tuple(notes))
+                           P_shell=float(shell), error_estimate=float(est),
+                           warnings=tuple(notes))
 
 
 def _region_corner_samples(region: RegionSpec) -> np.ndarray:
@@ -212,7 +209,7 @@ class CoordinateCheckReport:
     Gauss's theorem, with finite-difference Christoffels and partial
     derivatives, so agreement between the two is a nontrivial check of
     the differential plumbing rather than a rearrangement of the same
-    sums."""
+    sums.  warnings are those of its two generator integrals."""
 
     P_schwarzschild: float
     P_isotropic: float
@@ -221,6 +218,7 @@ class CoordinateCheckReport:
     divergence_residual: float
     error_estimate: float
     conserved: bool
+    warnings: tuple
 
 
 def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
@@ -270,7 +268,7 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
         vol = r * r * sth
         return vol * chi(pts) * r * (Tv[..., 2, 2] + sth ** 2 * Tv[..., 3, 3])
 
-    angular, angular_est = integrate_with_estimate(angular_density, region, testT.support)
+    angular, angular_est = integrate(angular_density, region, testT.support)
 
     def div_r_density(pts):
         g = metric_eval(pts)
@@ -280,7 +278,7 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
 
     div_support = (None if testT.support is None
                    else testT.support + np.array([-_STENCIL_REACH, _STENCIL_REACH]))
-    div_integral, div_est = integrate_with_estimate(div_r_density, region, div_support)
+    div_integral, div_est = integrate(div_r_density, region, div_support)
 
     X = chart_map_deformation_schwarzschild_isotropic()
     flux = boundary_term(testT, X, region.box, metric_eval,
@@ -301,6 +299,7 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
         divergence_residual=float(resid),
         error_estimate=float(est),
         conserved=bool(resid <= _DIVERGENCE_TOL),
+        warnings=res_s.warnings,
     )
 
 

@@ -1,13 +1,16 @@
 """Tensor-product composite trapezoid quadrature over 4D coordinate boxes.
 
 The trapezoid rule is superalgebraic on smooth compactly supported
-integrands, and its grids nest (2n - 1 nodes refine n), so callers form
-a conservative error estimate as |I_fine - I_coarse|.  Sums are
-accumulated with numpy's pairwise reduction, which is deterministic for
-a fixed evaluation order.
+integrands.  On an axis with an odd node count the nodes hold two nested
+half-resolution rules, the trapezoid rule on the even nodes and the
+midpoint rule on the odd ones, whose average is the fine rule; integrate
+estimates its error from them without evaluating any node twice.  Sums
+are accumulated with numpy's pairwise reduction, which is deterministic
+for a fixed evaluation order.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -38,20 +41,17 @@ class RegionSpec:
         object.__setattr__(self, "box", b)
         object.__setattr__(self, "resolution", res)
 
-    def refined(self) -> "RegionSpec":
-        """Nested refinement: intervals double (2n - 1 nodes)."""
-        return replace(self, resolution=tuple(2 * n - 1 for n in self.resolution))
-
     def coarsened(self) -> "RegionSpec":
-        """Nested coarsening (inverse of refined for odd node counts)."""
+        """Half the intervals per axis: the even nodes of odd counts."""
         return replace(self, resolution=tuple(max(2, (n + 1) // 2)
                                               for n in self.resolution))
 
     def scaled(self, mult: float) -> "RegionSpec":
-        """Resolution scaled by a positive factor (CLI --resolution knob)."""
+        """Resolution scaled by a positive factor (CLI --resolution knob);
+        interval counts round to even, so every axis halves or has 2 nodes."""
         if mult <= 0:
             raise ValueError("resolution multiplier must be positive")
-        return replace(self, resolution=tuple(max(2, int(round((n - 1) * mult)) + 1)
+        return replace(self, resolution=tuple(max(2, 2 * int(round((n - 1) * mult / 2)) + 1)
                                               for n in self.resolution))
 
 
@@ -80,42 +80,48 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
               support=None):
     """Integrate fn over the region.  fn maps points (..., 4) to values
     (...), or to k stacked integrands (k, ...), and must be vectorized.
-    Returns the quadrature sum: a float, or a (k,) array when stacked.
+    Returns (value, estimate): floats, or (k,) arrays when stacked.
 
     fn is called on blocks of consecutive axis-0 slices, as many whole
     slices as fit in _BLOCK_NODES nodes and at least one, which bounds
     memory on fine grids; a block's points have shape (m, n1, n2, n3, 4).
-    Each slice's values are weighted, written into a zeroed full slice
-    and summed on their own per integrand, then the row of slice sums is
-    weighted along axis 0.  So the result has the same bits whatever the
-    block size, and an integrand sums to the same bits whether or not it
-    is stacked with others.
+    Each slice's values are weighted and written into a zeroed full
+    slice.  Per integrand, the whole slice and each node class of the
+    half rules are summed on their own, and these rows of slice sums are
+    weighted along axis 0.  value is the whole-slice row's sum: the
+    trapezoid sum.  estimate is the largest |value - I_c| over the up to
+    16 nested half rules I_c, which take the even or the odd nodes, at
+    twice the fine weights, on each axis with an odd node count n >= 3
+    and keep the fine rule on the other axes (an even count above 2
+    does not halve, so its error is left out).  So both outputs have the
+    same bits whatever the block size, and an integrand sums to the same
+    bits whether or not it is stacked with others.
 
     support, a (4, 2) box outside which fn is exactly 0, restricts
     evaluation to the nodes inside it: axis-0 nodes outside the box are
     skipped with slice sums of 0, and each remaining slice is evaluated
     only on its inside nodes before the zero fill.  A node where fn is 0
-    adds nothing to a sum, so the result has the same bits as without
+    adds nothing to a sum, so both outputs have the same bits as without
     support.  Without support every node is evaluated.
     """
     rules = region_rules(region)
     (x0, w0), (x1, w1), (x2, w2), (x3, w3) = rules
     w123 = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
-    if support is None:
-        inside = [slice(None)] * 4
-    else:
-        inside = [_nodes_inside(x, lo, hi)
-                  for (x, _), (lo, hi) in zip(rules, np.asarray(support, dtype=float))]
-        if any(s.start >= s.stop for s in inside):
-            # the box misses the grid: evaluate one empty block, only to
-            # learn how many integrands fn stacks
-            inside = [slice(0, 1)] + [slice(0, 0)] * 3
+    halves = [(slice(0, None, 2), slice(1, None, 2)) if n >= 3 and n % 2 else (slice(None),)
+              for n in region.resolution]
+    classes = [(slice(None),) * 3] + list(itertools.product(*halves[1:]))
+    box = region.box if support is None else np.asarray(support, dtype=float)
+    inside = [_nodes_inside(x, lo, hi) for (x, _), (lo, hi) in zip(rules, box)]
+    if any(s.start >= s.stop for s in inside):
+        # the box misses the grid: evaluate one empty block, only to
+        # learn how many integrands fn stacks
+        inside = [slice(0, 1)] + [slice(0, 0)] * 3
     block = tuple(inside[1:])
     mesh123 = np.stack(np.meshgrid(x1[block[0]], x2[block[1]], x3[block[2]],
                                    indexing="ij"), axis=-1)
     slices = range(len(x0))[inside[0]]
     per_block = max(1, _BLOCK_NODES // max(1, mesh123[..., 0].size))
-    rows = None
+    sums = None
     for start in range(0, len(slices), per_block):
         group = slices[start:start + per_block]
         pts = np.empty((len(group),) + mesh123.shape[:-1] + (4,))
@@ -125,18 +131,12 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
         for j, i in enumerate(group):
             weighted = np.zeros(values.shape[:-4] + w123.shape)
             weighted[(Ellipsis,) + block] = values[..., j, :, :, :] * w123[block]
-            sums = [np.sum(slab) for slab in weighted.reshape((-1,) + w123.shape)]
-            if rows is None:
-                rows = np.zeros((len(sums), len(x0)))
-            rows[:, i] = sums
-    out = np.sum(rows * w0, axis=-1)
-    return out if weighted.ndim == 4 else float(out[0])
-
-
-def integrate_with_estimate(fn, region: RegionSpec, support=None):
-    """(value at the region's own resolution, conservative error estimate
-    |I - I_coarsened| from one nested coarsening step).  support is
-    passed to integrate."""
-    fine = integrate(fn, region, support)
-    coarse = integrate(fn, region.coarsened(), support)
-    return fine, abs(fine - coarse)
+            slabs = weighted.reshape((-1,) + w123.shape)
+            if sums is None:
+                sums = np.zeros((len(slabs), len(classes), len(x0)))
+            sums[:, :, i] = [[np.sum(slab[c]) for c in classes] for slab in slabs]
+    value = np.sum(sums[:, 0] * w0, axis=-1)
+    scale = 2.0 ** sum(len(h) == 2 for h in halves)
+    halved = np.stack([scale * np.sum(sums[:, 1:, c] * w0[c], axis=-1) for c in halves[0]], 1)
+    estimate = np.max(np.abs(value[:, None, None] - halved), axis=(1, 2))
+    return (value, estimate) if weighted.ndim == 4 else (float(value[0]), float(estimate[0]))

@@ -385,9 +385,7 @@ def _run_coordinate_check(sc: Scenario, resolution_mult: float) -> dict:
     if spec is not None:
         region = build_region(sc, resolution_mult)
     else:
-        res = 33 if resolution_mult == 1.0 else max(
-            3, int(round(32 * resolution_mult)) + 1)
-        region = RegionSpec(box=spherical_test_box(), resolution=(res,) * 4)
+        region = RegionSpec(box=spherical_test_box(), resolution=33).scaled(resolution_mult)
     bump = bundled_coordinate_bump()
     out = {}
     for label, tensor in (("conserved", conserved_test_tensor()),
@@ -408,6 +406,8 @@ def _run_coordinate_check(sc: Scenario, resolution_mult: float) -> dict:
                                and abs(dP - rep.flux_minus_divergence)
                                <= rep.error_estimate),
         }
+    # both sources share the region and bump, so they share these warnings
+    out["warnings"] = list(rep.warnings)
     return out
 
 
@@ -461,7 +461,7 @@ def _run_proper_time(sc: Scenario, state: Optional[GaussianProbeState],
             p[..., 0] = tt
             return field.tensor(p)[..., 0, 0]
 
-        energies.append(integrate(t00, slab) / (slab_box[0, 1] - slab_box[0, 0]))
+        energies.append(integrate(t00, slab)[0] / (slab_box[0, 1] - slab_box[0, 0]))
     energies = np.asarray(energies)
     H_bar = float(np.mean(energies))
     H_spread = float(np.ptp(energies))

@@ -16,7 +16,7 @@ from metricprobe.generator import (_FD_STEP, _TEST_CENTER, _TEST_HALFW,
 from metricprobe.geometry import (BumpProfile, ChartDomainError, de_sitter,
                                   flrw_closed, gw_plane_wave, localize,
                                   minkowski_component, schwarzschild)
-from metricprobe.quadrature import RegionSpec
+from metricprobe.quadrature import RegionSpec, integrate
 from metricprobe.stress_energy import (StressEnergyField, dust_tensor,
                                        em_plane_wave, em_uniform)
 
@@ -104,7 +104,6 @@ def test_uniform_field_closed_form():
     assert math.isclose(res.P_total, vol4 * E ** 2 / (2.0 * FOURPI), rel_tol=1e-13)
     assert res.P_shell == 0.0
     assert res.P_plateau == res.P_total
-    assert res.boundary_term == 0.0
 
 
 def test_split_adds_up_and_estimate_behaves():
@@ -156,13 +155,18 @@ def test_clipped_support_warns():
 
 def test_non_nested_coarsening_warns():
     field = _plane_wave_field(amplitude=1.0, omega=4.0)
-    region = RegionSpec(box=np.array([[0.0, 1.0]] * 4), resolution=(17, 5, 5, 5))
+    box = np.array([[0.0, 1.0]] * 4)
+    region = RegionSpec(box=box, resolution=(17, 5, 5, 5))
     assert integrate_generator(field, gw_plane_wave(0.0), region).warnings == ()
-    scaled = region.scaled(1.3)
-    assert scaled.resolution[0] == 22 and scaled.coarsened().resolution[0] == 11
-    res = integrate_generator(field, gw_plane_wave(0.0), scaled)
+    # --resolution grids always halve
+    assert region.scaled(1.3).resolution[0] == 21
+    assert integrate_generator(field, gw_plane_wave(0.0), region.scaled(1.3)).warnings == ()
+    # an even count given directly does not; 2 nodes keep their fine rule silently
+    res = integrate_generator(field, gw_plane_wave(0.0),
+                              RegionSpec(box=box, resolution=(18, 5, 2, 5)))
     assert len(res.warnings) == 1
-    assert "not nested" in res.warnings[0]
+    assert "axis 0 has 18 nodes" in res.warnings[0]
+    assert "this axis does not halve" in res.warnings[0]
 
 
 def test_region_outside_chart_raises():
@@ -327,6 +331,58 @@ def test_nonconserved_source_splits_charts():
     assert abs(diff - rep.angular_integral) <= rep.error_estimate
     assert abs(rep.angular_integral - rep.flux_minus_divergence) <= max(
         rep.error_estimate, 2e-2 * abs(rep.angular_integral))
+
+
+#: seed 1, op 45 of the chart-audit benchmark: the bundled region widened
+#: by that op's margins, where a single coarse grid underestimated the error
+_OP45_BOX = np.array([[-1.327772678425007, 1.3096765751476565],
+                      [1.5765159125150967, 4.639886111638504],
+                      [0.9355678964875002, 2.2105762997175242],
+                      [-0.6361574921648561, 0.6306307904565561]])
+
+
+def test_conserved_routes_agree_within_the_estimate_on_a_widened_box():
+    rep = coordinate_independence_check(conserved_test_tensor(),
+                                        RegionSpec(box=_OP45_BOX, resolution=17),
+                                        bump=bundled_coordinate_bump())
+    diff = rep.P_isotropic - rep.P_schwarzschild
+    assert abs(diff - rep.flux_minus_divergence) <= rep.error_estimate
+    # the angular integral of a conserved source is exactly 0
+    assert abs(rep.angular_integral) <= rep.error_estimate
+    assert abs(diff - rep.angular_integral) <= rep.error_estimate
+
+
+def _nonconserved_angular_closed_form():
+    """The nonconserved angular integral without quadrature: T^phph = 0,
+    chi = 1 on the T^thth bump, which lies inside the plateau, so the
+    integrand A r^3 sin(theta) prod_ax (1 - u_ax^2)^6 separates."""
+    plateau = bundled_coordinate_bump().plateau
+    center = 0.5 * (plateau[:, 0] + plateau[:, 1])
+    half = 0.425 * (plateau[:, 1] - plateau[:, 0])
+    u, w = np.polynomial.legendre.leggauss(60)
+    prof = (1.0 - u * u) ** 6
+    t_ax, r_ax, th_ax, ph_ax = (half[ax] * np.sum(w * prof * g(center[ax] + half[ax] * u))
+                                for ax, g in enumerate((np.ones_like, lambda r: r ** 3,
+                                                        np.sin, np.ones_like)))
+    return 0.1 * t_ax * r_ax * th_ax * ph_ax
+
+
+@pytest.mark.parametrize("n", [9, 17])
+def test_nonconserved_angular_integral_within_its_estimate_of_the_closed_form(n):
+    exact = _nonconserved_angular_closed_form()
+    assert math.isclose(exact, 0.05201622089669556, rel_tol=1e-13)
+    T = nonconserved_test_tensor()
+    bump = bundled_coordinate_bump()
+    region = _check_region(n)
+
+    def angular_density(pts):
+        Tv = T.tensor(pts)
+        r, sth = pts[..., 1], np.sin(pts[..., 2])
+        return r * r * sth * bump(pts) * r * (Tv[..., 2, 2] + sth ** 2 * Tv[..., 3, 3])
+
+    value, estimate = integrate(angular_density, region, T.support)
+    assert value == coordinate_independence_check(T, region, bump=bump).angular_integral
+    assert abs(value - exact) <= estimate
 
 
 @pytest.mark.parametrize("make", [conserved_test_tensor, nonconserved_test_tensor])

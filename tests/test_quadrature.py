@@ -1,11 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from metricprobe import quadrature
-from metricprobe.quadrature import (RegionSpec, integrate,
-                                    integrate_with_estimate, region_rules)
+from metricprobe.quadrature import RegionSpec, axis_rule, integrate, region_rules
 
 UNIT_BOX = np.array([[0.0, 1.0]] * 4)
 
@@ -23,11 +23,11 @@ def test_region_validation():
     assert r.resolution == (5, 5, 5, 5)
 
 
-def test_refine_coarsen_round_trip():
-    r = RegionSpec(box=UNIT_BOX, resolution=(9, 17, 5, 3))
-    f = r.refined()
-    assert f.resolution == (17, 33, 9, 5)
-    assert f.coarsened().resolution == r.resolution
+def test_coarsened_halves_the_intervals():
+    r = RegionSpec(box=UNIT_BOX, resolution=(17, 33, 9, 5))
+    assert r.coarsened().resolution == (9, 17, 5, 3)
+    assert RegionSpec(box=UNIT_BOX, resolution=(3, 2, 2, 2)).coarsened().resolution \
+        == (2, 2, 2, 2)
 
 
 def test_scaled_resolution():
@@ -37,18 +37,27 @@ def test_scaled_resolution():
     assert r.scaled(0.01).resolution == (2, 2, 2, 2)
     with pytest.raises(ValueError):
         r.scaled(0.0)
+    # the interval count rounds to an even number, so every axis halves
+    assert RegionSpec(box=UNIT_BOX, resolution=17).scaled(1.3).resolution[0] == 21
+    assert RegionSpec(box=UNIT_BOX, resolution=33).scaled(0.4).resolution[0] == 13
+    for mult in np.linspace(0.05, 3.0, 60):
+        for n in (3, 9, 13, 17, 33):
+            m = RegionSpec(box=UNIT_BOX, resolution=n).scaled(mult).resolution[0]
+            assert m == 2 or m % 2 == 1
 
 
 def test_trapezoid_exact_on_multilinear():
     r = RegionSpec(box=UNIT_BOX, resolution=3)
-    val = integrate(lambda p: 2.0 + p[..., 0] - 3.0 * p[..., 3], r)
+    val, est = integrate(lambda p: 2.0 + p[..., 0] - 3.0 * p[..., 3], r)
     assert math.isclose(val, 2.0 + 0.5 - 1.5, rel_tol=1e-14)
+    # every half rule is exact too
+    assert est <= 1e-14
 
 
 def test_trapezoid_volume_of_box():
     box = np.array([[0.0, 2.0], [1.0, 4.0], [-1.0, 1.0], [0.0, 0.5]])
     r = RegionSpec(box=box, resolution=(4, 3, 5, 2))
-    val = integrate(lambda p: np.ones(p.shape[:-1]), r)
+    val, _ = integrate(lambda p: np.ones(p.shape[:-1]), r)
     assert math.isclose(val, 2.0 * 3.0 * 2.0 * 0.5, rel_tol=1e-14)
 
 
@@ -57,7 +66,7 @@ def test_trapezoid_second_order_on_generic_smooth_integrand():
     errs = []
     for n in (5, 9, 17):
         r = RegionSpec(box=UNIT_BOX, resolution=(n, 2, 2, 2))
-        errs.append(abs(integrate(lambda p: np.sin(p[..., 0]), r) - exact))
+        errs.append(abs(integrate(lambda p: np.sin(p[..., 0]), r)[0] - exact))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
     assert 3.5 <= errs[1] / errs[2] <= 4.5
 
@@ -73,19 +82,20 @@ def test_error_estimate_bounds_true_error():
         return out
 
     exact_r = RegionSpec(box=UNIT_BOX, resolution=(257, 2, 2, 2))
-    exact = integrate(bump, exact_r)
+    exact, _ = integrate(bump, exact_r)
     r = RegionSpec(box=UNIT_BOX, resolution=(17, 2, 2, 2))
-    val, est = integrate_with_estimate(bump, r)
+    val, est = integrate(bump, r)
     assert abs(val - exact) <= est
     assert est < 1e-2
 
 
-def test_integrate_with_estimate_returns_fine_value():
-    r = RegionSpec(box=UNIT_BOX, resolution=(9, 9, 3, 3))
-    fn = lambda p: np.cos(p[..., 0] * p[..., 1])
-    val, est = integrate_with_estimate(fn, r)
-    assert val == integrate(fn, r)
-    assert est >= 0.0
+def test_estimate_is_zero_when_no_axis_halves():
+    fn = lambda p: np.cos(p[..., 0] * p[..., 1]) + p[..., 3]
+    val, est = integrate(fn, RegionSpec(box=UNIT_BOX, resolution=(9, 9, 3, 3)))
+    assert est > 0.0
+    # 2 nodes or an even count: every axis keeps its fine rule
+    val, est = integrate(fn, RegionSpec(box=UNIT_BOX, resolution=(2, 4, 2, 6)))
+    assert est == 0.0
 
 
 def test_integration_deterministic():
@@ -100,9 +110,9 @@ def test_stacked_integrands_sum_as_they_would_alone():
     fns = [lambda x: np.exp(-np.sum(x ** 2, axis=-1)),
            lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] * x[..., 3],
            lambda x: np.where(x[..., 2] > 0.6, x[..., 1], 0.0)]
-    stacked = integrate(lambda x: np.stack([f(x) for f in fns]), region)
-    assert stacked.shape == (3,)
-    assert [float(v) for v in stacked] == [integrate(f, region) for f in fns]
+    values, estimates = integrate(lambda x: np.stack([f(x) for f in fns]), region)
+    assert values.shape == estimates.shape == (3,)
+    assert list(zip(values.tolist(), estimates.tolist())) == [integrate(f, region) for f in fns]
 
 
 def _vanishing_outside(box):
@@ -138,9 +148,10 @@ def test_support_evaluates_only_inside_and_keeps_every_bit(box, stacked):
 
     full = integrate(fn, _SUPPORT_REGION)
     pruned = integrate(counted, _SUPPORT_REGION, support=box)
-    assert type(pruned) is type(full)
-    assert np.shape(pruned) == ((3,) if stacked else ())
-    assert np.asarray(pruned).tobytes() == np.asarray(full).tobytes()
+    for got, want in zip(pruned, full, strict=True):
+        assert type(got) is type(want)
+        assert np.shape(got) == ((3,) if stacked else ())
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     pts = np.concatenate(seen)
     lo, hi = np.asarray(box)[:, 0], np.asarray(box)[:, 1]
     assert np.all((pts >= lo) & (pts <= hi))
@@ -154,26 +165,33 @@ def test_support_evaluates_only_inside_and_keeps_every_bit(box, stacked):
 def test_estimate_passes_support_through():
     box = [[-0.6, 0.2], [0.4, 1.5], [0.45, 0.9], [-0.5, 0.3]]
     fn = _vanishing_outside(box)
-    assert (integrate_with_estimate(fn, _SUPPORT_REGION, support=box)
-            == integrate_with_estimate(fn, _SUPPORT_REGION))
+    assert (integrate(fn, _SUPPORT_REGION, support=box)
+            == integrate(fn, _SUPPORT_REGION))
 
 
 def _per_slice_reference(fn, region):
-    """The documented sum with one fn call per axis-0 slice on the full
-    grid: weighted slices summed per integrand, then weighted along axis 0."""
+    """The documented sums with one fn call per axis-0 slice on the full
+    grid: weighted slices summed per integrand, and per node class of
+    the half rules, then weighted along axis 0."""
     (x0, w0), (x1, w1), (x2, w2), (x3, w3) = region_rules(region)
     w123 = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
     mesh = np.stack(np.meshgrid(x1, x2, x3, indexing="ij"), axis=-1)
-    rows = None
-    for i, t in enumerate(x0):
+    halves = [[slice(0, None, 2), slice(1, None, 2)] if n >= 3 and n % 2 else [slice(None)]
+              for n in region.resolution]
+    classes = list(itertools.product(*halves[1:]))
+    rows, parts = [], []
+    for t in x0:
         pts = np.concatenate([np.full(mesh.shape[:-1] + (1,), t), mesh], axis=-1)
         values = np.asarray(fn(pts), dtype=float)
         slabs = (values * w123).reshape((-1,) + w123.shape)
-        if rows is None:
-            rows = np.zeros((len(slabs), len(x0)))
-        rows[:, i] = [np.sum(slab) for slab in slabs]
-    out = np.sum(rows * w0, axis=-1)
-    return out if values.ndim == 4 else float(out[0])
+        rows.append([np.sum(slab) for slab in slabs])
+        parts.append([[np.sum(slab[c]) for c in classes] for slab in slabs])
+    rows, parts = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (rows, parts))
+    value = np.sum(rows * w0, axis=-1)
+    scale = 2.0 ** sum(len(h) == 2 for h in halves)
+    estimate = np.max([np.abs(value[:, None] - scale * np.sum(parts[..., c] * w0[c], axis=-1))
+                       for c in halves[0]], axis=(0, 2))
+    return (value, estimate) if values.ndim == 4 else (float(value[0]), float(estimate[0]))
 
 
 _BLOCK_REGION = RegionSpec(box=np.array([[-1.0, 0.5], [0.0, 2.0], [0.3, 1.0], [-0.7, 0.7]]),
@@ -203,8 +221,9 @@ def test_blocks_keep_every_bit_and_stay_within_budget(monkeypatch, budget, suppo
 
     got = integrate(recorded, _BLOCK_REGION, support=support)
     want = _per_slice_reference(fn, _BLOCK_REGION)
-    assert type(got) is type(want)
-    assert np.all(got == want)
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     counts = [np.count_nonzero((x >= lo) & (x <= hi)) for (x, _), (lo, hi)
               in zip(region_rules(_BLOCK_REGION), box)]
@@ -219,3 +238,47 @@ def test_blocks_keep_every_bit_and_stay_within_budget(monkeypatch, budget, suppo
     assert len(np.unique(pts, axis=0)) == len(pts)
     lo, hi = np.asarray(box)[:, 0], np.asarray(box)[:, 1]
     assert np.all((pts >= lo) & (pts <= hi))
+
+
+def _half_rule_weights(lo, hi, n, parity):
+    """One nested half rule on an n-node axis, built from scratch: the
+    trapezoid rule on the even nodes (parity 0) or the midpoint rule on
+    the odd nodes (parity 1), each with spacing 2 (hi - lo) / (n - 1).
+    An axis with 2 nodes or an even count keeps its fine rule."""
+    if n < 3 or n % 2 == 0:
+        return axis_rule(lo, hi, n)[1]
+    w = np.zeros(n)
+    if parity == 0:
+        w[0::2] = axis_rule(lo, hi, (n + 1) // 2)[1]
+    else:
+        w[1::2] = 2.0 * (hi - lo) / (n - 1)
+    return w
+
+
+@pytest.mark.parametrize("support", [None, [[-0.6, 0.2], [0.2, 1.9], [0.2, 1.1], [-0.5, 0.3]]],
+                         ids=["no-support", "support"])
+def test_estimate_matches_brute_force_half_rules(support):
+    # axis 1 has an even count and axis 2 has 2 nodes: both keep the fine
+    # rule, so of the 16 parity choices 4 distinct half rules remain
+    region = RegionSpec(box=np.array([[-1.0, 0.5], [0.0, 2.0], [0.3, 1.0], [-0.7, 0.7]]),
+                        resolution=(9, 6, 2, 7))
+    f = _vanishing_outside(support) if support is not None else \
+        (lambda x: np.exp(-np.sum(x ** 2, axis=-1)) * np.cos(3.0 * x[..., 0]))
+    fn = lambda x: np.stack([f(x), -2.0 * f(x) * x[..., 1], np.sin(4.0 * x[..., 3] + 1.0) * f(x)])
+    value, estimate = integrate(fn, region, support=support)
+
+    nodes = [x for x, _ in region_rules(region)]
+    grid = fn(np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1))
+
+    def rule_sum(weights):
+        return np.einsum("kabcd,a,b,c,d->k", grid, *weights)
+
+    fine = rule_sum([w for _, w in region_rules(region)])
+    halves = [rule_sum([_half_rule_weights(lo, hi, n, p) for (lo, hi), n, p
+                        in zip(region.box, region.resolution, parities)])
+              for parities in itertools.product((0, 1), repeat=4)]
+    brute = np.max(np.abs(fine - np.array(halves)), axis=0)
+    scale = np.abs(fine)
+    assert np.all(np.abs(value - fine) <= 1e-14 * scale)
+    assert np.all(np.abs(estimate - brute) <= 1e-14 * scale)
+    assert np.all(brute > 1e-6 * scale)

@@ -295,6 +295,17 @@ def test_coordinate_check_scenario_structure():
     diff = rep["coordinate_check"]["conserved"]["difference"]["value"]
     est = rep["coordinate_check"]["conserved"]["error_estimate"]["value"]
     assert abs(diff) <= est
+    assert rep["coordinate_check"]["warnings"] == []
+
+
+def test_coordinate_check_reports_its_generator_warnings():
+    # an even node count given in YAML does not halve, and the audit says so
+    doc = copy.deepcopy(load_bundled("schwarzschild-coordinate-check").raw)
+    doc["region"]["resolution"] = [9, 10, 9, 9]
+    warnings = run_bound(parse_scenario(doc))["coordinate_check"]["warnings"]
+    assert len(warnings) == 1
+    assert "axis 1 has 10 nodes" in warnings[0]
+    assert "this axis does not halve" in warnings[0]
 
 
 def test_simulate_run_seeded(tmp_path):
@@ -356,7 +367,7 @@ def test_bundled_grids_nest_under_coarsening(monkeypatch, mult):
         else:
             run_bound(sc, resolution_mult=mult)
     assert len(seen) == len(EXPECTED_SCENARIOS)
-    assert not any("not nested" in w for ws in seen for w in ws)
+    assert not any("does not halve" in w for ws in seen for w in ws)
 
 
 def test_report_json_round_trips_exactly(tmp_path):
