@@ -40,14 +40,16 @@ class GeneratorResult:
     """Quadrature of the generator density over a region.
 
     P_total = P_plateau + P_shell up to accumulated rounding;
-    error_estimate is integrate's nested estimate for P_total, and
-    warnings name the axes that do not halve and a clipped bump support.
+    error_estimate is integrate's nested estimate for P_total, P_half
+    its all-even half rule for P_total, and warnings name the axes that
+    do not halve and a clipped bump support.
     """
 
     P_total: float
     P_plateau: float
     P_shell: float
     error_estimate: float
+    P_half: float
     warnings: tuple = ()
 
 
@@ -95,7 +97,7 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
         return generator_density(T, family, pts)
 
     if bump is None:
-        total, est = integrate(dens, region, T.support)
+        total, est, half = integrate(dens, region, T.support)
         plateau, shell = total, 0.0
     else:
         def split(pts):
@@ -107,11 +109,11 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
                 d, np.where(chi >= 1.0 - _PLATEAU_EPS, d, 0.0),
                 np.where((chi > _PLATEAU_EPS) & (chi < 1.0 - _PLATEAU_EPS), d, 0.0)])
 
-        (total, plateau, shell), (est, _, _) = integrate(split, region, T.support)
+        (total, plateau, shell), (est, _, _), (half, _, _) = integrate(split, region, T.support)
 
     return GeneratorResult(P_total=float(total), P_plateau=float(plateau),
                            P_shell=float(shell), error_estimate=float(est),
-                           warnings=tuple(notes))
+                           P_half=float(half), warnings=tuple(notes))
 
 
 def _region_corner_samples(region: RegionSpec) -> np.ndarray:
@@ -209,10 +211,13 @@ class CoordinateCheckReport:
     Gauss's theorem, with finite-difference Christoffels and partial
     derivatives, so agreement between the two is a nontrivial check of
     the differential plumbing rather than a rearrangement of the same
-    sums.  warnings are those of its two generator integrals."""
+    sums.  The _half fields are the two generator integrals' all-even
+    half rules, and warnings are those of the two integrals."""
 
     P_schwarzschild: float
     P_isotropic: float
+    P_schwarzschild_half: float
+    P_isotropic_half: float
     angular_integral: float
     flux_minus_divergence: float
     divergence_residual: float
@@ -268,17 +273,17 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
         vol = r * r * sth
         return vol * chi(pts) * r * (Tv[..., 2, 2] + sth ** 2 * Tv[..., 3, 3])
 
-    angular, angular_est = integrate(angular_density, region, testT.support)
+    angular, angular_est, _ = integrate(angular_density, region, testT.support)
 
     def div_r_density(pts):
         g = metric_eval(pts)
         vol = np.sqrt(np.abs(np.linalg.det(g)))
-        div = covariant_divergence(testT, metric_eval, pts, h=_FD_STEP, order=4)
+        div = covariant_divergence(testT, metric_eval, pts, h=_FD_STEP)
         return vol * div[..., 1]
 
     div_support = (None if testT.support is None
                    else testT.support + np.array([-_STENCIL_REACH, _STENCIL_REACH]))
-    div_integral, div_est = integrate(div_r_density, region, div_support)
+    div_integral, div_est, _ = integrate(div_r_density, region, div_support)
 
     X = chart_map_deformation_schwarzschild_isotropic()
     flux = boundary_term(testT, X, region.box, metric_eval,
@@ -287,13 +292,15 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
     # conservation diagnostic on a moderate interior sample
     sample_axes = [np.linspace(region.box[ax, 0], region.box[ax, 1], 7)[1:-1] for ax in range(4)]
     sample = np.stack(np.meshgrid(*sample_axes, indexing="ij"), axis=-1)
-    resid = divergence_residual(testT, metric_eval, sample, h=_FD_STEP, order=4)
+    resid = divergence_residual(testT, metric_eval, sample, h=_FD_STEP)
 
     est = (res_s.error_estimate + res_i.error_estimate
            + angular_est + div_est)
     return CoordinateCheckReport(
         P_schwarzschild=res_s.P_total,
         P_isotropic=res_i.P_total,
+        P_schwarzschild_half=res_s.P_half,
+        P_isotropic_half=res_i.P_half,
         angular_integral=float(angular),
         flux_minus_divergence=float(flux - div_integral),
         divergence_residual=float(resid),

@@ -452,6 +452,8 @@ class BumpProfile:
         s = np.atleast_2d(np.asarray(self.support, dtype=float))
         if p.shape != (4, 2) or s.shape != (4, 2):
             raise ValueError("plateau and support must be (4, 2) boxes")
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
+            raise ValueError("plateau and support must be finite")
         if np.any(p[:, 1] <= p[:, 0]) or np.any(s[:, 1] <= s[:, 0]):
             raise ValueError("boxes must have positive extent on every axis")
         if np.any(p[:, 0] <= s[:, 0]) or np.any(p[:, 1] >= s[:, 1]):

@@ -4,9 +4,9 @@ The trapezoid rule is superalgebraic on smooth compactly supported
 integrands.  On an axis with an odd node count the nodes hold two nested
 half-resolution rules, the trapezoid rule on the even nodes and the
 midpoint rule on the odd ones, whose average is the fine rule; integrate
-estimates its error from them without evaluating any node twice.  Sums
-are accumulated with numpy's pairwise reduction, which is deterministic
-for a fixed evaluation order.
+estimates its error from them, and returns the all-even one, without
+evaluating any node twice.  Sums are accumulated with numpy's pairwise
+reduction, which is deterministic for a fixed evaluation order.
 """
 from __future__ import annotations
 
@@ -33,6 +33,8 @@ class RegionSpec:
         b = np.asarray(self.box, dtype=float)
         if b.shape != (4, 2):
             raise ValueError("box must have shape (4, 2)")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("box must be finite")
         if np.any(b[:, 1] <= b[:, 0]):
             raise ValueError("box must have positive extent on every axis")
         res = tuple(int(n) for n in np.broadcast_to(self.resolution, (4,)))
@@ -40,11 +42,6 @@ class RegionSpec:
             raise ValueError("trapezoid rule needs at least 2 nodes per axis")
         object.__setattr__(self, "box", b)
         object.__setattr__(self, "resolution", res)
-
-    def coarsened(self) -> "RegionSpec":
-        """Half the intervals per axis: the even nodes of odd counts."""
-        return replace(self, resolution=tuple(max(2, (n + 1) // 2)
-                                              for n in self.resolution))
 
     def scaled(self, mult: float) -> "RegionSpec":
         """Resolution scaled by a positive factor (CLI --resolution knob);
@@ -80,7 +77,7 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
               support=None):
     """Integrate fn over the region.  fn maps points (..., 4) to values
     (...), or to k stacked integrands (k, ...), and must be vectorized.
-    Returns (value, estimate): floats, or (k,) arrays when stacked.
+    Returns (value, estimate, half): floats, or (k,) arrays when stacked.
 
     fn is called on blocks of consecutive axis-0 slices, as many whole
     slices as fit in _BLOCK_NODES nodes and at least one, which bounds
@@ -93,15 +90,22 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
     16 nested half rules I_c, which take the even or the odd nodes, at
     twice the fine weights, on each axis with an odd node count n >= 3
     and keep the fine rule on the other axes (an even count above 2
-    does not halve, so its error is left out).  So both outputs have the
-    same bits whatever the block size, and an integrand sums to the same
-    bits whether or not it is stacked with others.
+    does not halve, so its error is left out).  half is the half rule
+    that takes the even nodes on every halving axis: the trapezoid rule
+    of the region with (n + 1) // 2 nodes on each of those axes.  Its
+    nodes and weights are that rule's exactly (2 w_fine == w_coarse),
+    and while each slice of it holds at most np.getbufsize() nodes
+    (8192 by default; 17^3 at 33^4) numpy sums it in the same order as
+    integrate over that coarse region, so the two have the same bits;
+    on larger slices they can differ by rounding.  All three outputs have
+    the same bits whatever the block size, and an integrand sums to the
+    same bits whether or not it is stacked with others.
 
     support, a (4, 2) box outside which fn is exactly 0, restricts
     evaluation to the nodes inside it: axis-0 nodes outside the box are
     skipped with slice sums of 0, and each remaining slice is evaluated
     only on its inside nodes before the zero fill.  A node where fn is 0
-    adds nothing to a sum, so both outputs have the same bits as without
+    adds nothing to a sum, so every output has the same bits as without
     support.  Without support every node is evaluated.
     """
     rules = region_rules(region)
@@ -139,4 +143,5 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
     scale = 2.0 ** sum(len(h) == 2 for h in halves)
     halved = np.stack([scale * np.sum(sums[:, 1:, c] * w0[c], axis=-1) for c in halves[0]], 1)
     estimate = np.max(np.abs(value[:, None, None] - halved), axis=(1, 2))
-    return (value, estimate) if weighted.ndim == 4 else (float(value[0]), float(estimate[0]))
+    outputs = (value, estimate, halved[:, 0, 0])
+    return outputs if weighted.ndim == 4 else tuple(float(out[0]) for out in outputs)

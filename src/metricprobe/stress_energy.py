@@ -1,4 +1,6 @@
-"""Stress-energy fields: Maxwell tensors, tabulated grids, and checks.
+"""Stress-energy fields: Maxwell tensors, tabulated grids and their text
+format, and the fourth-order finite-difference covariant divergence
+that checks conservation.
 
 The probe is treated at the mean-field level: fields entering these
 tensors are classical expectation values, with quantum fluctuations
@@ -106,18 +108,6 @@ def em_uniform(E_vec, B_vec) -> EMFieldConfig:
         return np.broadcast_to(B0, x.shape[:-1] + (3,)).copy()
 
     return EMFieldConfig(E=Efun, B=Bfun, label="em_uniform")
-
-
-def dust_tensor(density: float) -> "StressEnergyField":
-    """Comoving pressureless dust: T^00 = rho, all other components 0."""
-    rho = float(density)
-
-    def fn(x):
-        T = np.zeros(x.shape[:-1] + (4, 4))
-        T[..., 0, 0] = rho
-        return T
-
-    return StressEnergyField(analytic=fn, chart="cartesian", label="dust")
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +304,29 @@ def trace(T: np.ndarray, g: np.ndarray) -> np.ndarray:
 # covariant divergence (finite differences)
 # ---------------------------------------------------------------------------
 
-def _partials(fn, x: np.ndarray, h, order: int):
-    """Central finite-difference partial derivatives of a (..., 4) -> (...)+tail
-    map, stacked along a leading axis of length 4."""
+def _partials(fn, x: np.ndarray, h):
+    """Fourth-order central finite-difference partial derivatives of a
+    (..., 4) -> (...)+tail map, stacked along a leading axis of length 4."""
     h = np.broadcast_to(np.asarray(h, dtype=float), (4,))
     outs = []
     for ax in range(4):
         e = np.zeros(4)
         e[ax] = 1.0
-        if order == 2:
-            d = (fn(x + h[ax] * e) - fn(x - h[ax] * e)) / (2.0 * h[ax])
-        elif order == 4:
-            d = (8.0 * (fn(x + h[ax] * e) - fn(x - h[ax] * e))
-                 - (fn(x + 2.0 * h[ax] * e) - fn(x - 2.0 * h[ax] * e))) / (12.0 * h[ax])
-        else:
-            raise ValueError("stencil order must be 2 or 4")
+        d = (8.0 * (fn(x + h[ax] * e) - fn(x - h[ax] * e))
+             - (fn(x + 2.0 * h[ax] * e) - fn(x - 2.0 * h[ax] * e))) / (12.0 * h[ax])
         outs.append(d)
     return np.stack(outs, axis=0)
 
 
 def christoffel(metric_eval: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                h=1e-3, order: int = 2) -> np.ndarray:
+                h=1e-3) -> np.ndarray:
     """Christoffel symbols Gamma^lam_munu from finite differences of the
     metric: 0.5 g^lamrho (d_mu g_rhonu + d_nu g_rhomu - d_rho g_munu).
     Returns shape (..., 4, 4, 4) indexed [lam, mu, nu]."""
     x = np.asarray(x, dtype=float)
     g = metric_eval(x)
     ginv = np.linalg.inv(g)
-    dg = np.moveaxis(_partials(metric_eval, x, h, order), 0, -3)
+    dg = np.moveaxis(_partials(metric_eval, x, h), 0, -3)
     # dg[..., rho, mu, nu] = d_rho g_munu
     lower = 0.5 * (np.einsum("...mrn->...rmn", dg)      # d_mu g_rhonu
                    + np.einsum("...nrm->...rmn", dg)    # d_nu g_rhomu
@@ -350,18 +335,18 @@ def christoffel(metric_eval: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def covariant_divergence(field: StressEnergyField, metric_eval: Callable[[np.ndarray], np.ndarray],
-                         x: np.ndarray, h=1e-3, order: int = 2) -> np.ndarray:
+                         x: np.ndarray, h=1e-3) -> np.ndarray:
     """nabla_mu T^munu at x via central differences, returning (..., 4).
 
     metric_eval maps points to metric components in the field's chart.
     For grid-backed fields the stencil step should stay at or above the
     grid spacing (interpolation is only piecewise linear); analytic
-    sources converge at the stencil order as h shrinks.
+    sources converge at fourth order as h shrinks.
     """
     x = np.asarray(x, dtype=float)
-    dT = _partials(field.tensor, x, h, order)          # (rho, ..., mu, nu) with rho = deriv axis
+    dT = _partials(field.tensor, x, h)                 # (rho, ..., mu, nu) with rho = deriv axis
     div = np.einsum("m...mn->...n", dT)
-    gam = christoffel(metric_eval, x, h=h, order=order)
+    gam = christoffel(metric_eval, x, h=h)
     gam_trace = np.einsum("...mml->...l", gam)         # Gamma^mu_mulam
     T = field.tensor(x)
     div = div + np.einsum("...l,...ln->...n", gam_trace, T)
@@ -370,12 +355,12 @@ def covariant_divergence(field: StressEnergyField, metric_eval: Callable[[np.nda
 
 
 def divergence_residual(field: StressEnergyField, metric_eval, x: np.ndarray,
-                        h=1e-3, order: int = 2) -> float:
+                        h=1e-3) -> float:
     """Max |nabla_mu T^munu| over the sample points, normalized by the
     local component scale max|T| / L with L the smallest coordinate range
     spanned by the samples (or 1 for a single point)."""
     x = np.asarray(x, dtype=float)
-    div = covariant_divergence(field, metric_eval, x, h=h, order=order)
+    div = covariant_divergence(field, metric_eval, x, h=h)
     T = field.tensor(x)
     scale = float(np.max(np.abs(T)))
     if scale == 0.0:
@@ -385,58 +370,3 @@ def divergence_residual(field: StressEnergyField, metric_eval, x: np.ndarray,
     spans = spans[spans > 0]
     L = float(spans.min()) if spans.size else 1.0
     return float(np.max(np.abs(div)) / (scale / L))
-
-
-# ---------------------------------------------------------------------------
-# support detection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupportBox:
-    """Grid-aligned bounding box of significant samples."""
-
-    box: Optional[np.ndarray]   # (4, 2) or None when empty
-    empty: bool
-    threshold: float
-
-
-def support_region(field: StressEnergyField, tol: float) -> SupportBox:
-    """Smallest grid-aligned box containing every sample with
-    max-norm component magnitude above tol * (global max).  Only defined
-    for grid-backed fields; an identically small field is flagged empty."""
-    if field.grid is None:
-        raise ValueError("support_region requires a grid-backed field")
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must be in (0, 1)")
-    mag = np.max(np.abs(field.grid.values), axis=(-1, -2))
-    peak = float(mag.max())
-    if peak == 0.0:
-        return SupportBox(box=None, empty=True, threshold=0.0)
-    mask = mag > tol * peak
-    if not mask.any():
-        return SupportBox(box=None, empty=True, threshold=tol * peak)
-    axes = field.grid.axes()
-    box = np.zeros((4, 2))
-    for ax in range(4):
-        proj = mask.any(axis=tuple(a for a in range(4) if a != ax))
-        idx = np.nonzero(proj)[0]
-        box[ax, 0] = axes[ax][idx[0]]
-        box[ax, 1] = axes[ax][idx[-1]]
-    return SupportBox(box=box, empty=False, threshold=tol * peak)
-
-
-def tabulate(field: StressEnergyField, box, shape, chart: Optional[str] = None) -> StressEnergyField:
-    """Sample any field onto a uniform grid, returning a grid-backed field."""
-    box = np.asarray(box, dtype=float)
-    shape = tuple(int(n) for n in shape)
-    if box.shape != (4, 2) or len(shape) != 4:
-        raise ValueError("box must be (4, 2) and shape length 4")
-    if any(n < 2 for n in shape):
-        raise ValueError("each axis needs at least 2 samples")
-    axes = [np.linspace(box[i, 0], box[i, 1], shape[i]) for i in range(4)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = field.tensor(mesh)
-    spacing = [(box[i, 1] - box[i, 0]) / (shape[i] - 1) for i in range(4)]
-    grid = TensorGrid(values=vals, origin=box[:, 0], spacing=np.asarray(spacing),
-                      chart=chart or field.chart)
-    return StressEnergyField(grid=grid, chart=grid.chart, label=field.label + "+grid")

@@ -215,6 +215,15 @@ def test_bump_requires_plateau_strictly_inside_support():
         BumpProfile(plateau=plateau, support=support)
 
 
+@pytest.mark.parametrize("box", ["plateau", "support"])
+@pytest.mark.parametrize("end", [math.nan, math.inf])
+def test_bump_rejects_non_finite_boxes(box, end):
+    boxes = {"plateau": np.array([[-1.0, 1.0]] * 4), "support": np.array([[-2.0, 2.0]] * 4)}
+    boxes[box][1, 1] = end
+    with pytest.raises(ValueError, match="finite"):
+        BumpProfile(**boxes)
+
+
 # ---------------------------------------------------------------------------
 # localization
 # ---------------------------------------------------------------------------

@@ -18,16 +18,14 @@ def test_region_validation():
                    resolution=(3, 3, 3, 3))
     with pytest.raises(ValueError):
         RegionSpec(box=UNIT_BOX, resolution=(1, 3, 3, 3))
+    for end in (math.nan, math.inf, -math.inf):
+        box = UNIT_BOX.copy()
+        box[2, 1] = end
+        with pytest.raises(ValueError, match="finite"):
+            RegionSpec(box=box, resolution=3)
     # scalar resolution broadcasts
     r = RegionSpec(box=UNIT_BOX, resolution=5)
     assert r.resolution == (5, 5, 5, 5)
-
-
-def test_coarsened_halves_the_intervals():
-    r = RegionSpec(box=UNIT_BOX, resolution=(17, 33, 9, 5))
-    assert r.coarsened().resolution == (9, 17, 5, 3)
-    assert RegionSpec(box=UNIT_BOX, resolution=(3, 2, 2, 2)).coarsened().resolution \
-        == (2, 2, 2, 2)
 
 
 def test_scaled_resolution():
@@ -48,7 +46,7 @@ def test_scaled_resolution():
 
 def test_trapezoid_exact_on_multilinear():
     r = RegionSpec(box=UNIT_BOX, resolution=3)
-    val, est = integrate(lambda p: 2.0 + p[..., 0] - 3.0 * p[..., 3], r)
+    val, est, _ = integrate(lambda p: 2.0 + p[..., 0] - 3.0 * p[..., 3], r)
     assert math.isclose(val, 2.0 + 0.5 - 1.5, rel_tol=1e-14)
     # every half rule is exact too
     assert est <= 1e-14
@@ -57,7 +55,7 @@ def test_trapezoid_exact_on_multilinear():
 def test_trapezoid_volume_of_box():
     box = np.array([[0.0, 2.0], [1.0, 4.0], [-1.0, 1.0], [0.0, 0.5]])
     r = RegionSpec(box=box, resolution=(4, 3, 5, 2))
-    val, _ = integrate(lambda p: np.ones(p.shape[:-1]), r)
+    val = integrate(lambda p: np.ones(p.shape[:-1]), r)[0]
     assert math.isclose(val, 2.0 * 3.0 * 2.0 * 0.5, rel_tol=1e-14)
 
 
@@ -82,20 +80,21 @@ def test_error_estimate_bounds_true_error():
         return out
 
     exact_r = RegionSpec(box=UNIT_BOX, resolution=(257, 2, 2, 2))
-    exact, _ = integrate(bump, exact_r)
+    exact = integrate(bump, exact_r)[0]
     r = RegionSpec(box=UNIT_BOX, resolution=(17, 2, 2, 2))
-    val, est = integrate(bump, r)
+    val, est, _ = integrate(bump, r)
     assert abs(val - exact) <= est
     assert est < 1e-2
 
 
 def test_estimate_is_zero_when_no_axis_halves():
     fn = lambda p: np.cos(p[..., 0] * p[..., 1]) + p[..., 3]
-    val, est = integrate(fn, RegionSpec(box=UNIT_BOX, resolution=(9, 9, 3, 3)))
+    val, est, half = integrate(fn, RegionSpec(box=UNIT_BOX, resolution=(9, 9, 3, 3)))
     assert est > 0.0
     # 2 nodes or an even count: every axis keeps its fine rule
-    val, est = integrate(fn, RegionSpec(box=UNIT_BOX, resolution=(2, 4, 2, 6)))
+    val, est, half = integrate(fn, RegionSpec(box=UNIT_BOX, resolution=(2, 4, 2, 6)))
     assert est == 0.0
+    assert half == val
 
 
 def test_integration_deterministic():
@@ -110,9 +109,10 @@ def test_stacked_integrands_sum_as_they_would_alone():
     fns = [lambda x: np.exp(-np.sum(x ** 2, axis=-1)),
            lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] * x[..., 3],
            lambda x: np.where(x[..., 2] > 0.6, x[..., 1], 0.0)]
-    values, estimates = integrate(lambda x: np.stack([f(x) for f in fns]), region)
-    assert values.shape == estimates.shape == (3,)
-    assert list(zip(values.tolist(), estimates.tolist())) == [integrate(f, region) for f in fns]
+    values, estimates, halves = integrate(lambda x: np.stack([f(x) for f in fns]), region)
+    assert values.shape == estimates.shape == halves.shape == (3,)
+    assert list(zip(values.tolist(), estimates.tolist(), halves.tolist())) \
+        == [integrate(f, region) for f in fns]
 
 
 def _vanishing_outside(box):
@@ -172,7 +172,8 @@ def test_estimate_passes_support_through():
 def _per_slice_reference(fn, region):
     """The documented sums with one fn call per axis-0 slice on the full
     grid: weighted slices summed per integrand, and per node class of
-    the half rules, then weighted along axis 0."""
+    the half rules, then weighted along axis 0.  The first class takes
+    the even nodes on every halving axis: the all-even half rule."""
     (x0, w0), (x1, w1), (x2, w2), (x3, w3) = region_rules(region)
     w123 = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
     mesh = np.stack(np.meshgrid(x1, x2, x3, indexing="ij"), axis=-1)
@@ -191,7 +192,11 @@ def _per_slice_reference(fn, region):
     scale = 2.0 ** sum(len(h) == 2 for h in halves)
     estimate = np.max([np.abs(value[:, None] - scale * np.sum(parts[..., c] * w0[c], axis=-1))
                        for c in halves[0]], axis=(0, 2))
-    return (value, estimate) if values.ndim == 4 else (float(value[0]), float(estimate[0]))
+    even = halves[0][0]
+    half = scale * np.sum(parts[:, 0, even] * w0[even], axis=-1)
+    if values.ndim == 4:
+        return value, estimate, half
+    return float(value[0]), float(estimate[0]), float(half[0])
 
 
 _BLOCK_REGION = RegionSpec(box=np.array([[-1.0, 0.5], [0.0, 2.0], [0.3, 1.0], [-0.7, 0.7]]),
@@ -265,7 +270,7 @@ def test_estimate_matches_brute_force_half_rules(support):
     f = _vanishing_outside(support) if support is not None else \
         (lambda x: np.exp(-np.sum(x ** 2, axis=-1)) * np.cos(3.0 * x[..., 0]))
     fn = lambda x: np.stack([f(x), -2.0 * f(x) * x[..., 1], np.sin(4.0 * x[..., 3] + 1.0) * f(x)])
-    value, estimate = integrate(fn, region, support=support)
+    value, estimate, half = integrate(fn, region, support=support)
 
     nodes = [x for x, _ in region_rules(region)]
     grid = fn(np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1))
@@ -281,4 +286,37 @@ def test_estimate_matches_brute_force_half_rules(support):
     scale = np.abs(fine)
     assert np.all(np.abs(value - fine) <= 1e-14 * scale)
     assert np.all(np.abs(estimate - brute) <= 1e-14 * scale)
+    # the parities are enumerated with all-even first
+    assert np.all(np.abs(half - halves[0]) <= 1e-14 * scale)
     assert np.all(brute > 1e-6 * scale)
+
+
+def _half_interval_region(region):
+    """The region of integrate's half: (n + 1) // 2 nodes on each axis
+    with an odd count n >= 3, the fine count on the others."""
+    return RegionSpec(box=region.box, resolution=tuple(
+        (n + 1) // 2 if n >= 3 and n % 2 else n for n in region.resolution))
+
+
+@pytest.mark.parametrize("resolution", [(9, 7, 5, 3), (5, 6, 2, 9), (2, 9, 4, 2), (33, 17, 2, 33)],
+                         ids=["odd", "odd-even-2node", "2node-leading", "fine"])
+@pytest.mark.parametrize("support", [
+    None,
+    [[-1.2, 0.2], [0.4, 1.5], [0.2, 1.1], [-0.8, 0.3]],
+    [[-0.6, 0.2], [0.4, 1.5], [1.2, 1.5], [-0.5, 0.3]],
+], ids=["no-support", "support", "support-misses-grid"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stacked"])
+def test_half_is_the_half_interval_region_bit_for_bit(resolution, support, stacked):
+    region = RegionSpec(box=np.array([[-1.0, 0.5], [0.0, 2.0], [0.3, 1.0], [-0.7, 0.7]]),
+                        resolution=resolution)
+    f = _vanishing_outside(support) if support is not None else \
+        (lambda x: np.exp(-np.sum(x ** 2, axis=-1)) * np.cos(3.0 * x[..., 0]))
+    fn = (lambda x: np.stack([f(x), -2.0 * f(x) * x[..., 1], f(x) ** 2])) if stacked else f
+    _, _, half = integrate(fn, region, support=support)
+    coarse = integrate(fn, _half_interval_region(region), support=support)[0]
+    assert type(half) is type(coarse)
+    assert np.shape(half) == ((3,) if stacked else ())
+    assert np.asarray(half).tobytes() == np.asarray(coarse).tobytes()
+    # not a trivial 0 == 0, except where the box misses the grid
+    misses = support is not None and support[2][0] > region.box[2, 1]
+    assert np.all((np.asarray(half) == 0.0) == misses)

@@ -519,6 +519,9 @@ _FLAT_BAND = {"family": "flat-band", "omega_lo": 60.0, "omega_hi": 65.0,
     ("region", "rule", "gauss-legendre", "region.rule"),
     ("region", "rule", "simpson", "region.rule"),
     ("", "bump", dict(_BUMP, kind_name="mollifier"), "bump.kind_name"),
+    # non-finite boxes, which RegionSpec and BumpProfile reject too
+    ("region", "box", [[0.0, math.nan]] * 4, "region.box"),
+    ("", "bump", dict(_BUMP, plateau=[[0.3, math.nan]] + _BUMP["plateau"][1:]), "bump.plateau"),
 ])
 def test_cli_bad_number_exits_2_naming_the_key(tmp_path, capsys, section, key, value, path):
     doc = _tiny_doc()

@@ -6,10 +6,8 @@ import pytest
 from metricprobe.geometry import flrw_closed
 from metricprobe.stress_energy import (EMFieldConfig, StressEnergyField, TensorGrid,
                                        covariant_divergence, divergence_residual,
-                                       dust_tensor, em_plane_wave,
-                                       em_stress_tensor, em_uniform, load_grid,
-                                       save_grid, support_region, tabulate,
-                                       trace)
+                                       em_plane_wave, em_stress_tensor, em_uniform,
+                                       load_grid, save_grid, trace)
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 FOUR_PI = 4.0 * math.pi
@@ -17,6 +15,16 @@ FOUR_PI = 4.0 * math.pi
 
 def flat_metric(x):
     return np.broadcast_to(ETA, np.asarray(x).shape[:-1] + (4, 4)).copy()
+
+
+def dust(density):
+    """Comoving pressureless dust: T^00 = density, all other components 0."""
+    def fn(x):
+        T = np.zeros(x.shape[:-1] + (4, 4))
+        T[..., 0, 0] = density
+        return T
+
+    return StressEnergyField(analytic=fn)
 
 
 def test_em_stress_tensor_vacuum_is_zero():
@@ -55,7 +63,7 @@ def test_maxwell_trace_free_on_flat_background():
 
 
 def test_trace_of_dust_is_minus_density():
-    field = dust_tensor(2.5)
+    field = dust(2.5)
     x = np.zeros((3, 4))
     tr = trace(field.tensor(x), flat_metric(x))
     np.testing.assert_allclose(tr, -2.5, rtol=1e-15)
@@ -115,7 +123,7 @@ def test_covariant_divergence_of_plane_wave_is_small():
 
 
 def test_covariant_divergence_of_constant_dust_vanishes():
-    field = dust_tensor(1.0)
+    field = dust(1.0)
     pts = np.array([[0.0, 0.1, 0.2, 0.3]])
     div = covariant_divergence(field, flat_metric, pts)
     assert np.max(np.abs(div)) <= 1e-12
@@ -134,7 +142,7 @@ def test_nonconserved_tensor_divergence_component():
 
 
 def test_divergence_residual_converges_at_stencil_order():
-    """Residual of an exactly conserved field drops ~2^order per halving.
+    """Residual of an exactly conserved field drops ~2^4 per halving.
 
     Any single-axis wave superposition has Fourier support only on the
     light-cone lines |omega| = |k|, where the central-difference errors
@@ -156,52 +164,17 @@ def test_divergence_residual_converges_at_stencil_order():
 
     field = StressEnergyField(em=EMFieldConfig(E=Efun, B=Bfun, label="crossed"))
     pts = np.array([[0.3, -0.2, 0.5, 0.1], [0.9, 0.4, 0.0, 0.0]])
-    for order, lo, hi in ((2, 3.4, 4.6), (4, 12.0, 20.0)):
-        r1 = np.max(np.abs(covariant_divergence(field, flat_metric, pts,
-                                                h=0.08, order=order)))
-        r2 = np.max(np.abs(covariant_divergence(field, flat_metric, pts,
-                                                h=0.04, order=order)))
-        assert lo <= r1 / r2 <= hi, order
+    r1 = np.max(np.abs(covariant_divergence(field, flat_metric, pts, h=0.08)))
+    r2 = np.max(np.abs(covariant_divergence(field, flat_metric, pts, h=0.04)))
+    assert 12.0 <= r1 / r2 <= 20.0
 
 
-def test_support_region_finds_central_subbox():
-    def fn(x):
-        T = np.zeros(x.shape[:-1] + (4, 4))
-        inside = np.all(np.abs(x) <= 0.5, axis=-1)
-        T[..., 0, 0] = np.where(inside, 1.0, 0.0)
-        return T
-
-    box = np.array([[-1.0, 1.0]] * 4)
-    field = tabulate(StressEnergyField(analytic=fn), box, (9, 9, 9, 9))
-    sup = support_region(field, tol=1e-3)
-    assert not sup.empty
-    np.testing.assert_allclose(sup.box, np.array([[-0.5, 0.5]] * 4), atol=1e-12)
-
-
-def test_support_region_flags_all_zero_field():
-    def fn(x):
-        return np.zeros(x.shape[:-1] + (4, 4))
-
-    box = np.array([[-1.0, 1.0]] * 4)
-    field = tabulate(StressEnergyField(analytic=fn), box, (5, 5, 5, 5))
-    sup = support_region(field, tol=1e-3)
-    assert sup.empty and sup.box is None
-
-
-def test_support_region_gaussian_envelope_half_width():
-    # |T| ~ envelope^2 = exp(-t^2 / sigma^2); threshold tol = 1e-3 gives
-    # half-width sigma * sqrt(ln 1000) = 1.3141746...; omega = 0 removes
-    # the carrier so the envelope is the whole story
-    sigma = 0.5
-    env = lambda x: np.exp(-x[..., 0] ** 2 / (2.0 * sigma ** 2))
-    field_an = StressEnergyField(em=em_plane_wave(1.0, 0.0, envelope=env))
-    box = np.array([[-2.0, 2.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-    grid = tabulate(field_an, box, (401, 2, 2, 2))
-    sup = support_region(grid, tol=1e-3)
-    half = sigma * math.sqrt(math.log(1000.0))
-    spacing = 4.0 / 400
-    assert abs(sup.box[0, 1] - half) <= spacing
-    assert abs(sup.box[0, 0] + half) <= spacing
+def _sampled_grid(fn, shape):
+    """TensorGrid of fn's values on the nodes of the unit box."""
+    spacing = 1.0 / (np.array(shape) - 1.0)
+    axes = [np.arange(n) * d for n, d in zip(shape, spacing)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return TensorGrid(values=fn(mesh), origin=np.zeros(4), spacing=spacing)
 
 
 def test_grid_round_trip(tmp_path):
@@ -211,16 +184,15 @@ def test_grid_round_trip(tmp_path):
         T[..., 0, 0] = 1.0 + x[..., 3] ** 2
         return T
 
-    box = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-    field = tabulate(StressEnergyField(analytic=fn), box, (5, 4, 3, 6))
+    grid = _sampled_grid(fn, (5, 4, 3, 6))
     path = tmp_path / "grid.txt"
-    save_grid(path, field.grid)
+    save_grid(path, grid)
     loaded = load_grid(path)
-    assert loaded.chart == field.grid.chart
-    np.testing.assert_allclose(loaded.values, field.grid.values, rtol=1e-15)
+    assert loaded.chart == grid.chart
+    np.testing.assert_allclose(loaded.values, grid.values, rtol=1e-15)
     pts = np.array([[0.25, 0.5, 0.5, 0.125]])
     np.testing.assert_allclose(
-        StressEnergyField(grid=loaded).tensor(pts), field.tensor(pts), rtol=1e-12)
+        StressEnergyField(grid=loaded).tensor(pts), grid.interpolate(pts), rtol=1e-12)
 
 
 def test_grid_interpolation_is_exact_on_multilinear_fields():
@@ -229,8 +201,7 @@ def test_grid_interpolation_is_exact_on_multilinear_fields():
         T[..., 0, 0] = 2.0 + x[..., 0] - 0.5 * x[..., 3]
         return T
 
-    box = np.array([[0.0, 1.0]] * 4)
-    field = tabulate(StressEnergyField(analytic=fn), box, (3, 3, 3, 3))
+    field = StressEnergyField(grid=_sampled_grid(fn, (3, 3, 3, 3)))
     pts = np.array([[0.37, 0.11, 0.92, 0.64]])
     np.testing.assert_allclose(field.tensor(pts), fn(pts), rtol=1e-14)
 

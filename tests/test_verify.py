@@ -2,7 +2,12 @@ import json
 
 import pytest
 
+from metricprobe import verify
+from metricprobe.generator import (bundled_coordinate_bump, conserved_test_tensor,
+                                   coordinate_independence_check)
+from metricprobe.quadrature import RegionSpec
 from metricprobe.reports import dumps_report
+from metricprobe.scenarios import build_region, load_bundled
 from metricprobe.verify import SUITES, run_verify
 
 
@@ -54,3 +59,30 @@ def test_wick_fock_suite_passes():
     checks = report["suites"]["wick-fock"]["checks"]
     assert len(checks) == 7
     assert all(c["residual"] <= 1e-8 for c in checks)
+
+
+def test_coordinate_suite_reads_the_refinement_ratio_from_the_fine_audits(monkeypatch):
+    # 9^4 instead of the scenario's 33^4 keeps this fast; the suite at
+    # full resolution runs in acceptance criterion 06
+    box = build_region(load_bundled("schwarzschild-coordinate-check")).box
+    monkeypatch.setattr(verify, "build_region", lambda sc: RegionSpec(box=box, resolution=9))
+    audits = []
+
+    def spy(testT, region, bump=None):
+        rep = coordinate_independence_check(testT, region, bump=bump)
+        audits.append((testT.label, region.resolution, rep))
+        return rep
+
+    monkeypatch.setattr(verify, "coordinate_independence_check", spy)
+    checks = run_verify(["coordinate-independence"])["suites"]["coordinate-independence"]["checks"]
+    assert [(label, res) for label, res, _ in audits] == [
+        ("conserved-airy", (9,) * 4), ("nonconserved-angular", (9,) * 4)]
+
+    fine = audits[0][2]
+    coarse = coordinate_independence_check(conserved_test_tensor(),
+                                           RegionSpec(box=box, resolution=5),
+                                           bump=bundled_coordinate_bump())
+    ratio = (abs(coarse.P_isotropic - coarse.P_schwarzschild)
+             / abs(fine.P_isotropic - fine.P_schwarzschild))
+    got = next(c for c in checks if c["name"] == "conserved-refinement-ratio")
+    assert got["residual"] == ratio

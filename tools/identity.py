@@ -5,12 +5,18 @@
 unpacks ``git archive REV`` into a temporary directory, then writes the
 ``dumps_report`` text of a fixed corpus once from that tree and once from
 the tree this script lives in, each in a fresh child process that imports
-``metricprobe`` from the tree's own ``src/``.  The corpus (87 reports):
+``metricprobe`` from the tree's own ``src/``.  The corpus (90 reports):
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
 * ``workloads.run_jobs`` of seed 7: bound-sweep ops 1-8, chart-audit
-  ops 1-6 and readout-mc ops 1-6.
+  ops 1-6 and readout-mc ops 1-6;
+* ``run_verify()`` over all four suites;
+* the chart audit at resolution 0.5 on a box whose faces cut both
+  bundled sources, the one route where ``boundary_term`` is nonzero;
+* ``run_bound`` of the gravitational-wave scenario with its source read
+  from a grid file, which each child builds from a numpy array and
+  writes with ``save_grid`` next to its reports.
 
 The workload inputs come from this tree's ``bench/workloads.py`` for both
 trees, so both libraries see the same scenario dicts.  The script prints
@@ -27,16 +33,37 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 OPS = {"bound-sweep": range(1, 9), "chart-audit": range(1, 7), "readout-mc": range(1, 7)}
+#: chart-audit box whose t and r faces cut both bundled sources
+FACE_CUTTING_BOX = [[-0.5, 0.5], [1.6, 3.5], [0.94, 2.21], [-0.61, 0.61]]
+#: the grid field's file, relative to the child's working directory, so
+#: both trees echo the same path in their reports
+GRID_FILE = "grid.txt"
+
+
+def _grid_values(shape, spacing) -> np.ndarray:
+    """A null plane wave's T^munu along x, a = cos(2 pi (x - t)) (1 + y),
+    on the grid nodes: T^00 = T^01 = T^11 = a^2 / 4 pi."""
+    t, x, y, _ = np.meshgrid(*(np.arange(n) * d for n, d in zip(shape, spacing)),
+                             indexing="ij")
+    a2 = (np.cos(2.0 * np.pi * (x - t)) * (1.0 + y)) ** 2 / (4.0 * np.pi)
+    values = np.zeros(tuple(shape) + (4, 4))
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        values[..., i, j] = a2
+    return values
 
 
 def write_corpus(out_dir: str) -> None:
     """Write every corpus report as one file under out_dir (child side)."""
-    from metricprobe import reports, scenarios
+    from metricprobe import reports, scenarios, verify
+    from metricprobe.stress_energy import TensorGrid, save_grid
     import workloads
 
     def put(name: str, text: str) -> None:
@@ -55,6 +82,22 @@ def write_corpus(out_dir: str) -> None:
             done = workloads.run_jobs(wl.jobs(op), scenarios, reports)
             for job, (_, text) in enumerate(done):
                 put(f"{workload}_op{op}_job{job}", text)
+    put("verify", reports.dumps_report(verify.run_verify()))
+
+    doc = dict(scenarios.load_bundled("schwarzschild-coordinate-check").raw)
+    doc["region"] = dict(doc["region"], box=FACE_CUTTING_BOX)
+    with warnings.catch_warnings():
+        # the box clips the bump support too; the report's warnings say so
+        warnings.simplefilter("ignore", UserWarning)
+        report = scenarios.run_bound(scenarios.parse_scenario(doc), resolution_mult=0.5)
+    put("bound@0.5_face-cutting-box", reports.dumps_report(report))
+
+    shape, spacing = (9, 9, 3, 3), np.full(4, 0.125)
+    save_grid(GRID_FILE, TensorGrid(values=_grid_values(shape, spacing),
+                                    origin=np.zeros(4), spacing=spacing))
+    doc = dict(scenarios.load_bundled("gw-monochromatic-coherent").raw,
+               name="gw-grid-field", stress_energy={"grid": {"path": GRID_FILE}})
+    put("bound_gw-grid-field", reports.dumps_report(scenarios.run_bound(scenarios.parse_scenario(doc))))
 
 
 def _run_tree(tree: Path, out_dir: Path) -> subprocess.Popen:
@@ -103,7 +146,7 @@ def _first_difference(a, b, path: str = ""):
 
 def compare(dir_a: Path, dir_b: Path) -> tuple:
     """(number identical, total, text describing the first difference)."""
-    names = sorted({p.name for p in dir_a.iterdir()} | {p.name for p in dir_b.iterdir()})
+    names = sorted({p.name for p in dir_a.glob("*.json")} | {p.name for p in dir_b.glob("*.json")})
     same, first = 0, ""
     for name in names:
         pa, pb = dir_a / name, dir_b / name
