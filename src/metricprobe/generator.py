@@ -403,8 +403,7 @@ def conserved_test_tensor() -> StressEnergyField:
                                 + (Jix * Jjy + Jiy * Jjx) * Txy)
         return T
 
-    return StressEnergyField(analytic=fn, chart="schwarzschild", label="conserved-airy",
-                             support=_CONSERVED_SUPPORT.copy())
+    return StressEnergyField(fn, support=_CONSERVED_SUPPORT.copy())
 
 
 def nonconserved_test_tensor() -> StressEnergyField:
@@ -446,8 +445,7 @@ def nonconserved_test_tensor() -> StressEnergyField:
     # the bump's own arithmetic can place inside
     support = np.nextafter(np.stack([np.min(lo, axis=0), np.max(hi, axis=0)], axis=-1),
                            [-np.inf, np.inf])
-    return StressEnergyField(analytic=fn, chart="schwarzschild", label="nonconserved-angular",
-                             support=support)
+    return StressEnergyField(fn, support=support)
 
 #: Spherical-chart boxes for the bundled coordinate check.  The conserved
 #: source's Cartesian cube (center (3, 0, 0), half-width 0.8) maps into

@@ -28,19 +28,29 @@ class ChartDomainError(ValueError):
     """A point lies outside the declared chart domain."""
 
 
+def _checked_box(box, name: str) -> np.ndarray:
+    """box as a float (4, 2) array of per-axis (lo, hi) bounds; raises
+    ValueError naming it unless every bound is finite and lo < hi."""
+    b = np.asarray(box, dtype=float)
+    if b.shape != (4, 2):
+        raise ValueError(f"{name} must have shape (4, 2)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(b[:, 1] <= b[:, 0]):
+        raise ValueError(f"{name} must have lo < hi on every axis")
+    return b
+
+
 @dataclass(frozen=True)
 class ChartDomain:
     """Validity region of a coordinate chart.
 
     :param box: per-axis (lo, hi) bounds; infinite ends allowed.  Finite
         ends are treated as open unless listed in ``closed_axes``.
-    :param excluded: optional predicate returning True where the chart is
-        additionally invalid (for example near a horizon).
     :param note: human-readable description used in error messages.
     """
 
     box: tuple = (((-math.inf, math.inf),) * 4)
-    excluded: Optional[Callable[[np.ndarray], np.ndarray]] = None
     closed_axes: tuple = ()
     note: str = ""
 
@@ -56,8 +66,6 @@ class ChartDomain:
                     ok &= c > lo
                 if np.isfinite(hi):
                     ok &= c < hi
-        if self.excluded is not None:
-            ok &= ~np.asarray(self.excluded(x), dtype=bool)
         return ok
 
     def require(self, x: np.ndarray) -> None:
@@ -131,30 +139,21 @@ def _broadcast_eta(x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(MINKOWSKI, x.shape[:-1] + (4, 4)).copy()
 
 
-def gw_plane_wave(theta0: float = 0.0,
-                  envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> MetricFamily:
+def gw_plane_wave(theta0: float = 0.0) -> MetricFamily:
     """Linearly polarized plane gravitational wave on a Cartesian chart
     (t, x, y, z), propagating along z in the broadband approximation:
-    g = eta + A * f * (dx^2 - dy^2) with f an optional profile of the
-    point (default 1, the constant-amplitude limit)."""
-
-    def profile(x):
-        if envelope is None:
-            return np.ones(x.shape[:-1])
-        return np.asarray(envelope(x), dtype=float)
+    g = eta + A (dx^2 - dy^2), the constant-amplitude limit."""
 
     def ev(theta, x):
         g = _broadcast_eta(x)
-        f = theta * profile(x)
-        g[..., 1, 1] += f
-        g[..., 2, 2] -= f
+        g[..., 1, 1] += theta
+        g[..., 2, 2] -= theta
         return g
 
     def dv(x):
         d = _sym_zeros(x)
-        f = profile(x)
-        d[..., 1, 1] = f
-        d[..., 2, 2] = -f
+        d[..., 1, 1] = 1.0
+        d[..., 2, 2] = -1.0
         return d
 
     return MetricFamily(
@@ -240,12 +239,9 @@ def schwarzschild(theta0: float = 0.0) -> MetricFamily:
         d[..., 1, 1] = 2.0 / (r * f ** 2)
         return d
 
-    def excluded(x):
-        return x[..., 1] <= 2.5 * m0
-
     dom = ChartDomain(
-        box=((-math.inf, math.inf), (0.0, math.inf), (0.0, math.pi), (-math.inf, math.inf)),
-        excluded=excluded if m0 > 0 else None,
+        box=((-math.inf, math.inf), (max(0.0, 2.5 * m0), math.inf), (0.0, math.pi),
+             (-math.inf, math.inf)),
         closed_axes=(2,),
         note="Schwarzschild chart: r > max(0, 2.5 m)",
     )
@@ -288,12 +284,9 @@ def isotropic(theta0: float = 0.0) -> MetricFamily:
         d[..., 3, 3] = dpsi4 * (rho * np.sin(th)) ** 2
         return d
 
-    def excluded(x):
-        return x[..., 1] <= 1.25 * m0
-
     dom = ChartDomain(
-        box=((-math.inf, math.inf), (0.0, math.inf), (0.0, math.pi), (-math.inf, math.inf)),
-        excluded=excluded if m0 > 0 else None,
+        box=((-math.inf, math.inf), (max(0.0, 1.25 * m0), math.inf), (0.0, math.pi),
+             (-math.inf, math.inf)),
         closed_axes=(2,),
         note="isotropic chart: rho > max(0, 1.25 m)",
     )
@@ -448,14 +441,8 @@ class BumpProfile:
     order: int = 3
 
     def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.plateau, dtype=float))
-        s = np.atleast_2d(np.asarray(self.support, dtype=float))
-        if p.shape != (4, 2) or s.shape != (4, 2):
-            raise ValueError("plateau and support must be (4, 2) boxes")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
-            raise ValueError("plateau and support must be finite")
-        if np.any(p[:, 1] <= p[:, 0]) or np.any(s[:, 1] <= s[:, 0]):
-            raise ValueError("boxes must have positive extent on every axis")
+        p = _checked_box(self.plateau, "plateau")
+        s = _checked_box(self.support, "support")
         if np.any(p[:, 0] <= s[:, 0]) or np.any(p[:, 1] >= s[:, 1]):
             raise ValueError("plateau must lie strictly inside support on every axis")
         if self.order < 1:

@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import _checked_box
+
 #: node budget of one fn call in integrate: whole axis-0 slices are
 #: grouped up to this many nodes, a larger slice is evaluated alone
 _BLOCK_NODES = 2048
@@ -30,13 +32,7 @@ class RegionSpec:
     resolution: tuple
 
     def __post_init__(self):
-        b = np.asarray(self.box, dtype=float)
-        if b.shape != (4, 2):
-            raise ValueError("box must have shape (4, 2)")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("box must be finite")
-        if np.any(b[:, 1] <= b[:, 0]):
-            raise ValueError("box must have positive extent on every axis")
+        b = _checked_box(self.box, "box")
         res = tuple(int(n) for n in np.broadcast_to(self.resolution, (4,)))
         if any(n < 2 for n in res):
             raise ValueError("trapezoid rule needs at least 2 nodes per axis")

@@ -108,6 +108,13 @@ def _array(d: dict, key: str, path: str) -> np.ndarray:
     raise ScenarioError(f"{path}.{key}", f"expected an array of finite numbers, got {v!r}")
 
 
+def _vector(d: dict, key: str, path: str) -> np.ndarray:
+    arr = _array(d, key, path)
+    if arr.shape != (3,):
+        raise ScenarioError(f"{path}.{key}", f"expected 3 numbers, got {d[key]!r}")
+    return arr
+
+
 def _only(d: dict, key: str, path: str, value: str) -> None:
     """Accept an optional key whose one allowed value is also its default."""
     if d.get(key, value) != value:
@@ -167,6 +174,11 @@ def build_family(sc: Scenario):
     spec = sc.section("family")
     name = _need(spec, "name", "family")
     params = dict(_mapping(spec.get("parameters") or {}, "family.parameters"))
+    if "theta0" in params:
+        params["theta0"] = _num(params, "theta0", "family.parameters")
+    for key in ("mu0", "nu0"):
+        if key in params:
+            params[key] = _int(params, key, "family.parameters", 0)
     if name not in geo.BUILTIN_FAMILIES:
         raise ScenarioError("family.name",
                             f"unknown family {name!r}; built-ins: "
@@ -179,7 +191,7 @@ def build_family(sc: Scenario):
         params["profile"] = _build_profile(prof_spec, "family.parameters.profile")
     try:
         fam = geo.BUILTIN_FAMILIES[name](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError("family.parameters", str(exc)) from exc
     bump_spec = sc.section("bump", required=False)
     if bump_spec is not None:
@@ -202,31 +214,27 @@ def build_field(sc: Scenario, family=None) -> se.StressEnergyField:
     if grid_spec is not None:
         path = _need(_mapping(grid_spec, "stress_energy.grid"), "path",
                      "stress_energy.grid")
-        grid = se.load_grid(path)
-        return se.StressEnergyField(grid=grid, chart=grid.chart, label=sc.name)
-    kind = _need(_mapping(em_spec, "stress_energy.em"), "kind", "stress_energy.em")
-    if kind == "plane-wave":
-        cfg = se.em_plane_wave(
-            amplitude=_num(em_spec, "amplitude", "stress_energy.em"),
-            omega=_num(em_spec, "omega", "stress_energy.em"),
-            phase=_num(em_spec, "phase", "stress_energy.em", default=0.0))
-    elif kind == "uniform":
-        cfg = se.em_uniform(_need(em_spec, "E", "stress_energy.em"),
-                            _need(em_spec, "B", "stress_energy.em"))
+        fn = se.load_grid(path).interpolate
     else:
-        raise ScenarioError("stress_energy.em.kind",
-                            f"unknown EM configuration {kind!r}")
-    frame_metric = None
-    chart = "cartesian"
+        fn = _build_em(_mapping(em_spec, "stress_energy.em"), "stress_energy.em")
     if frame == "orthonormal":
         if family is None:
             raise ScenarioError("stress_energy.frame",
                                 "orthonormal frame needs the scenario family")
         base = family.base if isinstance(family, geo.LocalizedFamily) else family
-        frame_metric = base
-        chart = base.chart_name
-    return se.StressEnergyField(em=cfg, frame_metric=frame_metric,
-                                chart=chart, label=sc.name)
+        fn = se.in_orthonormal_frame(fn, base)
+    return se.StressEnergyField(fn)
+
+
+def _build_em(spec: dict, path: str):
+    kind = _need(spec, "kind", path)
+    if kind == "plane-wave":
+        return se.em_plane_wave(amplitude=_num(spec, "amplitude", path),
+                                omega=_num(spec, "omega", path),
+                                phase=_num(spec, "phase", path, default=0.0))
+    if kind == "uniform":
+        return se.em_uniform(_vector(spec, "E", path), _vector(spec, "B", path))
+    raise ScenarioError(f"{path}.kind", f"unknown EM configuration {kind!r}")
 
 
 def build_region(sc: Scenario, resolution_mult: float = 1.0) -> RegionSpec:

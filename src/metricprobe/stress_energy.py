@@ -1,12 +1,16 @@
-"""Stress-energy fields: Maxwell tensors, tabulated grids and their text
-format, and the fourth-order finite-difference covariant divergence
+"""Stress-energy fields: Maxwell tensors of plane-wave and uniform
+fields, tabulated grids and their text format, the orthonormal-frame
+conversion, and the fourth-order finite-difference covariant divergence
 that checks conservation.
 
-The probe is treated at the mean-field level: fields entering these
-tensors are classical expectation values, with quantum fluctuations
-handled separately by the probe module.  Components are contravariant
-T^munu in the chart named by the field, units with G = c = 1 and
-Gaussian electromagnetic units (energy density (E^2 + B^2) / 8 pi).
+A field is one function from points (..., 4) to T^munu (..., 4, 4) with
+an optional declared support; each source above is such a function, and
+in_orthonormal_frame wraps any of them.  The probe is treated at the
+mean-field level: fields entering these tensors are classical
+expectation values, with quantum fluctuations handled separately by the
+probe module.  Components are contravariant T^munu in the chart of the
+metric they are paired with, units with G = c = 1 and Gaussian
+electromagnetic units (energy density (E^2 + B^2) / 8 pi).
 """
 from __future__ import annotations
 
@@ -18,14 +22,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .geometry import MetricFamily
+from .geometry import MetricFamily, _checked_box
 
 _COMPONENT_ORDER = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 _COMPONENT_NAMES = [f"T{i}{j}" for i, j in _COMPONENT_ORDER]
 
 
 # ---------------------------------------------------------------------------
-# Maxwell stress tensor
+# Maxwell sources and the orthonormal frame
 # ---------------------------------------------------------------------------
 
 def em_stress_tensor(E: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -57,57 +61,56 @@ def em_stress_tensor(E: np.ndarray, B: np.ndarray) -> np.ndarray:
     return T
 
 
-@dataclass(frozen=True)
-class EMFieldConfig:
-    """Classical electromagnetic field configuration: callables mapping
-    points (..., 4) to E and B 3-vectors (..., 3)."""
+def em_plane_wave(amplitude: float, omega: float,
+                  phase: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+    """T^munu of a plane wave along +x, linearly polarized along y
+    (E_y = B_z), the probe-beam geometry used against a z-propagating
+    gravitational wave."""
 
-    E: Callable[[np.ndarray], np.ndarray]
-    B: Callable[[np.ndarray], np.ndarray]
-    label: str = "em"
+    def fn(x):
+        f = amplitude * np.cos(omega * (x[..., 1] - x[..., 0]) + phase)
+        E = np.zeros(x.shape[:-1] + (3,))
+        B = np.zeros(x.shape[:-1] + (3,))
+        E[..., 1] = f
+        B[..., 2] = f
+        return em_stress_tensor(E, B)
 
-
-def em_plane_wave(amplitude: float, omega: float, phase: float = 0.0,
-                  envelope: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> EMFieldConfig:
-    """Plane wave along +x, linearly polarized along y (E_y = B_z), the
-    probe-beam geometry used against a z-propagating gravitational wave.
-    An optional envelope multiplies the field amplitude."""
-
-    def field_scalar(x):
-        t = x[..., 0]
-        xx = x[..., 1]
-        f = amplitude * np.cos(omega * (xx - t) + phase)
-        if envelope is not None:
-            f = f * np.asarray(envelope(x), dtype=float)
-        return f
-
-    def Efun(x):
-        out = np.zeros(x.shape[:-1] + (3,))
-        out[..., 1] = field_scalar(x)
-        return out
-
-    def Bfun(x):
-        out = np.zeros(x.shape[:-1] + (3,))
-        out[..., 2] = field_scalar(x)
-        return out
-
-    return EMFieldConfig(E=Efun, B=Bfun, label="em_plane_wave")
+    return fn
 
 
-def em_uniform(E_vec, B_vec) -> EMFieldConfig:
-    """Spatially uniform static field vectors (mostly for tests)."""
+def em_uniform(E_vec, B_vec) -> Callable[[np.ndarray], np.ndarray]:
+    """T^munu of spatially uniform static field vectors."""
     E0 = np.asarray(E_vec, dtype=float)
     B0 = np.asarray(B_vec, dtype=float)
     if E0.shape != (3,) or B0.shape != (3,):
         raise ValueError("E_vec and B_vec must be 3-vectors")
 
-    def Efun(x):
-        return np.broadcast_to(E0, x.shape[:-1] + (3,)).copy()
+    def fn(x):
+        shape = x.shape[:-1] + (3,)
+        return em_stress_tensor(np.broadcast_to(E0, shape), np.broadcast_to(B0, shape))
 
-    def Bfun(x):
-        return np.broadcast_to(B0, x.shape[:-1] + (3,)).copy()
+    return fn
 
-    return EMFieldConfig(E=Efun, B=Bfun, label="em_uniform")
+
+def in_orthonormal_frame(fn: Callable[[np.ndarray], np.ndarray],
+                         family: MetricFamily) -> Callable[[np.ndarray], np.ndarray]:
+    """T^munu in the chart of a diagonal fiducial metric, from fn's
+    components T^ab in its local orthonormal frame, through the tetrad
+    e^mu_a = delta^mu_a / sqrt(|g_mumu|): T^munu = e^mu_a e^nu_b T^ab.
+    The conversion keeps a traceless tensor traceless against the curved
+    metric exactly."""
+
+    def chart_fn(x):
+        T_frame = fn(x)
+        g = family.eval(family.theta0, x)
+        diag = np.stack([g[..., k, k] for k in range(4)], axis=-1)
+        off = g * (1.0 - np.eye(4))
+        if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+            raise ValueError("orthonormal-frame conversion requires a diagonal metric")
+        e = 1.0 / np.sqrt(np.abs(diag))
+        return T_frame * e[..., :, None] * e[..., None, :]
+
+    return chart_fn
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +225,8 @@ def load_grid(path) -> TensorGrid:
 
 @dataclass(frozen=True)
 class StressEnergyField:
-    """A queryable T^munu(x).  Exactly one source must be given:
-
-    * em: EMFieldConfig evaluated pointwise (flat-chart components); with
-      frame_metric set, the E/B components are read in the local
-      orthonormal frame of that (diagonal) metric and converted to chart
-      components through the tetrad, which preserves tracelessness
-      against the curved metric exactly.
-    * grid: TensorGrid with multilinear interpolation between nodes.
-    * analytic: a callable (..., 4) -> (..., 4, 4).
+    """A queryable T^munu(x): fn maps points (..., 4) to contravariant
+    components (..., 4, 4) in the chart of the metric they are paired with.
 
     support, when given, is a closed (4, 2) chart-coordinate box outside
     which every component of T is exactly 0, so integrals of densities
@@ -238,61 +234,18 @@ class StressEnergyField:
     be nonzero anywhere.
     """
 
-    em: Optional[EMFieldConfig] = None
-    grid: Optional[TensorGrid] = None
-    analytic: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    chart: str = "cartesian"
-    frame_metric: Optional[MetricFamily] = None
-    label: str = ""
+    fn: Callable[[np.ndarray], np.ndarray]
     support: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        n = sum(s is not None for s in (self.em, self.grid, self.analytic))
-        if n != 1:
-            raise ValueError("exactly one of em, grid, analytic must be set")
-        if self.grid is not None and self.grid.chart != self.chart:
-            raise ValueError("grid chart label disagrees with field chart")
         if self.support is not None:
-            box = np.asarray(self.support, dtype=float)
-            if box.shape != (4, 2):
-                raise ValueError("support must have shape (4, 2)")
-            if not np.all(np.isfinite(box)):
-                raise ValueError("support must be finite")
-            if np.any(box[:, 0] >= box[:, 1]):
-                raise ValueError("support must have lo < hi on every axis")
-            object.__setattr__(self, "support", box)
+            object.__setattr__(self, "support", _checked_box(self.support, "support"))
 
     def tensor(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != 4:
             raise ValueError("points must have shape (..., 4)")
-        if self.em is not None:
-            T = em_stress_tensor(self.em.E(x), self.em.B(x))
-            if self.frame_metric is not None:
-                T = _frame_to_chart(T, self.frame_metric, x)
-            return T
-        if self.grid is not None:
-            return self.grid.interpolate(x)
-        return np.asarray(self.analytic(x), dtype=float)
-
-
-def _frame_to_chart(T_frame: np.ndarray, family: MetricFamily, x: np.ndarray) -> np.ndarray:
-    """Convert frame components T^ab to chart components via the diagonal
-    tetrad e^mu_a = delta^mu_a / sqrt(|g_mumu|): T^munu = e^mu_a e^nu_b T^ab."""
-    g = family.eval(family.theta0, x)
-    diag = np.stack([g[..., k, k] for k in range(4)], axis=-1)
-    off = g - _diag_embed(diag)
-    if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
-        raise ValueError("orthonormal-frame conversion requires a diagonal metric")
-    e = 1.0 / np.sqrt(np.abs(diag))
-    return T_frame * e[..., :, None] * e[..., None, :]
-
-
-def _diag_embed(d: np.ndarray) -> np.ndarray:
-    out = np.zeros(d.shape + (4,))
-    for k in range(4):
-        out[..., k, k] = d[..., k]
-    return out
+        return np.asarray(self.fn(x), dtype=float)
 
 
 def trace(T: np.ndarray, g: np.ndarray) -> np.ndarray:

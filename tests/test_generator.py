@@ -17,14 +17,14 @@ from metricprobe.geometry import (BumpProfile, ChartDomainError, de_sitter,
                                   flrw_closed, gw_plane_wave, localize,
                                   minkowski_component, schwarzschild)
 from metricprobe.quadrature import RegionSpec, integrate
-from metricprobe.stress_energy import StressEnergyField, em_plane_wave, em_uniform
+from metricprobe.stress_energy import (StressEnergyField, em_plane_wave, em_uniform,
+                                       in_orthonormal_frame)
 
 FOURPI = 4.0 * math.pi
 
 
 def _plane_wave_field(amplitude=1.0, omega=2.0 * math.pi * 10.0, phase=0.0):
-    return StressEnergyField(em=em_plane_wave(amplitude, omega, phase=phase),
-                             chart="cartesian")
+    return StressEnergyField(em_plane_wave(amplitude, omega, phase=phase))
 
 
 def test_density_gw_against_plane_wave_pointwise():
@@ -50,7 +50,7 @@ def _dust(x):
 def test_density_dust_invisible_to_gw():
     fam = gw_plane_wave(0.0)
     pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(25, 4))
-    d = generator_density(StressEnergyField(analytic=_dust), fam, pts)
+    d = generator_density(StressEnergyField(_dust), fam, pts)
     assert np.all(d == 0.0)
 
 
@@ -68,7 +68,7 @@ def test_density_component_family_picks_one_slot():
 
 def test_density_zero_field_is_zero():
     fam = gw_plane_wave(0.0)
-    field = StressEnergyField(em=em_uniform([0, 0, 0], [0, 0, 0]), chart="cartesian")
+    field = StressEnergyField(em_uniform([0, 0, 0], [0, 0, 0]))
     pts = np.zeros((4, 4))
     assert np.all(generator_density(field, fam, pts) == 0.0)
 
@@ -91,9 +91,9 @@ def test_density_linear_in_stress_energy():
         return t1(pts) + t2(pts)
 
     region = RegionSpec(box=np.array([[0.0, 1.0]] * 4), resolution=5)
-    p1 = integrate_generator(StressEnergyField(analytic=t1), gw_plane_wave(0.0), region)
-    p2 = integrate_generator(StressEnergyField(analytic=t2), fam, region)
-    ps = integrate_generator(StressEnergyField(analytic=tsum), fam, region)
+    p1 = integrate_generator(StressEnergyField(t1), gw_plane_wave(0.0), region)
+    p2 = integrate_generator(StressEnergyField(t2), fam, region)
+    ps = integrate_generator(StressEnergyField(tsum), fam, region)
     assert math.isclose(ps.P_total, p1.P_total + p2.P_total, rel_tol=1e-12)
 
 
@@ -101,8 +101,7 @@ def test_uniform_field_closed_form():
     # static E along y: T^xx = T^00 = E^2/8pi, T^yy = -E^2/8pi, and the
     # gw coupling gives a constant density E^2/8pi, integrated exactly
     E = 0.7
-    field = StressEnergyField(em=em_uniform([0.0, E, 0.0], [0.0, 0.0, 0.0]),
-                              chart="cartesian")
+    field = StressEnergyField(em_uniform([0.0, E, 0.0], [0.0, 0.0, 0.0]))
     box = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 1.5], [0.0, 0.5]])
     region = RegionSpec(box=box, resolution=3)
     res = integrate_generator(field, gw_plane_wave(0.0), region)
@@ -153,7 +152,7 @@ def test_localized_matches_base_when_source_sits_on_plateau():
         T[..., 1, 1] = prof
         return T
 
-    field = StressEnergyField(analytic=tfun)
+    field = StressEnergyField(tfun)
     region = RegionSpec(box=np.array([[0.0, 1.0]] * 4), resolution=9)
     base = integrate_generator(field, gw_plane_wave(0.0), region)
     loc = integrate_generator(field, localize(gw_plane_wave(0.0), bump), region)
@@ -201,8 +200,7 @@ def test_region_outside_chart_raises():
 # ---------------------------------------------------------------------------
 
 def _flrw_probe(family):
-    return StressEnergyField(em=em_plane_wave(1.0, 3.0), chart=family.chart_name,
-                             frame_metric=family)
+    return StressEnergyField(in_orthonormal_frame(em_plane_wave(1.0, 3.0), family))
 
 
 def test_trace_null_exact_for_conformal_families():
@@ -220,8 +218,8 @@ def test_trace_null_generic_uniform_field_at_rounding_level():
     region = RegionSpec(box=np.array([[1.0, 2.5], [0.5, 1.5], [0.8, 2.2], [-0.5, 0.5]]),
                         resolution=5)
     fam = flrw_closed(2.0)
-    field = StressEnergyField(em=em_uniform([0.3, -0.7, 0.2], [0.5, 0.1, -0.4]),
-                              chart=fam.chart_name, frame_metric=fam)
+    field = StressEnergyField(
+        in_orthonormal_frame(em_uniform([0.3, -0.7, 0.2], [0.5, 0.1, -0.4]), fam))
     assert trace_null_residual(field, fam, region) <= 1e-12
 
 
@@ -235,7 +233,7 @@ def test_trace_null_flags_traceful_source():
         T[..., 0, 0] = 1.0
         return T
 
-    dusty = StressEnergyField(analytic=fn, chart=fam.chart_name)
+    dusty = StressEnergyField(fn)
     assert trace_null_residual(dusty, fam, region) > 0.5
 
 
@@ -297,7 +295,7 @@ def test_boundary_term_radial_shell_oracle():
         return out
 
     box = np.array([[0.0, 0.5], [2.0, 3.0], [0.8, 2.2], [-0.4, 0.4]])
-    val = boundary_term(StressEnergyField(analytic=fn, chart="schwarzschild"),
+    val = boundary_term(StressEnergyField(fn),
                         X, box, metric_eval, resolution=65)
     dt, dph = 0.5, 0.8
     oracle = dt * dph * (math.cos(0.8) - math.cos(2.2)) * (3.0 ** 2 - 2.0 ** 2)
@@ -465,7 +463,7 @@ def test_zero_source_everything_vanishes():
         return np.zeros(pts.shape[:-1] + (4, 4))
 
     rep = coordinate_independence_check(
-        StressEnergyField(analytic=fn, chart="schwarzschild"), _check_region(9))
+        StressEnergyField(fn), _check_region(9))
     assert rep.P_schwarzschild == 0.0
     assert rep.P_isotropic == 0.0
     assert rep.angular_integral == 0.0

@@ -80,6 +80,12 @@ def test_evaluate_metric_rejects_chart_violations():
     fam = flrw_closed(1.0)
     with pytest.raises(ChartDomainError):
         fam.domain.require(np.array([7.0, 0.5, 1.0, 0.0]))
+    # the horizon margins are open lower bounds on the radius
+    m = 0.8
+    for fam, edge in ((schwarzschild(m), 2.5 * m), (isotropic(m), 1.25 * m)):
+        with pytest.raises(ChartDomainError):
+            fam.domain.require(np.array([0.0, edge, 1.0, 0.0]))
+        fam.domain.require(np.array([0.0, np.nextafter(edge, np.inf), 1.0, 0.0]))
 
 
 def test_gw_derivative_components():

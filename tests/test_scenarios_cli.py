@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from metricprobe import generator, scenarios
 from metricprobe.cli import main
 from metricprobe.reports import dumps_report, render_summary, write_report
+from metricprobe.stress_energy import TensorGrid, in_orthonormal_frame, load_grid, save_grid
 from metricprobe.scenarios import (KINDS, Scenario, ScenarioError,
                                    build_family, build_field, build_region,
                                    build_sim_params, build_state,
@@ -136,6 +137,26 @@ def test_field_frame_validation():
     doc["stress_energy"]["frame"] = "orthonormal"
     with pytest.raises(ScenarioError):
         build_field(parse_scenario(doc), family=None)
+
+
+def test_grid_field_honours_the_orthonormal_frame(tmp_path):
+    # frame applies to a grid source as to an EM one
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((3, 3, 3, 3, 4, 4))
+    path = tmp_path / "grid.txt"
+    save_grid(path, TensorGrid(values=values + np.swapaxes(values, -1, -2),
+                               origin=[1.0, 0.5, 0.8, -0.5], spacing=np.full(4, 0.5)))
+    doc = _tiny_doc()
+    doc["family"] = {"name": "flrw_closed", "parameters": {"theta0": 2.0}}
+    doc["stress_energy"] = {"frame": "orthonormal", "grid": {"path": str(path)}}
+    sc = parse_scenario(doc)
+    fam = build_family(sc)
+    field = build_field(sc, family=fam)
+    grid = load_grid(path)
+    pts = rng.uniform([1.0, 0.5, 0.8, -0.5], [2.0, 1.5, 1.8, 0.5], size=(20, 4))
+    got = field.tensor(pts)
+    assert np.array_equal(got, in_orthonormal_frame(grid.interpolate, fam)(pts))
+    assert not np.array_equal(got, grid.interpolate(pts))
 
 
 def test_field_unknown_em_kind():
@@ -522,6 +543,24 @@ _FLAT_BAND = {"family": "flat-band", "omega_lo": 60.0, "omega_hi": 65.0,
     # non-finite boxes, which RegionSpec and BumpProfile reject too
     ("region", "box", [[0.0, math.nan]] * 4, "region.box"),
     ("", "bump", dict(_BUMP, plateau=[[0.3, math.nan]] + _BUMP["plateau"][1:]), "bump.plateau"),
+    # family parameters: theta0 is a finite number, mu0/nu0 integers,
+    # and a value the family constructor refuses names the parameters
+    ("family", "parameters", {"theta0": "abc"}, "family.parameters.theta0"),
+    ("family", "parameters", {"theta0": math.nan}, "family.parameters.theta0"),
+    ("family", "parameters", {"theta0": True}, "family.parameters.theta0"),
+    ("", "family", {"name": "flrw_closed", "parameters": {"theta0": -1.0}},
+     "family.parameters"),
+    ("", "family", {"name": "minkowski_component", "parameters": {"mu0": 1.5, "nu0": 1}},
+     "family.parameters.mu0"),
+    # uniform field vectors: three finite numbers each
+    ("stress_energy", "em", {"kind": "uniform", "E": [math.inf, 0.0, 0.0], "B": [0.0] * 3},
+     "stress_energy.em.E"),
+    ("stress_energy", "em", {"kind": "uniform", "E": [0.0] * 3, "B": [math.nan, 0.0, 0.0]},
+     "stress_energy.em.B"),
+    ("stress_energy", "em", {"kind": "uniform", "E": [1.0, 2.0], "B": [0.0] * 3},
+     "stress_energy.em.E"),
+    ("stress_energy", "em", {"kind": "uniform", "E": ["a", 0.0, 0.0], "B": [0.0] * 3},
+     "stress_energy.em.E"),
 ])
 def test_cli_bad_number_exits_2_naming_the_key(tmp_path, capsys, section, key, value, path):
     doc = _tiny_doc()

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from metricprobe.geometry import flrw_closed
-from metricprobe.stress_energy import (EMFieldConfig, StressEnergyField, TensorGrid,
+from metricprobe.stress_energy import (StressEnergyField, TensorGrid,
                                        covariant_divergence, divergence_residual,
                                        em_plane_wave, em_stress_tensor, em_uniform,
-                                       load_grid, save_grid, trace)
+                                       in_orthonormal_frame, load_grid, save_grid, trace)
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 FOUR_PI = 4.0 * math.pi
@@ -24,7 +24,7 @@ def dust(density):
         T[..., 0, 0] = density
         return T
 
-    return StressEnergyField(analytic=fn)
+    return StressEnergyField(fn)
 
 
 def test_em_stress_tensor_vacuum_is_zero():
@@ -78,20 +78,11 @@ def test_plane_wave_trace_free_against_curved_metric_in_orthonormal_frame():
     # tetrad conversion keeps the null structure: the chart-frame trace
     # against the curved metric is exact float zero
     fam = flrw_closed(2.0)
-    field = StressEnergyField(em=em_plane_wave(1.0, 3.0), frame_metric=fam,
-                             chart=fam.chart_name)
+    field = StressEnergyField(in_orthonormal_frame(em_plane_wave(1.0, 3.0), fam))
     pts = np.array([[1.3, 0.9, 1.4, 0.1], [2.0, 0.6, 1.9, -0.3]])
     T = field.tensor(pts)
     g = fam.eval(fam.theta0, pts)
     assert np.max(np.abs(trace(T, g))) == 0.0
-
-
-def test_field_requires_exactly_one_source():
-    with pytest.raises(ValueError):
-        StressEnergyField()
-    with pytest.raises(ValueError):
-        StressEnergyField(em=em_uniform(np.zeros(3), np.zeros(3)),
-                          analytic=lambda x: np.zeros(x.shape[:-1] + (4, 4)))
 
 
 @pytest.mark.parametrize("support", [
@@ -103,19 +94,19 @@ def test_field_requires_exactly_one_source():
 ], ids=["shape", "inf", "nan", "lo-equals-hi", "lo-above-hi"])
 def test_field_rejects_malformed_support(support):
     with pytest.raises(ValueError, match="support"):
-        StressEnergyField(em=em_uniform(np.zeros(3), np.zeros(3)), support=support)
+        StressEnergyField(em_uniform(np.zeros(3), np.zeros(3)), support=support)
 
 
 def test_field_keeps_support_as_float_box():
-    field = StressEnergyField(em=em_uniform(np.zeros(3), np.zeros(3)),
+    field = StressEnergyField(em_uniform(np.zeros(3), np.zeros(3)),
                               support=[[0, 1], [2, 3], [4, 5], [6, 7]])
     assert field.support.dtype == float
     assert np.array_equal(field.support, [[0, 1], [2, 3], [4, 5], [6, 7]])
-    assert StressEnergyField(em=field.em).support is None
+    assert StressEnergyField(field.fn).support is None
 
 
 def test_covariant_divergence_of_plane_wave_is_small():
-    field = StressEnergyField(em=em_plane_wave(1.0, 3.0))
+    field = StressEnergyField(em_plane_wave(1.0, 3.0))
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1.0, 1.0, size=(30, 4))
     res = divergence_residual(field, flat_metric, pts, h=1e-3)
@@ -136,7 +127,7 @@ def test_nonconserved_tensor_divergence_component():
         T[..., 0, 0] = x[..., 0]
         return T
 
-    field = StressEnergyField(analytic=fn)
+    field = StressEnergyField(fn)
     div = covariant_divergence(field, flat_metric, np.array([[0.7, 0.0, 0.0, 0.0]]))
     np.testing.assert_allclose(div[0], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
 
@@ -150,19 +141,16 @@ def test_divergence_residual_converges_at_stencil_order():
     crossed along different axes break that degeneracy and expose the
     true stencil error.
     """
-    def Efun(x):
-        out = np.zeros(x.shape[:-1] + (3,))
-        out[..., 1] = np.cos(x[..., 1] - x[..., 0])
-        out[..., 2] = np.cos(2.0 * (x[..., 2] - x[..., 0]))
-        return out
+    def crossed(x):
+        E = np.zeros(x.shape[:-1] + (3,))
+        E[..., 1] = np.cos(x[..., 1] - x[..., 0])
+        E[..., 2] = np.cos(2.0 * (x[..., 2] - x[..., 0]))
+        B = np.zeros(x.shape[:-1] + (3,))
+        B[..., 2] = np.cos(x[..., 1] - x[..., 0])
+        B[..., 0] = np.cos(2.0 * (x[..., 2] - x[..., 0]))
+        return em_stress_tensor(E, B)
 
-    def Bfun(x):
-        out = np.zeros(x.shape[:-1] + (3,))
-        out[..., 2] = np.cos(x[..., 1] - x[..., 0])
-        out[..., 0] = np.cos(2.0 * (x[..., 2] - x[..., 0]))
-        return out
-
-    field = StressEnergyField(em=EMFieldConfig(E=Efun, B=Bfun, label="crossed"))
+    field = StressEnergyField(crossed)
     pts = np.array([[0.3, -0.2, 0.5, 0.1], [0.9, 0.4, 0.0, 0.0]])
     r1 = np.max(np.abs(covariant_divergence(field, flat_metric, pts, h=0.08)))
     r2 = np.max(np.abs(covariant_divergence(field, flat_metric, pts, h=0.04)))
@@ -192,7 +180,7 @@ def test_grid_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.values, grid.values, rtol=1e-15)
     pts = np.array([[0.25, 0.5, 0.5, 0.125]])
     np.testing.assert_allclose(
-        StressEnergyField(grid=loaded).tensor(pts), grid.interpolate(pts), rtol=1e-12)
+        StressEnergyField(loaded.interpolate).tensor(pts), grid.interpolate(pts), rtol=1e-12)
 
 
 def test_grid_interpolation_is_exact_on_multilinear_fields():
@@ -201,7 +189,7 @@ def test_grid_interpolation_is_exact_on_multilinear_fields():
         T[..., 0, 0] = 2.0 + x[..., 0] - 0.5 * x[..., 3]
         return T
 
-    field = StressEnergyField(grid=_sampled_grid(fn, (3, 3, 3, 3)))
+    field = StressEnergyField(_sampled_grid(fn, (3, 3, 3, 3)).interpolate)
     pts = np.array([[0.37, 0.11, 0.92, 0.64]])
     np.testing.assert_allclose(field.tensor(pts), fn(pts), rtol=1e-14)
 

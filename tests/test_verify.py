@@ -4,7 +4,7 @@ import pytest
 
 from metricprobe import verify
 from metricprobe.generator import (bundled_coordinate_bump, conserved_test_tensor,
-                                   coordinate_independence_check)
+                                   coordinate_independence_check, nonconserved_test_tensor)
 from metricprobe.quadrature import RegionSpec
 from metricprobe.reports import dumps_report
 from metricprobe.scenarios import build_region, load_bundled
@@ -70,13 +70,14 @@ def test_coordinate_suite_reads_the_refinement_ratio_from_the_fine_audits(monkey
 
     def spy(testT, region, bump=None):
         rep = coordinate_independence_check(testT, region, bump=bump)
-        audits.append((testT.label, region.resolution, rep))
+        audits.append((testT.support.tolist(), region.resolution, rep))
         return rep
 
     monkeypatch.setattr(verify, "coordinate_independence_check", spy)
     checks = run_verify(["coordinate-independence"])["suites"]["coordinate-independence"]["checks"]
-    assert [(label, res) for label, res, _ in audits] == [
-        ("conserved-airy", (9,) * 4), ("nonconserved-angular", (9,) * 4)]
+    assert [(support, res) for support, res, _ in audits] == [
+        (conserved_test_tensor().support.tolist(), (9,) * 4),
+        (nonconserved_test_tensor().support.tolist(), (9,) * 4)]
 
     fine = audits[0][2]
     coarse = coordinate_independence_check(conserved_test_tensor(),
