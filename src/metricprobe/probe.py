@@ -31,8 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-REFERENCE_KINDS = ("vacuum-coherent", "squeezed-vacuum")
-
 
 @dataclass(frozen=True)
 class ModeLattice:
@@ -165,22 +163,16 @@ def effective_mode_coefficients(spec: ModeSpectrum, hbar: float = 1.0) -> np.nda
 
 @dataclass(frozen=True)
 class GaussianProbeState:
-    """Minimum-uncertainty Gaussian probe: a mean-field spectrum plus a
-    reference state for the fluctuations.  'vacuum-coherent' is the
-    unsqueezed coherent state (squeeze_r must be 0); 'squeezed-vacuum'
-    squeezes the effective mode by r > 0, shrinking the readout
-    quadrature X2."""
+    """Minimum-uncertainty Gaussian probe: a mean-field spectrum plus
+    squeezed-vacuum fluctuations of the effective mode.  squeeze_r > 0
+    shrinks the readout quadrature X2; squeeze_r = 0 is the coherent
+    state, so squeeze_r alone says which reference the probe is in."""
 
     spectrum: ModeSpectrum
-    reference_kind: str = "vacuum-coherent"
     squeeze_r: float = 0.0
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.reference_kind not in REFERENCE_KINDS:
-            raise ValueError(f"reference_kind must be one of {REFERENCE_KINDS}")
-        if self.reference_kind == "vacuum-coherent" and self.squeeze_r != 0.0:
-            raise ValueError("vacuum-coherent reference requires squeeze_r = 0")
         if self.squeeze_r < 0:
             raise ValueError("squeeze_r must be >= 0")
         if self.hbar <= 0:
@@ -249,7 +241,7 @@ def reference_remainder_variance(state: GaussianProbeState) -> float:
     second moments n = <b~^dagger b~>, m = <b~ b~> the fourth-moment
     (Wick) variance is g^2 (n^2 + n + |m|^2).  Coherent reference: 0.
     """
-    if state.reference_kind == "vacuum-coherent" or state.squeeze_r == 0.0:
+    if state.squeeze_r == 0.0:
         return 0.0
     spec = state.spectrum
     c = effective_mode_coefficients(spec, state.hbar)
@@ -347,16 +339,16 @@ def monochromatic_spectrum(omega: float, n_photons: float, tau: float,
 
 
 def gaussian_band_spectrum(omega0: float, fractional_width: float, n_photons: float,
-                           tau: float, n_modes: int = 101, span_sigmas: float = 4.0,
+                           tau: float, n_modes: int = 101,
                            dc_cutoff_mult: float = 1.0) -> ModeSpectrum:
     """Gaussian band around omega0 with rms width fractional_width * omega0,
-    sampled on n_modes uniformly spaced frequencies spanning
-    +- span_sigmas widths, amplitudes normalized to sum |alpha|^2 = n_photons."""
+    sampled on n_modes uniformly spaced frequencies spanning +- 4 widths,
+    amplitudes normalized to sum |alpha|^2 = n_photons."""
     if n_modes < 3:
         raise ValueError("need at least 3 modes to resolve the band")
     sigma = fractional_width * omega0
-    lo = max(omega0 - span_sigmas * sigma, 1e-6 * omega0)
-    om = np.linspace(lo, omega0 + span_sigmas * sigma, n_modes)
+    lo = max(omega0 - 4.0 * sigma, 1e-6 * omega0)
+    om = np.linspace(lo, omega0 + 4.0 * sigma, n_modes)
     w = np.exp(-0.5 * ((om - omega0) / sigma) ** 2)
     a2 = n_photons * w / np.sum(w)
     lat = _axis_lattice(om)
@@ -395,11 +387,11 @@ def save_spectrum_table(path, spec: ModeSpectrum) -> None:
 # ---------------------------------------------------------------------------
 
 def smeared_correlator_check(separation_t: float, separation_x: float,
-                             width: float, n_omega: int = 20001) -> dict:
+                             width: float) -> dict:
     """Field-commutator kernel at spacelike separation, two routes.
 
     The mode-sum route evaluates, on a uniform radial frequency lattice
-    with a Gaussian cutoff at 1/width,
+    of 20001 points up to 10 / width with a Gaussian cutoff at 1/width,
 
         D_num = (1/r) int_0^inf sin(omega r) cos(omega t)
                 e^{-omega^2 width^2 / 2} domega,
@@ -415,8 +407,7 @@ def smeared_correlator_check(separation_t: float, separation_x: float,
         raise ValueError("separation_x and width must be positive")
     if r <= abs(t) + 3.0 * w:
         raise ValueError("separation too close to the light cone for the smearing width")
-    omega_max = 10.0 / w
-    om = np.linspace(0.0, omega_max, int(n_omega))
+    om = np.linspace(0.0, 10.0 / w, 20001)
     integrand = np.sin(om * r) * np.cos(om * t) * np.exp(-0.5 * (om * w) ** 2)
     dom = om[1] - om[0]
     numeric = float(dom * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])) / r)

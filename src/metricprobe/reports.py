@@ -22,9 +22,9 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _dump(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _dump(obj, out, level):
+    pad = "  " * level
+    pad_in = "  " * (level + 1)
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -33,7 +33,7 @@ def _dump(obj, out, indent, level):
         for i, (key, val) in enumerate(obj.items()):
             out.append(pad_in)
             out.append(f'"{key}": ')
-            _dump(val, out, indent, level + 1)
+            _dump(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -43,7 +43,7 @@ def _dump(obj, out, indent, level):
         out.append("[\n")
         for i, val in enumerate(obj):
             out.append(pad_in)
-            _dump(val, out, indent, level + 1)
+            _dump(val, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, bool):
@@ -61,9 +61,9 @@ def _dump(obj, out, indent, level):
         raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 
-def dumps_report(report: dict, indent: int = 2) -> str:
+def dumps_report(report: dict) -> str:
     out = []
-    _dump(report, out, indent, 0)
+    _dump(report, out, 0)
     out.append("\n")
     return "".join(out)
 

@@ -179,7 +179,7 @@ def build_family(sc: Scenario):
     for key in ("mu0", "nu0"):
         if key in params:
             params[key] = _int(params, key, "family.parameters", 0)
-    if name not in geo.BUILTIN_FAMILIES:
+    if not isinstance(name, str) or name not in geo.BUILTIN_FAMILIES:
         raise ScenarioError("family.name",
                             f"unknown family {name!r}; built-ins: "
                             + ", ".join(sorted(geo.BUILTIN_FAMILIES)))
@@ -196,11 +196,16 @@ def build_family(sc: Scenario):
     bump_spec = sc.section("bump", required=False)
     if bump_spec is not None:
         bump = _build_bump(bump_spec, "bump")
-        fam = geo.localize(fam, bump)
+        try:
+            fam = geo.localize(fam, bump)
+        except geo.ChartDomainError as exc:
+            raise ScenarioError("bump", str(exc)) from exc
     return fam
 
 
-def build_field(sc: Scenario, family=None) -> se.StressEnergyField:
+def build_field(sc: Scenario, family) -> se.StressEnergyField:
+    """The scenario's source; family supplies the chart a grid file must
+    be tabulated on and the metric of an orthonormal frame."""
     spec = sc.section("stress_energy")
     em_spec = spec.get("em")
     grid_spec = spec.get("grid")
@@ -212,18 +217,37 @@ def build_field(sc: Scenario, family=None) -> se.StressEnergyField:
         raise ScenarioError("stress_energy.frame",
                             f"must be 'chart' or 'orthonormal', got {frame!r}")
     if grid_spec is not None:
-        path = _need(_mapping(grid_spec, "stress_energy.grid"), "path",
-                     "stress_energy.grid")
-        fn = se.load_grid(path).interpolate
+        fn = _build_grid(_mapping(grid_spec, "stress_energy.grid"), sc, family)
     else:
         fn = _build_em(_mapping(em_spec, "stress_energy.em"), "stress_energy.em")
     if frame == "orthonormal":
-        if family is None:
-            raise ScenarioError("stress_energy.frame",
-                                "orthonormal frame needs the scenario family")
         base = family.base if isinstance(family, geo.LocalizedFamily) else family
-        fn = se.in_orthonormal_frame(fn, base)
+        try:
+            fn = se.in_orthonormal_frame(fn, base)
+        except ValueError as exc:
+            raise ScenarioError("stress_energy.frame", str(exc)) from exc
     return se.StressEnergyField(fn)
+
+
+def _build_grid(spec: dict, sc: Scenario, family):
+    """Interpolant of a grid file on the family's chart that covers the
+    region box."""
+    key = "stress_energy.grid.path"
+    path = _need(spec, "path", "stress_energy.grid")
+    if not isinstance(path, str):
+        raise ScenarioError(key, f"expected a file path, got {path!r}")
+    try:
+        grid = se.load_grid(path)
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(key, str(exc)) from exc
+    if grid.chart != family.chart_name:
+        raise ScenarioError(key, f"grid is on chart {grid.chart!r}, the family "
+                            f"on {family.chart_name!r}")
+    box = build_region(sc).box
+    ends = np.array([[ax[0], ax[-1]] for ax in grid.axes()])
+    if np.any(box[:, 0] < ends[:, 0]) or np.any(box[:, 1] > ends[:, 1]):
+        raise ScenarioError("region.box", f"reaches outside the grid {ends.tolist()}")
+    return grid.interpolate
 
 
 def _build_em(spec: dict, path: str):
@@ -294,10 +318,16 @@ def build_state(sc: Scenario, required: bool = True) -> Optional[GaussianProbeSt
                             f"omega >= {spectrum.omega_min:g}")
     squeeze_r = _num(spec, "squeeze_r", "probe", default=0.0)
     hbar = _num(spec, "hbar", "probe", default=1.0)
+    # squeeze_r alone sets the state; the reference name must agree with it
+    reference = spec.get("reference", "vacuum-coherent")
+    if reference not in ("vacuum-coherent", "squeezed-vacuum"):
+        raise ScenarioError("probe.reference", "must be 'vacuum-coherent' or "
+                            f"'squeezed-vacuum', got {reference!r}")
+    if reference == "vacuum-coherent" and squeeze_r != 0.0:
+        raise ScenarioError("probe.reference", "vacuum-coherent is the unsqueezed "
+                            f"state, but squeeze_r = {squeeze_r!r}")
     try:
-        return GaussianProbeState(
-            spectrum=spectrum, squeeze_r=squeeze_r,
-            reference_kind=spec.get("reference", "vacuum-coherent"), hbar=hbar)
+        return GaussianProbeState(spectrum=spectrum, squeeze_r=squeeze_r, hbar=hbar)
     except ValueError as exc:
         raise ScenarioError("probe", str(exc)) from exc
 
@@ -305,8 +335,9 @@ def build_state(sc: Scenario, required: bool = True) -> Optional[GaussianProbeSt
 def build_sim_params(sc: Scenario) -> dict:
     spec = sc.section("simulation", required=False) or {}
     n = spec.get("n_samples", 10 ** 6)
-    if not _is_int(n) or n < 1:
-        raise ScenarioError("simulation.n_samples", f"must be a positive integer, got {n!r}")
+    if not _is_int(n) or n < 2:
+        # the estimator's sample variance needs two samples
+        raise ScenarioError("simulation.n_samples", f"must be an integer >= 2, got {n!r}")
     seed = _int(spec, "seed", "simulation", default=0)
     return {"n_samples": n, "seed": seed,
             "a_true": _num(spec, "a_true", "simulation", default=0.0)}
@@ -358,7 +389,11 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
     fam = build_family(sc)
     field = build_field(sc, family=fam)
     region = build_region(sc, resolution_mult)
-    res = integrate_generator(field, fam, region)
+    try:
+        res = integrate_generator(field, fam, region)
+    except geo.ChartDomainError as exc:
+        # raised by the region check that precedes any quadrature
+        raise ScenarioError("region.box", str(exc)) from exc
     report["generator"] = _generator_block(res)
 
     base = fam.base if isinstance(fam, geo.LocalizedFamily) else fam
@@ -398,7 +433,11 @@ def _run_coordinate_check(sc: Scenario, resolution_mult: float) -> dict:
     out = {}
     for label, tensor in (("conserved", conserved_test_tensor()),
                           ("nonconserved", nonconserved_test_tensor())):
-        rep = coordinate_independence_check(tensor, region, bump=bump)
+        try:
+            rep = coordinate_independence_check(tensor, region, bump=bump)
+        except geo.ChartDomainError as exc:
+            # raised by the region check that precedes any quadrature
+            raise ScenarioError("region.box", str(exc)) from exc
         dP = rep.P_isotropic - rep.P_schwarzschild
         out[label] = {
             "P_schwarzschild": _q(rep.P_schwarzschild, "geometric (G=c=1)"),
@@ -472,6 +511,8 @@ def _run_proper_time(sc: Scenario, state: Optional[GaussianProbeState],
         energies.append(integrate(t00, slab)[0] / (slab_box[0, 1] - slab_box[0, 0]))
     energies = np.asarray(energies)
     H_bar = float(np.mean(energies))
+    if H_bar == 0.0:
+        raise ScenarioError("stress_energy", "proper-time needs a source of nonzero energy")
     H_spread = float(np.ptp(energies))
     kappa = res.P_total / H_bar
     mean_ratio = kappa / (0.5 * tau_window)
@@ -479,6 +520,9 @@ def _run_proper_time(sc: Scenario, state: Optional[GaussianProbeState],
     rep = crlb_amplitude(state)
     crlb_tau = (0.5 * tau_window) ** 2 * rep.crlb
     var_H = hamiltonian_variance(state)
+    if var_H == 0.0:
+        raise ScenarioError("probe.spectrum", "proper-time needs a probe whose energy "
+                            "fluctuates (no active photons)")
     hbar = state.hbar
     rhs = hbar ** 2 / (4.0 * var_H)
     return {
@@ -508,14 +552,13 @@ def run_simulate(sc: Scenario, seed: Optional[int] = None,
         params["seed"] = int(seed)
     model = model_from_state(state, a_true=params["a_true"])
     samples = simulate_readout(model, params["n_samples"], params["seed"])
-    run = linear_estimator(samples, model, seed=params["seed"],
-                           crlb=crlb_amplitude(state).crlb)
+    run = linear_estimator(samples, model, crlb_amplitude(state).crlb)
     fisher = classical_fisher(model)
     fisher_hist = histogram_fisher(samples, model)
     sat = crb_saturation_check(state)
     report["simulation"] = {
         "n_samples": _q(run.n_samples, "count"),
-        "seed": _q(run.seed, "count"),
+        "seed": _q(params["seed"], "count"),
         "mean_estimate": _q(run.mean_estimate, "amplitude"),
         "a_true": _q(params["a_true"], "amplitude"),
         "empirical_variance": _q(run.empirical_variance, "amplitude^2"),

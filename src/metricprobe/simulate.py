@@ -1,30 +1,25 @@
 """Monte Carlo readout simulation and classical estimation.
 
 The simulated measurement is the homodyne X2 readout of the probe: for
-true amplitude A the outcome is Gaussian with mean offset + C * A and
-variance var X2 (the Gaussian location model; more general POVMs are
-out of scope).  The unbiased linear estimator inverts the mean map, and
+true amplitude A the outcome is Gaussian with mean C * A and variance
+var X2 (the Gaussian location model; more general POVMs are out of
+scope).  The unbiased linear estimator inverts the mean map, and
 its classical Fisher information C^2 / var X2 saturates the quantum
 bound for the minimum-uncertainty states.
 
 Randomness comes from a counter-based generator (Philox) driving
-inverse-CDF normals, one 64-bit draw per sample, so a stream partitioned
-across workers at block-aligned offsets reproduces the serial stream
-exactly.
+inverse-CDF normals, one 64-bit draw per sample, so the samples are a
+pure function of the seed.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
 
 from .probe import GaussianProbeState, crlb_amplitude, effective_constant_C, quadrature_variances
-
-#: Philox draw-counter alignment: offsets must be multiples of this.
-COUNTER_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -34,7 +29,6 @@ class MeasurementModel:
     slope_c: float
     var_x2: float
     a_true: float = 0.0
-    offset: float = 0.0
 
     def __post_init__(self):
         if not (self.var_x2 >= 0 and np.isfinite(self.var_x2)):
@@ -44,47 +38,37 @@ class MeasurementModel:
 
     @property
     def mean(self) -> float:
-        return self.offset + self.slope_c * self.a_true
+        return self.slope_c * self.a_true
 
 
-def model_from_state(state: GaussianProbeState, a_true: float = 0.0,
-                     offset: float = 0.0) -> MeasurementModel:
+def model_from_state(state: GaussianProbeState, a_true: float = 0.0) -> MeasurementModel:
     _, v2 = quadrature_variances(state)
     C = effective_constant_C(state.spectrum, state.hbar)
-    return MeasurementModel(slope_c=C, var_x2=v2, a_true=a_true, offset=offset)
+    return MeasurementModel(slope_c=C, var_x2=v2, a_true=a_true)
 
 
-def counter_normals(seed: int, n: int, offset: int = 0) -> np.ndarray:
+def counter_normals(seed: int, n: int) -> np.ndarray:
     """n standard normals from a counter-based stream.
 
-    Sample i is a pure function of (seed, offset + i): Philox raw 64-bit
-    words mapped to (0, 1) uniforms and through the inverse normal CDF.
-    offset must be a multiple of COUNTER_BLOCK so partitioned generation
-    lands on Philox block boundaries.
+    Sample i is a pure function of (seed, i): Philox raw 64-bit words
+    mapped to (0, 1) uniforms and through the inverse normal CDF.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if offset % COUNTER_BLOCK:
-        raise ValueError(f"offset must be a multiple of {COUNTER_BLOCK}")
-    bitgen = np.random.Philox(key=int(seed))
-    if offset:
-        # advance() steps the Philox counter, four raw words per step
-        bitgen.advance(offset // COUNTER_BLOCK)
-    raw = bitgen.random_raw(int(n))
+    raw = np.random.Philox(key=int(seed)).random_raw(int(n))
     u = (raw >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
     u = u + 2.0 ** -54  # strictly inside (0, 1)
     return ndtri(u)
 
 
-def simulate_readout(model: MeasurementModel, n: int, seed: int,
-                     offset: int = 0) -> np.ndarray:
+def simulate_readout(model: MeasurementModel, n: int, seed: int) -> np.ndarray:
     """n independent X2 outcomes.  Degenerate variance gives the exact
     mean for every sample."""
     if n <= 0:
         raise ValueError("sample count must be positive")
     if model.var_x2 == 0.0:
         return np.full(n, model.mean)
-    return model.mean + math.sqrt(model.var_x2) * counter_normals(seed, n, offset)
+    return model.mean + math.sqrt(model.var_x2) * counter_normals(seed, n)
 
 
 @dataclass(frozen=True)
@@ -92,7 +76,6 @@ class EstimatorRun:
     """Summary of a linear-estimator Monte Carlo run."""
 
     n_samples: int
-    seed: int
     mean_estimate: float
     empirical_variance: float
     analytic_variance: float
@@ -101,9 +84,10 @@ class EstimatorRun:
     sampling_rel_std: float
 
 
-def linear_estimator(samples: np.ndarray, model: MeasurementModel, seed: int = 0,
-                     crlb: Optional[float] = None) -> EstimatorRun:
-    """Unbiased estimate A~ = (x - offset) / C per sample, summarized.
+def linear_estimator(samples: np.ndarray, model: MeasurementModel,
+                     crlb: float) -> EstimatorRun:
+    """Unbiased estimate A~ = x / C per sample, summarized against the
+    bound crlb.
 
     The analytic estimator variance is var X2 / C^2; the empirical one
     uses the ddof = 1 sample variance, whose chi-square sampling spread
@@ -113,17 +97,16 @@ def linear_estimator(samples: np.ndarray, model: MeasurementModel, seed: int = 0
     n = samples.size
     if n < 2:
         raise ValueError("need at least 2 samples to estimate a variance")
-    est = (samples - model.offset) / model.slope_c
+    est = samples / model.slope_c
     emp = float(np.var(est, ddof=1))
-    ana = model.var_x2 / model.slope_c ** 2
-    ref = ana if crlb is None else crlb
+    crlb = float(crlb)
     return EstimatorRun(
-        n_samples=n, seed=seed,
+        n_samples=n,
         mean_estimate=float(np.mean(est)),
         empirical_variance=emp,
-        analytic_variance=ana,
-        crlb=float(ref),
-        variance_relative_error=(emp - ref) / ref if ref > 0 else math.nan,
+        analytic_variance=model.var_x2 / model.slope_c ** 2,
+        crlb=crlb,
+        variance_relative_error=(emp - crlb) / crlb if crlb > 0 else math.nan,
         sampling_rel_std=math.sqrt(2.0 / (n - 1)),
     )
 
@@ -135,12 +118,11 @@ def classical_fisher(model: MeasurementModel) -> float:
     return model.slope_c ** 2 / model.var_x2
 
 
-def histogram_fisher(samples: np.ndarray, model: MeasurementModel,
-                     bins: int = 64, span_sigmas: float = 6.0) -> float:
+def histogram_fisher(samples: np.ndarray, model: MeasurementModel) -> float:
     """Nonparametric Fisher estimate from binned samples.
 
-    The outcome density is histogrammed on uniform bins spanning
-    +- span_sigmas standard deviations around the model mean; since the
+    The outcome density is histogrammed on 64 uniform bins spanning
+    +- 6 standard deviations around the model mean; since the
     parameter shifts the distribution rigidly, dp/dA = -C dp/dx, and the
     Fisher integral sum_bins (dp/dA)^2 / p dx uses a central difference
     across bins.  Validates the closed form at the few-percent level.
@@ -149,9 +131,8 @@ def histogram_fisher(samples: np.ndarray, model: MeasurementModel,
         raise ValueError("histogram Fisher needs a nondegenerate model")
     samples = np.asarray(samples, dtype=float)
     sigma = math.sqrt(model.var_x2)
-    lo = model.mean - span_sigmas * sigma
-    hi = model.mean + span_sigmas * sigma
-    counts, edges = np.histogram(samples, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(samples, bins=64,
+                                 range=(model.mean - 6.0 * sigma, model.mean + 6.0 * sigma))
     dx = edges[1] - edges[0]
     p = counts / (samples.size * dx)
     dp_dx = np.zeros_like(p)
@@ -162,8 +143,9 @@ def histogram_fisher(samples: np.ndarray, model: MeasurementModel,
     return float(np.sum(integrand) * dx)
 
 
-def crb_saturation_check(state: GaussianProbeState, rel_tol: float = 1e-9) -> dict:
-    """Quantum bound versus inverse classical Fisher of the X2 readout."""
+def crb_saturation_check(state: GaussianProbeState) -> dict:
+    """Quantum bound versus inverse classical Fisher of the X2 readout;
+    saturated means a relative gap of at most 1e-9."""
     report = crlb_amplitude(state)
     model = model_from_state(state)
     inv_fisher = 1.0 / classical_fisher(model)
@@ -172,5 +154,5 @@ def crb_saturation_check(state: GaussianProbeState, rel_tol: float = 1e-9) -> di
         "quantum_bound": report.crlb,
         "classical_fisher_inverse": inv_fisher,
         "relative_gap": gap,
-        "saturated": bool(gap <= rel_tol),
+        "saturated": bool(gap <= 1e-9),
     }

@@ -92,21 +92,31 @@ def em_uniform(E_vec, B_vec) -> Callable[[np.ndarray], np.ndarray]:
     return fn
 
 
+def _require_diagonal(g: np.ndarray) -> None:
+    off = g * (1.0 - np.eye(4))
+    if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+        raise ValueError("orthonormal-frame conversion requires a diagonal metric")
+
+
 def in_orthonormal_frame(fn: Callable[[np.ndarray], np.ndarray],
                          family: MetricFamily) -> Callable[[np.ndarray], np.ndarray]:
     """T^munu in the chart of a diagonal fiducial metric, from fn's
     components T^ab in its local orthonormal frame, through the tetrad
     e^mu_a = delta^mu_a / sqrt(|g_mumu|): T^munu = e^mu_a e^nu_b T^ab.
     The conversion keeps a traceless tensor traceless against the curved
-    metric exactly."""
+    metric exactly.  Raises ValueError at once when the metric is not
+    diagonal at the corners of the family's sample_box, and at any later
+    call on points where it is not."""
+
+    if family.sample_box is not None:
+        corners = np.stack(np.meshgrid(*family.sample_box, indexing="ij"), axis=-1)
+        _require_diagonal(family.eval(family.theta0, corners))
 
     def chart_fn(x):
         T_frame = fn(x)
         g = family.eval(family.theta0, x)
+        _require_diagonal(g)
         diag = np.stack([g[..., k, k] for k in range(4)], axis=-1)
-        off = g * (1.0 - np.eye(4))
-        if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
-            raise ValueError("orthonormal-frame conversion requires a diagonal metric")
         e = 1.0 / np.sqrt(np.abs(diag))
         return T_frame * e[..., :, None] * e[..., None, :]
 

@@ -3,7 +3,8 @@
 Each check reports {name, passed, residual, tolerance, comparison}.
 Most are residual <= tolerance; a few are lower bounds (refinement
 ratios, detection significance) and say so via comparison ">=".
-Tolerances can be overridden per check name.
+Tolerances can be overridden per check name: each suite takes the
+override table and ``_check`` looks its check's name up in it.
 """
 from __future__ import annotations
 
@@ -27,8 +28,10 @@ from .scenarios import (build_family, build_field, build_region, load_bundled,
 from .simulate import crb_saturation_check
 
 
-def _check(name: str, residual: float, tolerance: float,
+def _check(tol: dict, name: str, residual: float, default: float,
            comparison: str = "<=") -> dict:
+    """One check result; its tolerance is tol[name], else default."""
+    tolerance = float(tol.get(name, default))
     if comparison == "<=":
         passed = residual <= tolerance
     elif comparison == ">=":
@@ -36,23 +39,7 @@ def _check(name: str, residual: float, tolerance: float,
     else:
         raise ValueError(f"bad comparison {comparison!r}")
     return {"name": name, "passed": bool(passed), "residual": float(residual),
-            "tolerance": float(tolerance), "comparison": comparison}
-
-
-class _Tol:
-    """Tolerance table with per-name overrides; remembers what was asked
-    for so unknown override names can be rejected."""
-
-    def __init__(self, overrides: Optional[dict]):
-        self.overrides = dict(overrides or {})
-        self.used = set()
-
-    def __call__(self, name: str, default: float) -> float:
-        self.used.add(name)
-        return float(self.overrides.get(name, default))
-
-    def unknown(self) -> set:
-        return set(self.overrides) - self.used
+            "tolerance": tolerance, "comparison": comparison}
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +60,10 @@ def _representative_families() -> list:
     ]
 
 
-def _squeezable(spec, r: float) -> GaussianProbeState:
-    kind = "squeezed-vacuum" if r > 0 else "vacuum-coherent"
-    return GaussianProbeState(spectrum=spec, squeeze_r=r, reference_kind=kind)
-
-
-def _derivative_residual(fam, n: int = 4, h: float = 1e-5) -> float:
-    axes = [np.linspace(lo, hi, n) for lo, hi in fam.sample_box]
+def _derivative_residual(fam) -> float:
+    axes = [np.linspace(lo, hi, 4) for lo, hi in fam.sample_box]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    step = h * max(1.0, abs(fam.theta0))
+    step = 1e-5 * max(1.0, abs(fam.theta0))
     fd = (fam.eval(fam.theta0 + step, pts) - fam.eval(fam.theta0 - step, pts))
     fd /= 2.0 * step
     an = fam.deriv(pts)
@@ -89,25 +71,22 @@ def _derivative_residual(fam, n: int = 4, h: float = 1e-5) -> float:
     return float(np.max(np.abs(fd - an))) / scale
 
 
-def _suite_identities(tol: _Tol) -> list:
+def _suite_identities(tol: dict) -> list:
     checks = []
 
     spec = flat_band_spectrum(7.0, 700.0, n_photons=1.0e4, tau=1.0,
                               n_modes=100000)
     C = effective_constant_C(spec)
     comm = commutator_constant(spec, spec.conjugate())
-    checks.append(_check("commutator-lattice-100k", abs(comm - C) / C,
-                         tol("commutator-lattice-100k", 1e-12)))
+    checks.append(_check(tol, "commutator-lattice-100k", abs(comm - C) / C, 1e-12))
     c = effective_mode_coefficients(spec)
-    checks.append(_check("effective-mode-normalization",
-                         abs(float(np.sum(np.abs(c) ** 2)) - 1.0),
-                         tol("effective-mode-normalization", 1e-12)))
+    checks.append(_check(tol, "effective-mode-normalization",
+                         abs(float(np.sum(np.abs(c) ** 2)) - 1.0), 1e-12))
 
     mono = monochromatic_spectrum(62.83185307179586, 1.0e4, tau=1.0)
     for label, r in (("saturation-coherent", 0.0), ("saturation-squeezed-r1", 1.0)):
-        state = _squeezable(mono, r)
-        gap = crb_saturation_check(state)["relative_gap"]
-        checks.append(_check(label, gap, tol(label, 1e-9)))
+        gap = crb_saturation_check(GaussianProbeState(mono, squeeze_r=r))["relative_gap"]
+        checks.append(_check(tol, label, gap, 1e-9))
 
     for label, scen in (("trace-null-flrw", "flrw-em-probe"),
                         ("trace-null-desitter", "desitter-em-probe")):
@@ -115,28 +94,25 @@ def _suite_identities(tol: _Tol) -> list:
         fam = build_family(sc)
         field = build_field(sc, family=fam)
         region = build_region(sc)
-        checks.append(_check(label, trace_null_residual(field, fam, region),
-                             tol(label, 1e-12)))
+        checks.append(_check(tol, label, trace_null_residual(field, fam, region), 1e-12))
 
     worst = max(_derivative_residual(f) for f in _representative_families())
-    checks.append(_check("metric-derivative-crosscheck", worst,
-                         tol("metric-derivative-crosscheck", 1e-6)))
+    checks.append(_check(tol, "metric-derivative-crosscheck", worst, 1e-6))
 
     for label, (dt, dx) in (("correlator-equal-time", (0.0, 1.0)),
                             ("correlator-offset", (0.5, 1.5))):
         rep = smeared_correlator_check(dt, dx, width=0.05)
-        checks.append(_check(label, rep["relative_error"], tol(label, 1e-2)))
+        checks.append(_check(tol, label, rep["relative_error"], 1e-2))
 
-    r1 = crlb_amplitude(_squeezable(
+    r1 = crlb_amplitude(GaussianProbeState(
         monochromatic_spectrum(62.83185307179586, 1.0e4, tau=1.0),
-        0.8)).remainder_ratio
-    r2 = crlb_amplitude(_squeezable(
+        squeeze_r=0.8)).remainder_ratio
+    r2 = crlb_amplitude(GaussianProbeState(
         monochromatic_spectrum(62.83185307179586, 4.0e4, tau=1.0),
-        0.8)).remainder_ratio
+        squeeze_r=0.8)).remainder_ratio
     # amplitude scale doubles when nbar quadruples
     slope = math.log(r2 / r1) / math.log(2.0)
-    checks.append(_check("remainder-slope", abs(slope + 2.0),
-                         tol("remainder-slope", 1e-9)))
+    checks.append(_check(tol, "remainder-slope", abs(slope + 2.0), 1e-9))
     return checks
 
 
@@ -144,7 +120,7 @@ def _suite_identities(tol: _Tol) -> list:
 # coordinate independence
 # ---------------------------------------------------------------------------
 
-def _suite_coordinate(tol: _Tol) -> list:
+def _suite_coordinate(tol: dict) -> list:
     checks = []
     sc = load_bundled("schwarzschild-coordinate-check")
     region = build_region(sc)
@@ -153,30 +129,25 @@ def _suite_coordinate(tol: _Tol) -> list:
     cons = conserved_test_tensor()
     rep_fine = coordinate_independence_check(cons, region, bump=bump)
     d_fine = abs(rep_fine.P_isotropic - rep_fine.P_schwarzschild)
-    checks.append(_check("conserved-chart-agreement",
-                         d_fine / rep_fine.error_estimate,
-                         tol("conserved-chart-agreement", 1.0)))
-    checks.append(_check("conserved-divergence-residual",
-                         rep_fine.divergence_residual,
-                         tol("conserved-divergence-residual", 1e-6)))
+    checks.append(_check(tol, "conserved-chart-agreement",
+                         d_fine / rep_fine.error_estimate, 1.0))
+    checks.append(_check(tol, "conserved-divergence-residual",
+                         rep_fine.divergence_residual, 1e-6))
 
     # the chart difference on the half-interval grid, from the all-even
     # half rules of the fine pass
     d_coarse = abs(rep_fine.P_isotropic_half - rep_fine.P_schwarzschild_half)
     ratio = d_coarse / d_fine if d_fine > 0 else math.inf
-    checks.append(_check("conserved-refinement-ratio", ratio,
-                         tol("conserved-refinement-ratio", 3.0), ">="))
+    checks.append(_check(tol, "conserved-refinement-ratio", ratio, 3.0, ">="))
 
     ncons = nonconserved_test_tensor()
     rep_n = coordinate_independence_check(ncons, region, bump=bump)
     d_n = rep_n.P_isotropic - rep_n.P_schwarzschild
-    checks.append(_check("nonconserved-detects",
-                         abs(d_n) / rep_n.error_estimate,
-                         tol("nonconserved-detects", 5.0), ">="))
-    checks.append(_check("nonconserved-dual-route",
+    checks.append(_check(tol, "nonconserved-detects",
+                         abs(d_n) / rep_n.error_estimate, 5.0, ">="))
+    checks.append(_check(tol, "nonconserved-dual-route",
                          abs(d_n - rep_n.flux_minus_divergence)
-                         / rep_n.error_estimate,
-                         tol("nonconserved-dual-route", 1.0)))
+                         / rep_n.error_estimate, 1.0))
     return checks
 
 
@@ -200,10 +171,10 @@ def _lattice_state(modes, r) -> GaussianProbeState:
     omegas = np.array([om for om, _ in modes])
     alphas = np.array([al for _, al in modes], dtype=complex)
     spec = ModeSpectrum(lattice=_axis_lattice(omegas), alpha=alphas, tau=1.0)
-    return _squeezable(spec, r)
+    return GaussianProbeState(spec, squeeze_r=r)
 
 
-def _suite_wick_fock(tol: _Tol) -> list:
+def _suite_wick_fock(tol: dict) -> list:
     checks = []
     for label, modes, r in _WICK_STATES:
         state = _lattice_state(modes, r)
@@ -212,8 +183,7 @@ def _suite_wick_fock(tol: _Tol) -> list:
         fock = probe_state_moments(state)
         resid = max(abs(fock["var_X1"] - var1), abs(fock["var_X2"] - var2),
                     abs(fock["var_F"] - rem))
-        checks.append(_check(f"wick-fock-{label}", resid,
-                             tol(f"wick-fock-{label}", 1e-8)))
+        checks.append(_check(tol, f"wick-fock-{label}", resid, 1e-8))
     return checks
 
 
@@ -221,18 +191,15 @@ def _suite_wick_fock(tol: _Tol) -> list:
 # reductions
 # ---------------------------------------------------------------------------
 
-def _suite_reductions(tol: _Tol) -> list:
+def _suite_reductions(tol: dict) -> list:
     checks = []
     rep = run_bound(load_bundled("proper-time-reduction"))
     pt = rep["proper_time"]
-    checks.append(_check("proper-time-mean", pt["mean_residual"]["value"],
-                         tol("proper-time-mean", 1e-10)))
-    checks.append(_check("proper-time-bound", pt["reduction_residual"]["value"],
-                         tol("proper-time-bound", 1e-12)))
+    checks.append(_check(tol, "proper-time-mean", pt["mean_residual"]["value"], 1e-10))
+    checks.append(_check(tol, "proper-time-bound", pt["reduction_residual"]["value"], 1e-12))
     rep = run_bound(load_bundled("unruh-component"))
-    checks.append(_check("unruh-product",
-                         rep["unruh"]["product_residual"]["value"],
-                         tol("unruh-product", 1e-12)))
+    checks.append(_check(tol, "unruh-product",
+                         rep["unruh"]["product_residual"]["value"], 1e-12))
     return checks
 
 
@@ -251,13 +218,13 @@ def run_verify(suite_names=None, tolerances: Optional[dict] = None) -> dict:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; available: "
                              + ", ".join(SUITES))
-    tol = _Tol(tolerances)
+    tol = tolerances or {}
     suites = {}
     for name in names:
         checks = SUITES[name](tol)
         suites[name] = {"checks": checks,
                         "passed": all(c["passed"] for c in checks)}
-    unknown = tol.unknown()
+    unknown = set(tol) - {c["name"] for s in suites.values() for c in s["checks"]}
     if unknown:
         raise ValueError("tolerance overrides matched no check: "
                          + ", ".join(sorted(unknown)))

@@ -174,10 +174,7 @@ def test_criterion_09_wick_versus_fock():
         k[:, 0] = om
         spec = ModeSpectrum(lattice=ModeLattice(k=k),
                             alpha=np.asarray(alphas, dtype=complex), tau=1.0)
-        if r == 0.0:
-            return GaussianProbeState(spectrum=spec)
-        return GaussianProbeState(spectrum=spec,
-                                  reference_kind="squeezed-vacuum", squeeze_r=r)
+        return GaussianProbeState(spectrum=spec, squeeze_r=r)
 
     cases = (
         state([7.0], [2.0], 0.0),
@@ -205,8 +202,7 @@ def test_criterion_10_mean_field_dominance():
     ratios = []
     for lam in lams:
         scaled = replace(spec, alpha=lam * spec.alpha)
-        st = GaussianProbeState(spectrum=scaled,
-                                reference_kind="squeezed-vacuum", squeeze_r=0.8)
+        st = GaussianProbeState(spectrum=scaled, squeeze_r=0.8)
         ratios.append(crlb_amplitude(st).remainder_ratio)
     slope = float(np.polyfit(np.log(lams), np.log(ratios), 1)[0])
     assert abs(slope + 2.0) <= 0.1, f"log-log slope {slope:.3f}"

@@ -17,10 +17,7 @@ def _state(omegas, alphas, r=0.0, tau=1.0):
     k[:, 0] = om
     spec = ModeSpectrum(lattice=ModeLattice(k=k),
                         alpha=np.asarray(alphas, dtype=complex), tau=tau)
-    if r == 0.0:
-        return GaussianProbeState(spectrum=spec)
-    return GaussianProbeState(spectrum=spec, reference_kind="squeezed-vacuum",
-                              squeeze_r=r)
+    return GaussianProbeState(spectrum=spec, squeeze_r=r)
 
 
 def test_destroy_matrix_elements():

@@ -22,11 +22,7 @@ MONO_SHOT = 2.5330295910584447e-08  # 1 / ((omega tau)^2 nbar) at the values abo
 
 
 def _mono_state(r=0.0):
-    spec = monochromatic_spectrum(OMEGA, NBAR, tau=1.0)
-    if r == 0.0:
-        return GaussianProbeState(spectrum=spec)
-    return GaussianProbeState(spectrum=spec, reference_kind="squeezed-vacuum",
-                              squeeze_r=r)
+    return GaussianProbeState(monochromatic_spectrum(OMEGA, NBAR, tau=1.0), squeeze_r=r)
 
 
 def _two_mode_spectrum(tau=1.0):
@@ -266,12 +262,7 @@ def test_validation_errors():
         ModeSpectrum(lattice=lat, alpha=np.array([math.nan + 0j]), tau=1.0)
     spec = ModeSpectrum(lattice=lat, alpha=np.array([1.0 + 0j]), tau=1.0)
     with pytest.raises(ValueError):
-        GaussianProbeState(spectrum=spec, reference_kind="thermal")
-    with pytest.raises(ValueError):
-        GaussianProbeState(spectrum=spec, squeeze_r=0.5)
-    with pytest.raises(ValueError):
-        GaussianProbeState(spectrum=spec, reference_kind="squeezed-vacuum",
-                           squeeze_r=-0.5)
+        GaussianProbeState(spectrum=spec, squeeze_r=-0.5)
     with pytest.raises(ValueError):
         GaussianProbeState(spectrum=spec, hbar=0.0)
     with pytest.raises(ValueError):

@@ -120,11 +120,16 @@ def test_bad_family_parameters():
     assert exc.value.key == "family.parameters"
 
 
+def _field(doc):
+    sc = parse_scenario(doc)
+    return build_field(sc, build_family(sc))
+
+
 def test_field_requires_exactly_one_source():
     doc = _tiny_doc()
     del doc["stress_energy"]["em"]
     with pytest.raises(ScenarioError) as exc:
-        build_field(parse_scenario(doc))
+        _field(doc)
     assert exc.value.key == "stress_energy"
 
 
@@ -132,11 +137,8 @@ def test_field_frame_validation():
     doc = _tiny_doc()
     doc["stress_energy"]["frame"] = "comoving"
     with pytest.raises(ScenarioError) as exc:
-        build_field(parse_scenario(doc))
+        _field(doc)
     assert exc.value.key == "stress_energy.frame"
-    doc["stress_energy"]["frame"] = "orthonormal"
-    with pytest.raises(ScenarioError):
-        build_field(parse_scenario(doc), family=None)
 
 
 def test_grid_field_honours_the_orthonormal_frame(tmp_path):
@@ -145,9 +147,11 @@ def test_grid_field_honours_the_orthonormal_frame(tmp_path):
     values = rng.standard_normal((3, 3, 3, 3, 4, 4))
     path = tmp_path / "grid.txt"
     save_grid(path, TensorGrid(values=values + np.swapaxes(values, -1, -2),
-                               origin=[1.0, 0.5, 0.8, -0.5], spacing=np.full(4, 0.5)))
+                               origin=[1.0, 0.5, 0.8, -0.5], spacing=np.full(4, 0.5),
+                               chart="conformal-flrw"))
     doc = _tiny_doc()
     doc["family"] = {"name": "flrw_closed", "parameters": {"theta0": 2.0}}
+    doc["region"]["box"] = [[1.0, 2.0], [0.5, 1.5], [0.8, 1.8], [-0.5, 0.5]]
     doc["stress_energy"] = {"frame": "orthonormal", "grid": {"path": str(path)}}
     sc = parse_scenario(doc)
     fam = build_family(sc)
@@ -163,7 +167,7 @@ def test_field_unknown_em_kind():
     doc = _tiny_doc()
     doc["stress_energy"]["em"]["kind"] = "dipole"
     with pytest.raises(ScenarioError) as exc:
-        build_field(parse_scenario(doc))
+        _field(doc)
     assert exc.value.key == "stress_energy.em.kind"
 
 
@@ -190,7 +194,17 @@ def test_probe_reference_mismatch_is_scenario_error():
     doc["probe"]["squeeze_r"] = 1.0  # vacuum-coherent reference
     with pytest.raises(ScenarioError) as exc:
         build_state(parse_scenario(doc))
-    assert exc.value.key == "probe"
+    assert exc.value.key == "probe.reference"
+
+
+def test_unsqueezed_squeezed_vacuum_is_the_coherent_state():
+    # squeeze_r alone sets the state: at r = 0 both names give one bound
+    doc = _tiny_doc()
+    doc["probe"]["reference"] = "squeezed-vacuum"
+    squeezed = run_bound(parse_scenario(doc))["crlb"]
+    doc["probe"]["reference"] = "vacuum-coherent"
+    coherent = run_bound(parse_scenario(doc))["crlb"]
+    assert dumps_report(squeezed) == dumps_report(coherent)
 
 
 def test_sim_params_validation_and_defaults():
@@ -561,6 +575,9 @@ _FLAT_BAND = {"family": "flat-band", "omega_lo": 60.0, "omega_hi": 65.0,
      "stress_energy.em.E"),
     ("stress_energy", "em", {"kind": "uniform", "E": ["a", 0.0, 0.0], "B": [0.0] * 3},
      "stress_energy.em.E"),
+    # names that are not one of the allowed strings
+    ("family", "name", {"a": 1}, "family.name"),
+    ("probe", "reference", "thermal", "probe.reference"),
 ])
 def test_cli_bad_number_exits_2_naming_the_key(tmp_path, capsys, section, key, value, path):
     doc = _tiny_doc()
@@ -572,6 +589,114 @@ def test_cli_bad_number_exits_2_naming_the_key(tmp_path, capsys, section, key, v
     config.write_text(yaml.safe_dump(doc))
     assert main(["bound", "--config", str(config)]) == 2
     assert f"error: scenario key '{path}':" in capsys.readouterr().err
+
+
+def _bundled_doc(name):
+    return copy.deepcopy(load_bundled(name).raw)
+
+
+def _grid_doc(tmp_path, **grid):
+    # the tiny scenario's source read from a grid on the family's chart
+    # that just covers its region
+    doc = _tiny_doc()
+    path = tmp_path / "grid.txt"
+    save_grid(path, TensorGrid(values=np.zeros((3, 3, 2, 2, 4, 4)), origin=np.zeros(4),
+                               spacing=[0.5, 0.5, 0.25, 0.25], **grid))
+    doc["stress_energy"] = {"grid": {"path": str(path)}}
+    return doc
+
+
+def _grid_without_chart_header(tmp_path):
+    doc = _grid_doc(tmp_path)
+    path = tmp_path / "grid.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines if not ln.startswith("# chart:")))
+    return doc
+
+
+def _grid_on_another_chart(tmp_path):
+    return _grid_doc(tmp_path, chart="schwarzschild")
+
+
+def _region_beyond_the_grid(tmp_path):
+    doc = _grid_doc(tmp_path)
+    doc["region"]["box"][0][1] = 1.5
+    return doc
+
+
+def _orthonormal_frame_of_a_non_diagonal_metric(tmp_path):
+    doc = _tiny_doc()
+    doc["family"] = {"name": "minkowski_component",
+                     "parameters": {"mu0": 0, "nu0": 1, "theta0": 0.1}}
+    doc["stress_energy"]["frame"] = "orthonormal"
+    return doc
+
+
+def _region_before_the_big_bang(tmp_path):
+    doc = _bundled_doc("flrw-em-probe")
+    doc["region"]["box"][0][0] = -1.0
+    return doc
+
+
+def _bump_before_the_big_bang(tmp_path):
+    doc = _bundled_doc("flrw-em-probe")
+    doc["bump"] = {"plateau": [[1.2, 2.3], [0.7, 1.3], [1.0, 2.0], [-0.3, 0.3]],
+                   "support": [[-0.5, 2.5], [0.5, 1.5], [0.8, 2.2], [-0.5, 0.5]]}
+    return doc
+
+
+def _audit_region_through_the_centre(tmp_path):
+    doc = _bundled_doc("schwarzschild-coordinate-check")
+    doc["region"]["box"][1][0] = -1.0
+    return doc
+
+
+@pytest.mark.parametrize("make_doc,path", [
+    (_grid_without_chart_header, "stress_energy.grid.path"),
+    (_grid_on_another_chart, "stress_energy.grid.path"),
+    (_region_beyond_the_grid, "region.box"),
+    (_orthonormal_frame_of_a_non_diagonal_metric, "stress_energy.frame"),
+    (_region_before_the_big_bang, "region.box"),
+    (_bump_before_the_big_bang, "bump"),
+    (_audit_region_through_the_centre, "region.box"),
+])
+def test_cli_exits_2_before_any_quadrature(tmp_path, capsys, monkeypatch, make_doc, path):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the scenario reached the quadrature")
+
+    monkeypatch.setattr(generator, "integrate", no_quadrature)
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(make_doc(tmp_path)))
+    assert main(["bound", "--config", str(config)]) == 2
+    assert f"error: scenario key '{path}':" in capsys.readouterr().err
+
+
+# bundled scenarios with one value set where the run has nothing to compute
+@pytest.mark.parametrize("command,name,section,key,value,path", [
+    # the estimator's sample variance needs two samples
+    ("simulate", "gw-monochromatic-coherent", "simulation", "n_samples", 1,
+     "simulation.n_samples"),
+    # no field energy to pull the generator back to proper time
+    ("bound", "proper-time-reduction", "stress_energy.em", "amplitude", 0.0, "stress_energy"),
+    # no probe energy variance for the time-energy bound
+    ("bound", "proper-time-reduction", "probe.spectrum", "n_photons", 0.0, "probe.spectrum"),
+])
+def test_cli_degenerate_scenario_exits_2(tmp_path, capsys, command, name, section, key,
+                                         value, path):
+    doc = _bundled_doc(name)
+    node = doc
+    for part in section.split("."):
+        node = node[part]
+    node[key] = value
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert main([command, "--config", str(config), "--resolution", "0.25"]) == 2
+    assert f"error: scenario key '{path}':" in capsys.readouterr().err
+
+
+def test_grid_source_on_the_family_chart_runs(tmp_path):
+    # the grid that the cases above break, intact
+    assert run_bound(parse_scenario(_grid_doc(tmp_path)))["generator"]["P_total"]["value"] == 0.0
 
 
 def test_cli_verify_unknown_suite_exits_2(capsys):

@@ -5,28 +5,23 @@ import pytest
 
 from metricprobe.probe import (GaussianProbeState, crlb_amplitude,
                                monochromatic_spectrum, quadrature_variances)
-from metricprobe.simulate import (COUNTER_BLOCK, EstimatorRun,
-                                  MeasurementModel, classical_fisher,
+from metricprobe.simulate import (EstimatorRun, MeasurementModel, classical_fisher,
                                   counter_normals, crb_saturation_check,
                                   histogram_fisher, linear_estimator,
                                   model_from_state, simulate_readout)
 
 
 def _state(nbar=1.0e4, r=0.0, omega=2.0 * math.pi * 10.0):
-    spec = monochromatic_spectrum(omega, nbar, tau=1.0)
-    if r == 0.0:
-        return GaussianProbeState(spectrum=spec)
-    return GaussianProbeState(spectrum=spec, reference_kind="squeezed-vacuum",
-                              squeeze_r=r)
+    return GaussianProbeState(monochromatic_spectrum(omega, nbar, tau=1.0), squeeze_r=r)
 
 
 def test_model_from_state():
     st = _state(r=0.6)
-    model = model_from_state(st, a_true=2.0e-4, offset=0.3)
+    model = model_from_state(st, a_true=2.0e-4)
     rep = crlb_amplitude(st)
     assert model.slope_c == rep.C
     assert model.var_x2 == quadrature_variances(st)[1]
-    assert math.isclose(model.mean, 0.3 + rep.C * 2.0e-4, rel_tol=1e-15)
+    assert model.mean == rep.C * 2.0e-4
 
 
 def test_model_validation():
@@ -38,17 +33,7 @@ def test_model_validation():
         MeasurementModel(slope_c=0.0, var_x2=1.0)
 
 
-def test_counter_normals_partition_invariance():
-    full = counter_normals(123, 12)
-    head = counter_normals(123, 4)
-    tail = counter_normals(123, 8, offset=4)
-    assert np.array_equal(np.concatenate([head, tail]), full)
-    assert np.array_equal(counter_normals(123, 8, offset=COUNTER_BLOCK), full[4:])
-
-
-def test_counter_normals_offset_alignment():
-    with pytest.raises(ValueError):
-        counter_normals(1, 4, offset=3)
+def test_counter_normals_sample_count():
     with pytest.raises(ValueError):
         counter_normals(1, -1)
     assert counter_normals(1, 0).size == 0
@@ -65,14 +50,14 @@ def test_counter_normals_moments():
 
 
 def test_simulate_readout_degenerate_variance():
-    model = MeasurementModel(slope_c=2.0, var_x2=0.0, a_true=0.5, offset=1.0)
+    model = MeasurementModel(slope_c=2.0, var_x2=0.0, a_true=0.5)
     x = simulate_readout(model, 5, seed=0)
     assert np.all(x == model.mean)
     with pytest.raises(ValueError):
         simulate_readout(model, 0, seed=0)
 
 
-def test_simulate_readout_deterministic_and_partitionable():
+def test_simulate_readout_deterministic():
     st = _state()
     model = model_from_state(st, a_true=3.0e-4)
     a = simulate_readout(model, 1000, seed=42)
@@ -80,8 +65,6 @@ def test_simulate_readout_deterministic_and_partitionable():
     assert np.array_equal(a, b)
     c = simulate_readout(model, 1000, seed=43)
     assert not np.array_equal(a, c)
-    tail = simulate_readout(model, 996, seed=42, offset=4)
-    assert np.array_equal(tail, a[4:])
 
 
 def test_simulate_readout_mean():
@@ -100,7 +83,7 @@ def test_linear_estimator_unbiased_and_efficient():
     rep = crlb_amplitude(st)
     n = 40000
     x = simulate_readout(model, n, seed=5)
-    run = linear_estimator(x, model, seed=5, crlb=rep.crlb)
+    run = linear_estimator(x, model, rep.crlb)
     assert isinstance(run, EstimatorRun)
     assert run.n_samples == n
     se = math.sqrt(run.analytic_variance / n)
@@ -116,7 +99,7 @@ def test_linear_estimator_unbiased_and_efficient():
 def test_linear_estimator_needs_two_samples():
     model = MeasurementModel(slope_c=1.0, var_x2=1.0)
     with pytest.raises(ValueError):
-        linear_estimator(np.array([1.0]), model)
+        linear_estimator(np.array([1.0]), model, 1.0)
 
 
 def test_classical_fisher_closed_form():
@@ -167,5 +150,5 @@ def test_empirical_variance_never_beats_the_bound():
         rep = crlb_amplitude(st)
         model = model_from_state(st, a_true=1.0e-3)
         x = simulate_readout(model, n, seed=3000 + trial)
-        run = linear_estimator(x, model, crlb=rep.crlb)
+        run = linear_estimator(x, model, rep.crlb)
         assert run.empirical_variance >= rep.crlb * (1.0 - guard)

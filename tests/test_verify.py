@@ -53,6 +53,14 @@ def test_tolerance_override_forces_failure():
     assert not chk["passed"]
 
 
+def test_each_override_reaches_only_the_check_it_names():
+    defaults = {c["name"]: c["tolerance"]
+                for c in run_verify(["reductions"])["suites"]["reductions"]["checks"]}
+    for name in defaults:
+        checks = run_verify(["reductions"], {name: 0.5})["suites"]["reductions"]["checks"]
+        assert {c["name"]: c["tolerance"] for c in checks} == dict(defaults, **{name: 0.5})
+
+
 def test_wick_fock_suite_passes():
     report = run_verify(["wick-fock"])
     assert report["all_passed"]
