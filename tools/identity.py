@@ -5,7 +5,7 @@
 unpacks ``git archive REV`` into a temporary directory, then writes the
 ``dumps_report`` text of a fixed corpus once from that tree and once from
 the tree this script lives in, each in a fresh child process that imports
-``metricprobe`` from the tree's own ``src/``.  The corpus (90 reports):
+``metricprobe`` from the tree's own ``src/``.  The corpus (91 reports):
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
@@ -16,7 +16,10 @@ the tree this script lives in, each in a fresh child process that imports
   bundled sources, the one route where ``boundary_term`` is nonzero;
 * ``run_bound`` of the gravitational-wave scenario with its source read
   from a grid file, which each child builds from a numpy array and
-  writes with ``save_grid`` next to its reports.
+  writes with ``save_grid`` next to its reports;
+* ``run_bound`` of the gravitational-wave scenario with a ``bump:``
+  section inside its region box and ``stress_energy.frame: orthonormal``,
+  the scenario path through ``localize`` into the source's frame.
 
 The workload inputs come from this tree's ``bench/workloads.py`` for both
 trees, so both libraries see the same scenario dicts.  The script prints
@@ -46,6 +49,9 @@ FACE_CUTTING_BOX = [[-0.5, 0.5], [1.6, 3.5], [0.94, 2.21], [-0.61, 0.61]]
 #: the grid field's file, relative to the child's working directory, so
 #: both trees echo the same path in their reports
 GRID_FILE = "grid.txt"
+#: bump of the localized gravitational-wave entry, inside its region box
+GW_BUMP = {"plateau": [[0.2, 0.8], [0.2, 0.8], [0.05, 0.2], [0.05, 0.2]],
+           "support": [[0.05, 0.95], [0.05, 0.95], [0.01, 0.24], [0.01, 0.24]]}
 
 
 def _grid_values(shape, spacing) -> np.ndarray:
@@ -98,6 +104,12 @@ def write_corpus(out_dir: str) -> None:
     doc = dict(scenarios.load_bundled("gw-monochromatic-coherent").raw,
                name="gw-grid-field", stress_energy={"grid": {"path": GRID_FILE}})
     put("bound_gw-grid-field", reports.dumps_report(scenarios.run_bound(scenarios.parse_scenario(doc))))
+
+    doc = dict(scenarios.load_bundled("gw-monochromatic-coherent").raw,
+               name="gw-localized-orthonormal", bump=GW_BUMP)
+    doc["stress_energy"] = dict(doc["stress_energy"], frame="orthonormal")
+    put("bound_gw-localized-orthonormal",
+        reports.dumps_report(scenarios.run_bound(scenarios.parse_scenario(doc))))
 
 
 def _run_tree(tree: Path, out_dir: Path) -> subprocess.Popen:
