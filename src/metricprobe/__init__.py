@@ -10,10 +10,10 @@ separate from the production path.
 
 __version__ = "0.1.0"
 
-from .geometry import (BUILTIN_FAMILIES, BumpProfile, LocalizedFamily,
-                       MetricFamily, de_sitter, flrw_closed,
-                       g00_profile_perturbation, gw_plane_wave, isotropic,
-                       localize, minkowski_component, schwarzschild)
+from .geometry import (BUILTIN_FAMILIES, BumpProfile, MetricFamily,
+                       de_sitter, flrw_closed, g00_profile_perturbation,
+                       gw_plane_wave, isotropic, localize,
+                       minkowski_component, schwarzschild)
 from .stress_energy import (StressEnergyField, em_plane_wave, em_stress_tensor,
                             em_uniform, in_orthonormal_frame, trace)
 from .quadrature import RegionSpec, integrate
@@ -37,7 +37,7 @@ from .verify import run_verify
 
 __all__ = [
     "__version__",
-    "BUILTIN_FAMILIES", "BumpProfile", "LocalizedFamily", "MetricFamily",
+    "BUILTIN_FAMILIES", "BumpProfile", "MetricFamily",
     "de_sitter", "flrw_closed", "g00_profile_perturbation", "gw_plane_wave",
     "isotropic", "localize", "minkowski_component", "schwarzschild",
     "StressEnergyField", "em_plane_wave", "em_stress_tensor", "em_uniform",

@@ -20,8 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (BumpProfile, LocalizedFamily, metric_parameter_derivative,
-                       localize, schwarzschild, isotropic)
+from .geometry import BumpProfile, box_corners, localize, schwarzschild, isotropic
 from .quadrature import RegionSpec, integrate, region_rules
 from .stress_energy import StressEnergyField, covariant_divergence, divergence_residual
 
@@ -57,7 +56,7 @@ def _density_terms(T: StressEnergyField, family, x: np.ndarray):
     """(sqrt|det g|, T^munu, dg_munu/dtheta) at points of shape (..., 4)."""
     x = np.asarray(x, dtype=float)
     g0 = family.eval(family.theta0, x)
-    dg = metric_parameter_derivative(family, x)
+    dg = family.deriv(x)
     vol = np.sqrt(np.abs(np.linalg.det(g0)))
     return vol, T.tensor(x), dg
 
@@ -71,14 +70,14 @@ def generator_density(T: StressEnergyField, family, x: np.ndarray) -> np.ndarray
 def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> GeneratorResult:
     """Integrate the generator density over the region.
 
-    For localized families the region must contain the bump support;
+    For a family with a bump the region must contain the bump support;
     a region that clips the support is flagged (the reported bound would
     ignore perturbation outside the window).  Nodes outside the chart
     domain raise through the family evaluation.  The density is
     evaluated only inside T's declared support, if it has one.
     """
     notes = []
-    bump = family.bump if isinstance(family, LocalizedFamily) else None
+    bump = family.bump
     if bump is not None:
         s = bump.support
         b = region.box
@@ -91,7 +90,7 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
               "so error_estimate leaves out its error"
               for ax, n in enumerate(region.resolution) if n > 2 and n % 2 == 0]
 
-    family.domain.require(_region_corner_samples(region))
+    family.domain.require(box_corners(region.box))
 
     def dens(pts):
         return generator_density(T, family, pts)
@@ -114,11 +113,6 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
     return GeneratorResult(P_total=float(total), P_plateau=float(plateau),
                            P_shell=float(shell), error_estimate=float(est),
                            P_half=float(half), warnings=tuple(notes))
-
-
-def _region_corner_samples(region: RegionSpec) -> np.ndarray:
-    axes = [np.linspace(region.box[ax, 0], region.box[ax, 1], 3) for ax in range(4)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def trace_null_residual(T: StressEnergyField, family, region: RegionSpec) -> float:
@@ -148,21 +142,18 @@ def trace_null_residual(T: StressEnergyField, family, region: RegionSpec) -> flo
 # boundary flux
 # ---------------------------------------------------------------------------
 
-def boundary_term(T: StressEnergyField, X_field: Callable[[np.ndarray], np.ndarray],
-                  box, metric_eval: Callable[[np.ndarray], np.ndarray],
+def boundary_term(T: StressEnergyField, box, metric_eval: Callable[[np.ndarray], np.ndarray],
                   resolution: int = 33) -> float:
-    """Flux of T against a vector field through the boundary of a
-    coordinate box:
+    """Flux of T against the radial chart-map deformation through the
+    boundary of a coordinate box:
 
         B = sum_faces sign int sqrt(|det g|) T^{a nu} X_nu d^3x,
 
-    with a the face's fixed axis and sign +1 on the upper face.  X_field
-    returns the contravariant components X^gamma of the deformation
-    generator (for the mass families, the m-derivative of the chart map,
-    X = d r / d m evaluated at the fiducial parameter); the index is
-    lowered with the metric before contracting.  This is the coordinate
-    form of the surface element, which is what makes the discrete
-    divergence identity close.
+    with a the face's fixed axis and sign +1 on the upper face.  X is the
+    m-derivative of the isotropic -> Schwarzschild radial map
+    r = rho (1 + m / 2 rho)^2 at m = 0, X^r = 1 and its other components
+    0, so X_nu = g_{nu r}.  This is the coordinate form of the surface
+    element, which is what makes the discrete divergence identity close.
     """
     region = RegionSpec(box=box, resolution=resolution)
     rules = region_rules(region)
@@ -177,23 +168,9 @@ def boundary_term(T: StressEnergyField, X_field: Callable[[np.ndarray], np.ndarr
             g = metric_eval(pts)
             vol = np.sqrt(np.abs(np.linalg.det(g)))
             Tv = T.tensor(pts)
-            Xup = np.asarray(X_field(pts), dtype=float)
-            Xdn = np.einsum("...ij,...j->...i", g, Xup)
-            flux = np.einsum("...j,...j->...", Tv[..., axis, :], Xdn)
+            flux = np.einsum("...j,...j->...", Tv[..., axis, :], g[..., :, 1])
             total += sign * float(np.sum(vol * flux * w3))
     return total
-
-
-def chart_map_deformation_schwarzschild_isotropic() -> Callable[[np.ndarray], np.ndarray]:
-    """X^gamma = d/dm of the isotropic -> Schwarzschild radial map
-    r = rho (1 + m / 2 rho)^2 at m = 0: X^r = 1, other components 0."""
-
-    def X(pts):
-        out = np.zeros(pts.shape[:-1] + (4,))
-        out[..., 1] = 1.0
-        return out
-
-    return X
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +229,8 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
     inside it, the divergence within the stencil's reach of it; the
     boundary flux and the residual sample always run in full.
     """
-    fam_s = schwarzschild(0.0)
-    fam_i = isotropic(0.0)
+    flat = schwarzschild(0.0)
+    fam_s, fam_i = flat, isotropic(0.0)
     if bump is not None:
         fam_s = localize(fam_s, bump)
         fam_i = localize(fam_i, bump)
@@ -262,7 +239,7 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
     res_i = integrate_generator(testT, fam_i, region)
 
     def metric_eval(pts):
-        return schwarzschild(0.0).eval(0.0, pts)
+        return flat.eval(0.0, pts)
 
     chi = bump if bump is not None else (lambda pts: 1.0)
 
@@ -285,9 +262,7 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
                    else testT.support + np.array([-_STENCIL_REACH, _STENCIL_REACH]))
     div_integral, div_est, _ = integrate(div_r_density, region, div_support)
 
-    X = chart_map_deformation_schwarzschild_isotropic()
-    flux = boundary_term(testT, X, region.box, metric_eval,
-                         resolution=max(region.resolution))
+    flux = boundary_term(testT, region.box, metric_eval, resolution=max(region.resolution))
 
     # conservation diagnostic on a moderate interior sample
     sample_axes = [np.linspace(region.box[ax, 0], region.box[ax, 1], 7)[1:-1] for ax in range(4)]

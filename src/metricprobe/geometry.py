@@ -1,4 +1,4 @@
-"""Metric families, parameter derivatives, and bump-function localization.
+"""Metric families, their parameter derivatives, bump localization.
 
 Conventions
 -----------
@@ -7,17 +7,18 @@ Conventions
 * metric components are arrays of shape (..., 4, 4), index order matching
   the chart's coordinate order
 * a family is a one-parameter set of metrics theta -> g_munu(theta, x)
-  with a declared fiducial value theta0
+  with a declared fiducial value theta0 and its analytic derivative there
 
-A localized family replaces the global parameter dependence by
+A family with a bump replaces the global parameter dependence by
 theta0 + (theta - theta0) * chi(x) with chi a smooth bump that equals 1
 on a plateau box and 0 outside a support box, so that the perturbation
 is confined to a compact region while the fiducial geometry is untouched.
+It is a family like any other: ``localize`` only attaches the bump.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,6 +42,13 @@ def _checked_box(box, name: str) -> np.ndarray:
     return b
 
 
+def box_corners(box) -> np.ndarray:
+    """The 16 corners, shape (2, 2, 2, 2, 4), of a (4, 2) box of per-axis
+    (lo, hi) bounds.  A ChartDomain is a box too, so a box lies inside
+    it exactly when the corners do."""
+    return np.stack(np.meshgrid(*np.asarray(box, dtype=float), indexing="ij"), axis=-1)
+
+
 @dataclass(frozen=True)
 class ChartDomain:
     """Validity region of a coordinate chart.
@@ -54,7 +62,7 @@ class ChartDomain:
     closed_axes: tuple = ()
     note: str = ""
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
+    def require(self, x: np.ndarray) -> None:
         x = np.asarray(x, dtype=float)
         ok = np.ones(x.shape[:-1], dtype=bool)
         for ax, (lo, hi) in enumerate(self.box):
@@ -66,12 +74,8 @@ class ChartDomain:
                     ok &= c > lo
                 if np.isfinite(hi):
                     ok &= c < hi
-        return ok
-
-    def require(self, x: np.ndarray) -> None:
-        ok = self.contains(x)
         if not np.all(ok):
-            bad = np.asarray(x, dtype=float).reshape(-1, 4)[~ok.reshape(-1)][0]
+            bad = x.reshape(-1, 4)[~ok.reshape(-1)][0]
             msg = f"point {bad.tolist()} outside chart domain"
             if self.note:
                 msg += f" ({self.note})"
@@ -83,39 +87,43 @@ class MetricFamily:
     """One-parameter family of metrics on a fixed chart.
 
     ``eval_fn(theta, x)`` must accept points of shape (..., 4) and return
-    (..., 4, 4) symmetric components.  ``deriv_fn``, when present, returns
-    the analytic d g_munu / d theta at theta0.  ``sample_box`` is a finite
-    box well inside the chart domain, used by validation sweeps.
+    (..., 4, 4) symmetric components; ``deriv_fn(x)`` returns the analytic
+    d g_munu / d theta at theta0.  ``sample_box`` is a finite box well
+    inside the chart domain, used by validation sweeps.  With a ``bump``
+    chi the metric is eval_fn(theta0 + (theta - theta0) chi(x), x), theta
+    then an array of shape x.shape[:-1], so theta = theta0 reproduces the
+    fiducial geometry everywhere; the derivative is chi(x) deriv_fn(x).
     """
 
     label: str
     chart_name: str
     theta0: float
     eval_fn: Callable[[float, np.ndarray], np.ndarray]
-    deriv_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    deriv_fn: Callable[[np.ndarray], np.ndarray]
+    sample_box: np.ndarray
     domain: ChartDomain = field(default_factory=ChartDomain)
-    sample_box: Optional[np.ndarray] = None
+    bump: Optional[BumpProfile] = None
 
-    def eval(self, theta, x: np.ndarray) -> np.ndarray:
-        """theta may be a scalar or an array of shape x.shape[:-1] (a
-        pointwise parameter value, as produced by bump localization)."""
-        t = np.asarray(theta, dtype=float)
-        return self.eval_fn(float(t) if t.ndim == 0 else t, np.asarray(x, dtype=float))
+    def eval(self, theta: float, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self.bump is None:
+            return self.eval_fn(float(theta), x)
+        t0 = self.theta0
+        return self.eval_fn(t0 + (float(theta) - t0) * self.bump(x), x)
 
-    def deriv(self, x: np.ndarray) -> Optional[np.ndarray]:
-        if self.deriv_fn is None:
-            return None
-        return self.deriv_fn(np.asarray(x, dtype=float))
+    def deriv(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self.bump is None:
+            return self.deriv_fn(x)
+        return self.bump(x)[..., None, None] * self.deriv_fn(x)
 
 
-def metric_parameter_derivative(family, x: np.ndarray) -> np.ndarray:
-    """d g_munu / d theta at theta0: analytic when declared, else central
-    finite differences with one Richardson extrapolation pass.  The step
-    is 1e-6 |theta0|, floored at 1e-8 to stay sane at theta0 = 0."""
+def finite_difference_derivative(family: MetricFamily, x: np.ndarray) -> np.ndarray:
+    """d g_munu / d theta at theta0 by central finite differences with one
+    Richardson extrapolation pass: the reference the analytic derivatives
+    are checked against.  The step is 1e-6 |theta0|, floored at 1e-8 to
+    stay sane at theta0 = 0."""
     x = np.asarray(x, dtype=float)
-    d = family.deriv(x)
-    if d is not None:
-        return d
     t0 = family.theta0
     h = max(1e-6 * abs(t0), 1e-8)
 
@@ -465,52 +473,8 @@ class BumpProfile:
         return out
 
 
-@dataclass(frozen=True)
-class LocalizedFamily:
-    """Family with the parameter change confined by a bump: the metric is
-    base.eval(theta0 + (theta - theta0) * chi(x), x), so theta = theta0
-    reproduces the fiducial geometry everywhere and the derivative is
-    chi(x) times the base derivative."""
-
-    base: MetricFamily
-    bump: BumpProfile
-
-    @property
-    def label(self) -> str:
-        return self.base.label + "+bump"
-
-    @property
-    def chart_name(self) -> str:
-        return self.base.chart_name
-
-    @property
-    def theta0(self) -> float:
-        return self.base.theta0
-
-    @property
-    def domain(self) -> ChartDomain:
-        return self.base.domain
-
-    def eval(self, theta: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        chi = self.bump(x)
-        t0 = self.base.theta0
-        theta_loc = t0 + (float(theta) - t0) * chi
-        return self.base.eval(theta_loc, x)
-
-    def deriv(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        chi = self.bump(x)
-        base_d = metric_parameter_derivative(self.base, x)
-        return chi[..., None, None] * base_d
-
-
-def localize(family: MetricFamily, bump: BumpProfile) -> LocalizedFamily:
-    """Attach a bump to a family.  The bump support must lie inside the
-    chart domain (corners and interior samples are checked)."""
-    s = bump.support
-    axes = [np.linspace(s[ax, 0], s[ax, 1], 5) for ax in range(4)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    if not np.all(family.domain.contains(grid)):
-        raise ChartDomainError("bump support extends outside the chart domain")
-    return LocalizedFamily(base=family, bump=bump)
+def localize(family: MetricFamily, bump: BumpProfile) -> MetricFamily:
+    """The family with its parameter change confined by a bump.  The bump
+    support must lie inside the chart domain."""
+    family.domain.require(box_corners(bump.support))
+    return replace(family, bump=bump)

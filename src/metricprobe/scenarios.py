@@ -31,6 +31,8 @@ from .simulate import (crb_saturation_check, histogram_fisher, linear_estimator,
                        model_from_state, classical_fisher, simulate_readout)
 
 KINDS = ("generator-crlb", "coordinate-check", "unruh-product", "proper-time")
+#: largest squeeze_r whose e^(2 r) is a finite float
+_MAX_SQUEEZE_R = 0.5 * math.log(np.finfo(float).max)
 
 
 class ScenarioError(ValueError):
@@ -221,9 +223,8 @@ def build_field(sc: Scenario, family) -> se.StressEnergyField:
     else:
         fn = _build_em(_mapping(em_spec, "stress_energy.em"), "stress_energy.em")
     if frame == "orthonormal":
-        base = family.base if isinstance(family, geo.LocalizedFamily) else family
         try:
-            fn = se.in_orthonormal_frame(fn, base)
+            fn = se.in_orthonormal_frame(fn, family)
         except ValueError as exc:
             raise ScenarioError("stress_energy.frame", str(exc)) from exc
     return se.StressEnergyField(fn)
@@ -326,6 +327,16 @@ def build_state(sc: Scenario, required: bool = True) -> Optional[GaussianProbeSt
     if reference == "vacuum-coherent" and squeeze_r != 0.0:
         raise ScenarioError("probe.reference", "vacuum-coherent is the unsqueezed "
                             f"state, but squeeze_r = {squeeze_r!r}")
+    # the bound and the readout take e^(2 r) and square hbar and C
+    if squeeze_r > _MAX_SQUEEZE_R:
+        raise ScenarioError("probe.squeeze_r", f"e^(2 r) overflows above "
+                            f"{_MAX_SQUEEZE_R!r}, got {squeeze_r!r}")
+    if not math.isfinite(hbar * hbar):
+        raise ScenarioError("probe.hbar", f"hbar^2 overflows, got {hbar!r}")
+    with np.errstate(over="ignore"):
+        C = effective_constant_C(spectrum, hbar)
+    if not math.isfinite(C * C):
+        raise ScenarioError("probe.spectrum", f"the mode sum C = {C!r} squared overflows")
     try:
         return GaussianProbeState(spectrum=spectrum, squeeze_r=squeeze_r, hbar=hbar)
     except ValueError as exc:
@@ -396,8 +407,7 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
         raise ScenarioError("region.box", str(exc)) from exc
     report["generator"] = _generator_block(res)
 
-    base = fam.base if isinstance(fam, geo.LocalizedFamily) else fam
-    if base.label in ("flrw_closed", "de_sitter"):
+    if fam.label in ("flrw_closed", "de_sitter"):
         resid = trace_null_residual(field, fam, region)
         report["trace_null"] = {
             "residual": _q(resid, "dimensionless"),
@@ -551,6 +561,12 @@ def run_simulate(sc: Scenario, seed: Optional[int] = None,
     if seed is not None:
         params["seed"] = int(seed)
     model = model_from_state(state, a_true=params["a_true"])
+    # histogram_fisher bins the samples 64 to +- 6 sigma around the mean;
+    # the bin edges must be distinct floats for the noise to show
+    sigma = math.sqrt(model.var_x2)
+    if not 12.0 * sigma / 64 > 2.0 * math.ulp(abs(model.mean) + 6.0 * sigma):
+        raise ScenarioError("simulation.a_true", f"the readout mean C a_true = "
+                            f"{model.mean!r} hides its noise sigma = {sigma!r}")
     samples = simulate_readout(model, params["n_samples"], params["seed"])
     run = linear_estimator(samples, model, crlb_amplitude(state).crlb)
     fisher = classical_fisher(model)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .geometry import MetricFamily, _checked_box
+from .geometry import MetricFamily, _checked_box, box_corners
 
 _COMPONENT_ORDER = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 _COMPONENT_NAMES = [f"T{i}{j}" for i, j in _COMPONENT_ORDER]
@@ -108,9 +108,7 @@ def in_orthonormal_frame(fn: Callable[[np.ndarray], np.ndarray],
     diagonal at the corners of the family's sample_box, and at any later
     call on points where it is not."""
 
-    if family.sample_box is not None:
-        corners = np.stack(np.meshgrid(*family.sample_box, indexing="ij"), axis=-1)
-        _require_diagonal(family.eval(family.theta0, corners))
+    _require_diagonal(family.eval(family.theta0, box_corners(family.sample_box)))
 
     def chart_fn(x):
         T_frame = fn(x)

@@ -257,24 +257,7 @@ def test_boundary_term_zero_for_compact_source():
     def metric_eval(pts):
         return schwarzschild(0.0).eval(0.0, pts)
 
-    def X(pts):
-        out = np.zeros(pts.shape[:-1] + (4,))
-        out[..., 1] = 1.0
-        return out
-
-    val = boundary_term(T, X, spherical_test_box(), metric_eval, resolution=9)
-    assert val == 0.0
-
-
-def test_boundary_term_zero_vector_field():
-    def X(pts):
-        return np.zeros(pts.shape[:-1] + (4,))
-
-    def metric_eval(pts):
-        return schwarzschild(0.0).eval(0.0, pts)
-
-    val = boundary_term(nonconserved_test_tensor(), X, spherical_test_box(),
-                        metric_eval, resolution=9)
+    val = boundary_term(T, spherical_test_box(), metric_eval, resolution=9)
     assert val == 0.0
 
 
@@ -289,14 +272,8 @@ def test_boundary_term_radial_shell_oracle():
     def metric_eval(pts):
         return schwarzschild(0.0).eval(0.0, pts)
 
-    def X(pts):
-        out = np.zeros(pts.shape[:-1] + (4,))
-        out[..., 1] = 1.0
-        return out
-
     box = np.array([[0.0, 0.5], [2.0, 3.0], [0.8, 2.2], [-0.4, 0.4]])
-    val = boundary_term(StressEnergyField(fn),
-                        X, box, metric_eval, resolution=65)
+    val = boundary_term(StressEnergyField(fn), box, metric_eval, resolution=65)
     dt, dph = 0.5, 0.8
     oracle = dt * dph * (math.cos(0.8) - math.cos(2.2)) * (3.0 ** 2 - 2.0 ** 2)
     assert math.isclose(val, oracle, rel_tol=1e-3)
@@ -306,16 +283,13 @@ def test_boundary_term_validation():
     def metric_eval(pts):
         return schwarzschild(0.0).eval(0.0, pts)
 
-    def X(pts):
-        return np.zeros(pts.shape[:-1] + (4,))
-
     T = nonconserved_test_tensor()
     with pytest.raises(ValueError):
-        boundary_term(T, X, np.zeros((3, 2)), metric_eval)
+        boundary_term(T, np.zeros((3, 2)), metric_eval)
     with pytest.raises(ValueError):
-        boundary_term(T, X, np.array([[1.0, 0.0]] + [[0.0, 1.0]] * 3), metric_eval)
+        boundary_term(T, np.array([[1.0, 0.0]] + [[0.0, 1.0]] * 3), metric_eval)
     with pytest.raises(ValueError):
-        boundary_term(T, X, spherical_test_box(), metric_eval, resolution=1)
+        boundary_term(T, spherical_test_box(), metric_eval, resolution=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from metricprobe.geometry import (BUILTIN_FAMILIES, BumpProfile,
-                                  ChartDomainError, LocalizedFamily,
-                                  de_sitter, flrw_closed,
-                                  g00_profile_perturbation, gw_plane_wave,
-                                  isotropic, localize,
-                                  metric_parameter_derivative,
+                                  ChartDomainError, MetricFamily,
+                                  de_sitter, finite_difference_derivative,
+                                  flrw_closed, g00_profile_perturbation,
+                                  gw_plane_wave, isotropic, localize,
                                   minkowski_component, schwarzschild)
+from metricprobe.stress_energy import em_plane_wave, in_orthonormal_frame
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -129,25 +130,19 @@ def test_analytic_derivative_matches_finite_differences():
     for fam in representative_families():
         pts = sample_points(fam, 100, rng)
         an = fam.deriv(pts)
-        stripped = MetricFamilyWithoutDeriv(fam)
-        fd = metric_parameter_derivative(stripped, pts)
+        fd = finite_difference_derivative(fam, pts)
         scale = max(np.max(np.abs(an)), 1e-10)
         assert np.max(np.abs(fd - an)) <= 1e-6 * scale, fam.label
 
 
-class MetricFamilyWithoutDeriv:
-    """View of a family that hides the analytic derivative, forcing the
-    finite-difference path."""
-
-    def __init__(self, fam):
-        self._fam = fam
-        self.theta0 = fam.theta0
-
-    def eval(self, theta, x):
-        return self._fam.eval(theta, x)
-
-    def deriv(self, x):
-        return None
+@pytest.mark.parametrize("missing", ["deriv_fn", "sample_box"])
+def test_family_requires_derivative_and_sample_box(missing):
+    fam = gw_plane_wave()
+    kwargs = dict(label=fam.label, chart_name=fam.chart_name, theta0=fam.theta0,
+                  eval_fn=fam.eval_fn, deriv_fn=fam.deriv_fn, sample_box=fam.sample_box)
+    del kwargs[missing]
+    with pytest.raises(TypeError):
+        MetricFamily(**kwargs)
 
 
 def test_schwarzschild_and_isotropic_coincide_at_zero_mass():
@@ -236,13 +231,13 @@ def test_bump_rejects_non_finite_boxes(box, end):
 
 def test_localized_family_invariant():
     bump = unit_bump()
-    fam = localize(gw_plane_wave(), bump)
-    assert isinstance(fam, LocalizedFamily)
+    base = gw_plane_wave()
+    fam = localize(base, bump)
+    assert fam.bump is bump and fam.label == base.label and base.bump is None
     theta = 0.25
     # plateau point: full perturbation
     x_in = np.array([0.5, -0.5, 0.2, 0.0])
-    np.testing.assert_array_equal(fam.eval(theta, x_in),
-                                  fam.base.eval(theta, x_in))
+    np.testing.assert_array_equal(fam.eval(theta, x_in), base.eval(theta, x_in))
     # outside support: fiducial metric regardless of theta
     x_out = np.array([0.0, 0.0, 0.0, 2.5])
     assert np.array_equal(fam.eval(theta, x_out), ETA)
@@ -253,11 +248,12 @@ def test_localized_family_invariant():
 
 def test_localized_derivative_is_chi_times_base():
     bump = unit_bump()
-    fam = localize(gw_plane_wave(), bump)
+    base = gw_plane_wave()
+    fam = localize(base, bump)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2.2, 2.2, size=(200, 4))
     chi = bump(pts)
-    expect = chi[:, None, None] * fam.base.deriv(pts)
+    expect = chi[:, None, None] * base.deriv(pts)
     assert np.max(np.abs(fam.deriv(pts) - expect)) <= 1e-10
 
 
@@ -275,6 +271,61 @@ def test_localize_rejects_support_outside_chart_domain():
                        support=np.array([[-1.0, 1.0]] * 4))
     with pytest.raises(ChartDomainError):
         localize(schwarzschild(1.0), bump)  # support crosses r <= 2.5 m
+
+
+def _schwarzschild_support(r_lo, theta_hi=2.0):
+    return BumpProfile(plateau=np.array([[-0.5, 0.5], [3.0, 4.0], [1.0, 1.5], [-0.5, 0.5]]),
+                       support=np.array([[-1.0, 1.0], [r_lo, 4.5], [0.5, theta_hi],
+                                         [-1.0, 1.0]]))
+
+
+def test_localize_rejects_a_support_whose_one_outside_point_is_a_corner():
+    # theta is a closed axis: a support reaching pi is inside, one ulp
+    # beyond it is not, and the point the check names is a corner
+    fam = schwarzschild(1.0)
+    assert localize(fam, _schwarzschild_support(2.6, math.pi)).bump is not None
+    theta_hi = float(np.nextafter(math.pi, np.inf))
+    corner = [-1.0, 2.6, theta_hi, -1.0]
+    with pytest.raises(ChartDomainError, match=re.escape(f"point {corner} outside")):
+        localize(fam, _schwarzschild_support(2.6, theta_hi))
+
+
+def test_localize_checks_the_open_r_face_exactly():
+    fam = schwarzschild(1.0)
+    with pytest.raises(ChartDomainError):
+        localize(fam, _schwarzschild_support(2.5))
+    assert localize(fam, _schwarzschild_support(np.nextafter(2.5, np.inf))).bump is not None
+
+
+def _plateau_shell_outside_points(rng, n=200):
+    # unit_bump: plateau |x_i| <= 1, support |x_i| < 2
+    plateau = rng.uniform(-1.0, 1.0, size=(n, 4))
+    shell = rng.uniform(-1.0, 1.0, size=(n, 4))
+    shell[:, 0] = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n)
+    outside = rng.uniform(-3.0, 3.0, size=(n, 4))
+    outside[:, 1] = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+    return np.concatenate([plateau, shell, outside])
+
+
+@pytest.mark.parametrize("theta0", [0.0, 0.3, -0.0])
+def test_localized_fiducial_metric_is_bitwise_the_base(theta0):
+    base = gw_plane_wave(theta0)
+    fam = localize(base, unit_bump())
+    pts = _plateau_shell_outside_points(np.random.default_rng(11))
+    assert np.array_equal(fam.eval(fam.theta0, pts), base.eval(base.theta0, pts))
+
+
+def test_localized_orthonormal_frame_is_bitwise_the_base():
+    base = flrw_closed(2.0)
+    bump = BumpProfile(plateau=np.array([[1.0, 2.0], [0.5, 1.0], [1.0, 2.0], [0.0, 1.0]]),
+                       support=np.array([[0.8, 2.2], [0.4, 1.1], [0.8, 2.3], [-0.5, 1.5]]))
+    fam = localize(base, bump)
+    fn = em_plane_wave(1.0, 3.0)
+    rng = np.random.default_rng(12)
+    box = np.array([[0.7, 2.3], [0.35, 1.15], [0.7, 2.4], [-0.6, 1.6]])
+    pts = rng.uniform(box[:, 0], box[:, 1], size=(500, 4))
+    assert np.array_equal(in_orthonormal_frame(fn, fam)(pts),
+                          in_orthonormal_frame(fn, base)(pts))
 
 
 def test_builtin_family_registry_names():

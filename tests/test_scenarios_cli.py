@@ -680,6 +680,15 @@ def test_cli_exits_2_before_any_quadrature(tmp_path, capsys, monkeypatch, make_d
     ("bound", "proper-time-reduction", "stress_energy.em", "amplitude", 0.0, "stress_energy"),
     # no probe energy variance for the time-energy bound
     ("bound", "proper-time-reduction", "probe.spectrum", "n_photons", 0.0, "probe.spectrum"),
+    # finite inputs whose squares, exponentials or sums leave the floats
+    ("bound", "gw-monochromatic-coherent", "probe", "hbar", 1e300, "probe.hbar"),
+    ("bound", "gw-squeezed-r1", "probe", "squeeze_r", 355.0, "probe.squeeze_r"),
+    ("simulate", "gw-monochromatic-coherent", "probe.spectrum", "n_photons", 1e300,
+     "probe.spectrum"),
+    ("simulate", "gw-monochromatic-coherent", "probe.spectrum", "tau", 1e300, "probe.spectrum"),
+    # a readout mean so large that the float spacing there hides the noise
+    ("simulate", "gw-monochromatic-coherent", "simulation", "a_true", 1e300,
+     "simulation.a_true"),
 ])
 def test_cli_degenerate_scenario_exits_2(tmp_path, capsys, command, name, section, key,
                                          value, path):
