@@ -8,12 +8,26 @@ Scenario configs are YAML files; a bare name refers to a bundled one.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .reports import render_summary, write_report
 from .scenarios import (ScenarioError, bundled_scenario_names, load_bundled,
                         resolve_scenario, run_bound, run_simulate)
+from .simulate import SEEDS
 from .verify import SUITES, run_verify
+
+
+def _checked(convert, valid, expected: str):
+    """An argparse type: the converted text, where valid holds for it."""
+    def parse(text: str):
+        try:
+            if valid(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -28,10 +42,13 @@ def _parser() -> argparse.ArgumentParser:
                         help="scenario YAML path, or the name of a bundled scenario")
         sp.add_argument("--out", default=None,
                         help="write the full JSON report to this path")
-        sp.add_argument("--resolution", type=float, default=1.0, metavar="MULT",
+        sp.add_argument("--resolution", default=1.0, metavar="MULT",
+                        type=_checked(float, lambda m: math.isfinite(m) and m > 0,
+                                      "a positive finite number"),
                         help="scale quadrature resolutions by this factor")
         if with_seed:
-            sp.add_argument("--seed", type=int, default=None,
+            sp.add_argument("--seed", default=None,
+                            type=_checked(int, SEEDS.__contains__, "an integer in [0, 2^128)"),
                             help="override the scenario RNG seed")
 
     add_common(sub.add_parser(
@@ -67,23 +84,16 @@ def _parse_tolerances(pairs) -> dict:
     return out
 
 
-def _emit(report: dict, out_path) -> None:
+def _cmd_run(args) -> int:
+    """bound or simulate: the summary on stdout, the report in --out."""
+    sc = resolve_scenario(args.config)
+    if args.command == "simulate":
+        report = run_simulate(sc, seed=args.seed, resolution_mult=args.resolution)
+    else:
+        report = run_bound(sc, resolution_mult=args.resolution)
     sys.stdout.write(render_summary(report))
-    if out_path:
-        write_report(report, out_path)
-
-
-def _cmd_bound(args) -> int:
-    sc = resolve_scenario(args.config)
-    report = run_bound(sc, resolution_mult=args.resolution)
-    _emit(report, args.out)
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    sc = resolve_scenario(args.config)
-    report = run_simulate(sc, seed=args.seed, resolution_mult=args.resolution)
-    _emit(report, args.out)
+    if args.out:
+        write_report(report, args.out)
     return 0
 
 
@@ -119,17 +129,14 @@ def _cmd_list(_args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     handler = {
-        "bound": _cmd_bound,
-        "simulate": _cmd_simulate,
+        "bound": _cmd_run,
+        "simulate": _cmd_run,
         "verify": _cmd_verify,
         "list-scenarios": _cmd_list,
     }[args.command]
     try:
         return handler(args)
-    except ScenarioError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (ScenarioError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

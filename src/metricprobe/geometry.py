@@ -91,8 +91,8 @@ class MetricFamily:
     d g_munu / d theta at theta0.  ``sample_box`` is a finite box well
     inside the chart domain, used by validation sweeps.  With a ``bump``
     chi the metric is eval_fn(theta0 + (theta - theta0) chi(x), x), theta
-    then an array of shape x.shape[:-1], so theta = theta0 reproduces the
-    fiducial geometry everywhere; the derivative is chi(x) deriv_fn(x).
+    then an array of shape x.shape[:-1]; at theta = theta0, the fiducial
+    geometry everywhere, eval skips chi.  The derivative is chi(x) deriv_fn(x).
     """
 
     label: str
@@ -106,7 +106,7 @@ class MetricFamily:
 
     def eval(self, theta: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.bump is None:
+        if self.bump is None or theta == self.theta0:
             return self.eval_fn(float(theta), x)
         t0 = self.theta0
         return self.eval_fn(t0 + (float(theta) - t0) * self.bump(x), x)

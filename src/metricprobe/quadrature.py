@@ -40,10 +40,13 @@ class RegionSpec:
         object.__setattr__(self, "resolution", res)
 
     def scaled(self, mult: float) -> "RegionSpec":
-        """Resolution scaled by a positive factor (CLI --resolution knob);
-        interval counts round to even, so every axis halves or has 2 nodes."""
-        if mult <= 0:
-            raise ValueError("resolution multiplier must be positive")
+        """Resolution scaled by a positive finite factor (CLI --resolution
+        knob); interval counts round to even, so every axis halves or has
+        2 nodes, except at the factor 1, which returns the region itself."""
+        if not (np.isfinite(mult) and mult > 0):
+            raise ValueError(f"resolution multiplier must be positive and finite, got {mult!r}")
+        if mult == 1.0:
+            return self
         return replace(self, resolution=tuple(max(2, 2 * int(round((n - 1) * mult / 2)) + 1)
                                               for n in self.resolution))
 

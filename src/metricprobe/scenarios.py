@@ -2,14 +2,17 @@
 
 A scenario is one YAML document describing a complete estimation setup:
 metric family, optional bump localization, stress-energy source, region,
-probe state, and simulation parameters.  The bundled library covers one
-scenario per headline result; `run_bound` and `run_simulate` turn a
-scenario into a plain report dict (rendering lives in reports.py).
+probe state, and simulation parameters.  `parse_scenario` builds each
+section once, so a malformed document fails before any quadrature.  The
+bundled library covers one scenario per headline result; `run_bound` and
+`run_simulate` turn a scenario into a plain report dict (rendering lives
+in reports.py).
 """
 from __future__ import annotations
 
 import importlib.resources
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,15 +25,21 @@ from .generator import (GeneratorResult, coordinate_independence_check,
                         bundled_coordinate_bump, conserved_test_tensor,
                         integrate_generator, nonconserved_test_tensor,
                         spherical_test_box, trace_null_residual)
-from .probe import (GaussianProbeState, ModeSpectrum, crlb_amplitude,
+from .probe import (CrlbReport, GaussianProbeState, crlb_amplitude,
                     effective_constant_C, flat_band_spectrum,
                     gaussian_band_spectrum, hamiltonian_variance,
                     load_spectrum_table, monochromatic_spectrum)
 from .quadrature import RegionSpec, integrate
-from .simulate import (crb_saturation_check, histogram_fisher, linear_estimator,
+from .simulate import (SEEDS, crb_saturation_check, histogram_fisher, linear_estimator,
                        model_from_state, classical_fisher, simulate_readout)
 
 KINDS = ("generator-crlb", "coordinate-check", "unruh-product", "proper-time")
+_SOURCE = ("family", "stress_energy", "region")
+#: sections parse_scenario requires: those a kind reads, or a section is built with
+_NEEDS = {"generator-crlb": _SOURCE, "unruh-product": _SOURCE + ("probe",),
+          "proper-time": _SOURCE + ("probe",), "bump": ("family",),
+          "stress_energy": ("family", "region")}
+_SECTIONS = ("family", "bump", "stress_energy", "region", "probe", "simulation")
 #: largest squeeze_r whose e^(2 r) is a finite float
 _MAX_SQUEEZE_R = 0.5 * math.log(np.finfo(float).max)
 
@@ -45,22 +54,19 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario document.  Sections stay as plain dicts; the
-    build_* functions construct pipeline objects on demand."""
+    """Parsed scenario document: raw as given, and the objects built from
+    its sections, None for a section it leaves out.  region is at
+    resolution multiplier 1; simulation holds n_samples, seed and a_true."""
 
     name: str
     kind: str
     description: str
     raw: dict
-
-    def section(self, key: str, required: bool = True) -> Optional[dict]:
-        val = self.raw.get(key)
-        if val is None:
-            if required:
-                raise ScenarioError(key, "section is required for kind "
-                                    f"'{self.kind}'")
-            return None
-        return _mapping(val, key)
+    family: Optional[geo.MetricFamily]
+    field: Optional[se.StressEnergyField]
+    region: Optional[RegionSpec]
+    state: Optional[GaussianProbeState]
+    simulation: dict
 
 
 def _mapping(value, path: str) -> dict:
@@ -80,11 +86,9 @@ def _need(d: dict, key: str, path: str):
 
 
 def _num(d: dict, key: str, path: str, default=None):
-    if key not in d:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}", "missing")
+    if key not in d and default is not None:
         return default
-    v = d[key]
+    v = _need(d, key, path)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ScenarioError(f"{path}.{key}", f"expected a number, got {v!r}")
     if not math.isfinite(v):
@@ -125,8 +129,7 @@ def _only(d: dict, key: str, path: str, value: str) -> None:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r") as fh:
-        doc = yaml.safe_load(fh)
-    return parse_scenario(doc)
+        return parse_scenario(yaml.safe_load(fh))
 
 
 def parse_scenario(doc) -> Scenario:
@@ -138,13 +141,24 @@ def parse_scenario(doc) -> Scenario:
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ScenarioError("kind", f"must be one of {', '.join(KINDS)}; got {kind!r}")
-    desc = doc.get("description", "")
-    known = {"name", "kind", "description", "family", "bump", "stress_energy",
-             "region", "probe", "simulation"}
     for key in doc:
-        if key not in known:
+        if key not in _SECTIONS + ("name", "kind", "description"):
             raise ScenarioError(key, "unknown section")
-    return Scenario(name=name, kind=kind, description=str(desc), raw=doc)
+    present = [key for key in _SECTIONS if doc.get(key) is not None]
+    for need in [kind] + present:
+        for key in _NEEDS.get(need, ()):
+            if key not in present:
+                raise ScenarioError(key, f"section is required by {need!r}")
+    family = build_family(doc) if "family" in present else None
+    region = build_region(doc) if "region" in present else None
+    field = build_field(doc, family, region) if "stress_energy" in present else None
+    state = build_state(doc) if "probe" in present else None
+    if kind == "proper-time" and hamiltonian_variance(state) == 0.0:
+        raise ScenarioError("probe.spectrum", "proper-time needs a probe whose energy "
+                            "fluctuates (no active photons)")
+    return Scenario(name=name, kind=kind, description=str(doc.get("description", "")), raw=doc,
+                    family=family, field=field, region=region, state=state,
+                    simulation=build_sim_params(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +186,8 @@ def _build_bump(spec: dict, path: str) -> geo.BumpProfile:
         raise ScenarioError(path, str(exc)) from exc
 
 
-def build_family(sc: Scenario):
-    spec = sc.section("family")
+def build_family(doc: dict) -> geo.MetricFamily:
+    spec = _mapping(doc["family"], "family")
     name = _need(spec, "name", "family")
     params = dict(_mapping(spec.get("parameters") or {}, "family.parameters"))
     if "theta0" in params:
@@ -186,18 +200,14 @@ def build_family(sc: Scenario):
                             f"unknown family {name!r}; built-ins: "
                             + ", ".join(sorted(geo.BUILTIN_FAMILIES)))
     if name == "g00_profile_perturbation":
-        prof_spec = params.pop("profile", None)
-        if not isinstance(prof_spec, dict):
-            raise ScenarioError("family.parameters.profile",
-                                "g00_profile_perturbation needs a profile mapping")
-        params["profile"] = _build_profile(prof_spec, "family.parameters.profile")
+        path = "family.parameters.profile"
+        params["profile"] = _build_profile(_mapping(params.pop("profile", None), path), path)
     try:
         fam = geo.BUILTIN_FAMILIES[name](**params)
     except (TypeError, ValueError) as exc:
         raise ScenarioError("family.parameters", str(exc)) from exc
-    bump_spec = sc.section("bump", required=False)
-    if bump_spec is not None:
-        bump = _build_bump(bump_spec, "bump")
+    if doc.get("bump") is not None:
+        bump = _build_bump(_mapping(doc["bump"], "bump"), "bump")
         try:
             fam = geo.localize(fam, bump)
         except geo.ChartDomainError as exc:
@@ -205,10 +215,17 @@ def build_family(sc: Scenario):
     return fam
 
 
-def build_field(sc: Scenario, family) -> se.StressEnergyField:
-    """The scenario's source; family supplies the chart a grid file must
-    be tabulated on and the metric of an orthonormal frame."""
-    spec = sc.section("stress_energy")
+def build_field(doc: dict, family: geo.MetricFamily,
+                region: RegionSpec) -> se.StressEnergyField:
+    """The scenario's source over the region, which must lie in the
+    family's chart domain; family supplies the chart a grid file must be
+    tabulated on and the metric of an orthonormal frame."""
+    try:
+        # integrate_generator's check, made before any quadrature
+        family.domain.require(geo.box_corners(region.box))
+    except geo.ChartDomainError as exc:
+        raise ScenarioError("region.box", str(exc)) from exc
+    spec = _mapping(doc["stress_energy"], "stress_energy")
     em_spec = spec.get("em")
     grid_spec = spec.get("grid")
     if (em_spec is None) == (grid_spec is None):
@@ -219,7 +236,7 @@ def build_field(sc: Scenario, family) -> se.StressEnergyField:
         raise ScenarioError("stress_energy.frame",
                             f"must be 'chart' or 'orthonormal', got {frame!r}")
     if grid_spec is not None:
-        fn = _build_grid(_mapping(grid_spec, "stress_energy.grid"), sc, family)
+        fn = _build_grid(_mapping(grid_spec, "stress_energy.grid"), family, region.box)
     else:
         fn = _build_em(_mapping(em_spec, "stress_energy.em"), "stress_energy.em")
     if frame == "orthonormal":
@@ -230,7 +247,7 @@ def build_field(sc: Scenario, family) -> se.StressEnergyField:
     return se.StressEnergyField(fn)
 
 
-def _build_grid(spec: dict, sc: Scenario, family):
+def _build_grid(spec: dict, family: geo.MetricFamily, box: np.ndarray):
     """Interpolant of a grid file on the family's chart that covers the
     region box."""
     key = "stress_energy.grid.path"
@@ -244,7 +261,6 @@ def _build_grid(spec: dict, sc: Scenario, family):
     if grid.chart != family.chart_name:
         raise ScenarioError(key, f"grid is on chart {grid.chart!r}, the family "
                             f"on {family.chart_name!r}")
-    box = build_region(sc).box
     ends = np.array([[ax[0], ax[-1]] for ax in grid.axes()])
     if np.any(box[:, 0] < ends[:, 0]) or np.any(box[:, 1] > ends[:, 1]):
         raise ScenarioError("region.box", f"reaches outside the grid {ends.tolist()}")
@@ -262,8 +278,8 @@ def _build_em(spec: dict, path: str):
     raise ScenarioError(f"{path}.kind", f"unknown EM configuration {kind!r}")
 
 
-def build_region(sc: Scenario, resolution_mult: float = 1.0) -> RegionSpec:
-    spec = sc.section("region")
+def build_region(doc: dict) -> RegionSpec:
+    spec = _mapping(doc["region"], "region")
     box = _array(spec, "box", "region")
     res = _need(spec, "resolution", "region")
     if not all(_is_int(n) for n in (res if isinstance(res, list) else [res])):
@@ -271,21 +287,14 @@ def build_region(sc: Scenario, resolution_mult: float = 1.0) -> RegionSpec:
                             f"expected an integer or a list of integers, got {res!r}")
     _only(spec, "rule", "region", "trapezoid")
     try:
-        region = RegionSpec(box=box, resolution=tuple(np.atleast_1d(res)))
+        return RegionSpec(box=box, resolution=tuple(np.atleast_1d(res)))
     except ValueError as exc:
         raise ScenarioError("region", str(exc)) from exc
-    if resolution_mult != 1.0:
-        region = region.scaled(resolution_mult)
-    return region
 
 
-def build_state(sc: Scenario, required: bool = True) -> Optional[GaussianProbeState]:
-    spec = sc.section("probe", required=required)
-    if spec is None:
-        return None
-    sp = spec.get("spectrum")
-    if not isinstance(sp, dict):
-        raise ScenarioError("probe.spectrum", "must be a mapping")
+def build_state(doc: dict) -> GaussianProbeState:
+    spec = _mapping(doc["probe"], "probe")
+    sp = _mapping(spec.get("spectrum"), "probe.spectrum")
     fam = _need(sp, "family", "probe.spectrum")
     tau = _num(sp, "tau", "probe.spectrum")
     cutoff = _num(sp, "dc_cutoff_mult", "probe.spectrum", default=1.0)
@@ -343,13 +352,16 @@ def build_state(sc: Scenario, required: bool = True) -> Optional[GaussianProbeSt
         raise ScenarioError("probe", str(exc)) from exc
 
 
-def build_sim_params(sc: Scenario) -> dict:
-    spec = sc.section("simulation", required=False) or {}
+def build_sim_params(doc: dict) -> dict:
+    spec = doc.get("simulation")
+    spec = {} if spec is None else _mapping(spec, "simulation")
     n = spec.get("n_samples", 10 ** 6)
     if not _is_int(n) or n < 2:
         # the estimator's sample variance needs two samples
         raise ScenarioError("simulation.n_samples", f"must be an integer >= 2, got {n!r}")
     seed = _int(spec, "seed", "simulation", default=0)
+    if seed not in SEEDS:
+        raise ScenarioError("simulation.seed", f"must lie in [0, 2^128), got {seed!r}")
     return {"n_samples": n, "seed": seed,
             "a_true": _num(spec, "a_true", "simulation", default=0.0)}
 
@@ -394,17 +406,12 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
     report = {"scenario": dict(sc.raw), "name": sc.name, "kind": sc.kind,
               "version": __version__}
     if sc.kind == "coordinate-check":
-        report["coordinate_check"] = _run_coordinate_check(sc, resolution_mult)
+        report["coordinate_check"] = _run_coordinate_check(sc.region, resolution_mult)
         return report
 
-    fam = build_family(sc)
-    field = build_field(sc, family=fam)
-    region = build_region(sc, resolution_mult)
-    try:
-        res = integrate_generator(field, fam, region)
-    except geo.ChartDomainError as exc:
-        # raised by the region check that precedes any quadrature
-        raise ScenarioError("region.box", str(exc)) from exc
+    fam, field, state = sc.family, sc.field, sc.state
+    region = sc.region.scaled(resolution_mult)
+    res = integrate_generator(field, fam, region)
     report["generator"] = _generator_block(res)
 
     if fam.label in ("flrw_closed", "de_sitter"):
@@ -414,7 +421,6 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
             "traceless_coupling": bool(resid <= 1e-12),
         }
 
-    state = build_state(sc, required=False)
     if state is not None:
         rep = crlb_amplitude(state)
         report["crlb"] = _crlb_block(rep)
@@ -427,18 +433,16 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
         }
 
     if sc.kind == "unruh-product":
-        report["unruh"] = _run_unruh(sc, state, res)
+        report["unruh"] = _run_unruh(state, rep, res)
     elif sc.kind == "proper-time":
-        report["proper_time"] = _run_proper_time(sc, state, field, region, res)
+        report["proper_time"] = _run_proper_time(state, rep, field, region, res)
     return report
 
 
-def _run_coordinate_check(sc: Scenario, resolution_mult: float) -> dict:
-    spec = sc.section("region", required=False)
-    if spec is not None:
-        region = build_region(sc, resolution_mult)
-    else:
-        region = RegionSpec(box=spherical_test_box(), resolution=33).scaled(resolution_mult)
+def _run_coordinate_check(region: Optional[RegionSpec], resolution_mult: float) -> dict:
+    if region is None:
+        region = RegionSpec(box=spherical_test_box(), resolution=33)
+    region = region.scaled(resolution_mult)
     bump = bundled_coordinate_bump()
     out = {}
     for label, tensor in (("conserved", conserved_test_tensor()),
@@ -468,15 +472,11 @@ def _run_coordinate_check(sc: Scenario, resolution_mult: float) -> dict:
     return out
 
 
-def _run_unruh(sc: Scenario, state: Optional[GaussianProbeState],
-               res: GeneratorResult) -> dict:
+def _run_unruh(state: GaussianProbeState, rep: CrlbReport, res: GeneratorResult) -> dict:
     """Product of the component-estimation bound with the variance of
     the windowed component integral; 2 P_total is the mean of that
     integral, and for the bundled null probe the integral itself is
     tau times the field Hamiltonian."""
-    if state is None:
-        raise ScenarioError("probe", "unruh-product needs a probe section")
-    rep = crlb_amplitude(state)
     tau = state.spectrum.tau
     var_int_T = tau ** 2 * hamiltonian_variance(state)
     product = rep.crlb * var_int_T
@@ -490,7 +490,7 @@ def _run_unruh(sc: Scenario, state: Optional[GaussianProbeState],
     }
 
 
-def _run_proper_time(sc: Scenario, state: Optional[GaussianProbeState],
+def _run_proper_time(state: GaussianProbeState, rep: CrlbReport,
                      field: se.StressEnergyField, region: RegionSpec,
                      res: GeneratorResult) -> dict:
     """Time-energy reduction for a uniform lapse perturbation.
@@ -501,8 +501,6 @@ def _run_proper_time(sc: Scenario, state: Optional[GaussianProbeState],
     side: the amplitude bound pulled back to proper time through
     d tau / d theta = -tau_w / 2 must land on hbar^2 / (4 var H).
     """
-    if state is None:
-        raise ScenarioError("probe", "proper-time needs a probe section")
     box = region.box
     tau_window = box[0, 1] - box[0, 0]
     slab_box = box.copy()
@@ -527,14 +525,9 @@ def _run_proper_time(sc: Scenario, state: Optional[GaussianProbeState],
     kappa = res.P_total / H_bar
     mean_ratio = kappa / (0.5 * tau_window)
 
-    rep = crlb_amplitude(state)
     crlb_tau = (0.5 * tau_window) ** 2 * rep.crlb
     var_H = hamiltonian_variance(state)
-    if var_H == 0.0:
-        raise ScenarioError("probe.spectrum", "proper-time needs a probe whose energy "
-                            "fluctuates (no active photons)")
-    hbar = state.hbar
-    rhs = hbar ** 2 / (4.0 * var_H)
+    rhs = state.hbar ** 2 / (4.0 * var_H)
     return {
         "H_bar": _q(H_bar, "geometric (G=c=1)"),
         "H_spread": _q(H_spread, "geometric (G=c=1)"),
@@ -552,29 +545,29 @@ def _run_proper_time(sc: Scenario, state: Optional[GaussianProbeState],
 def run_simulate(sc: Scenario, seed: Optional[int] = None,
                  resolution_mult: float = 1.0) -> dict:
     """Monte Carlo readout run with CRB comparison embedded."""
+    if sc.state is None:
+        raise ScenarioError("probe", "simulate needs a probe section")
     report = run_bound(sc, resolution_mult=resolution_mult)
-    state = build_state(sc, required=True)
-    C = effective_constant_C(state.spectrum, state.hbar)
-    if C <= 0.0:
+    bound = report["crlb"]
+    if bound["C"]["value"] <= 0.0:
         raise ScenarioError("probe", "simulation needs a responding probe (C > 0)")
-    params = build_sim_params(sc)
-    if seed is not None:
-        params["seed"] = int(seed)
-    model = model_from_state(state, a_true=params["a_true"])
+    params = sc.simulation
+    seed = params["seed"] if seed is None else int(seed)
+    model = model_from_state(sc.state, a_true=params["a_true"])
     # histogram_fisher bins the samples 64 to +- 6 sigma around the mean;
     # the bin edges must be distinct floats for the noise to show
     sigma = math.sqrt(model.var_x2)
     if not 12.0 * sigma / 64 > 2.0 * math.ulp(abs(model.mean) + 6.0 * sigma):
         raise ScenarioError("simulation.a_true", f"the readout mean C a_true = "
                             f"{model.mean!r} hides its noise sigma = {sigma!r}")
-    samples = simulate_readout(model, params["n_samples"], params["seed"])
-    run = linear_estimator(samples, model, crlb_amplitude(state).crlb)
+    samples = simulate_readout(model, params["n_samples"], seed)
+    run = linear_estimator(samples, model, bound["crlb"]["value"])
     fisher = classical_fisher(model)
     fisher_hist = histogram_fisher(samples, model)
-    sat = crb_saturation_check(state)
+    sat = crb_saturation_check(sc.state)
     report["simulation"] = {
         "n_samples": _q(run.n_samples, "count"),
-        "seed": _q(params["seed"], "count"),
+        "seed": _q(seed, "count"),
         "mean_estimate": _q(run.mean_estimate, "amplitude"),
         "a_true": _q(params["a_true"], "amplitude"),
         "empirical_variance": _q(run.empirical_variance, "amplitude^2"),
@@ -616,7 +609,4 @@ def load_bundled(name: str) -> Scenario:
 
 def resolve_scenario(ref: str) -> Scenario:
     """Accept either a filesystem path or a bundled scenario name."""
-    import os
-    if os.path.exists(ref):
-        return load_scenario(ref)
-    return load_bundled(ref)
+    return load_scenario(ref) if os.path.exists(ref) else load_bundled(ref)

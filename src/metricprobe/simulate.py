@@ -47,6 +47,9 @@ def model_from_state(state: GaussianProbeState, a_true: float = 0.0) -> Measurem
     return MeasurementModel(slope_c=C, var_x2=v2, a_true=a_true)
 
 
+SEEDS = range(2 ** 128)  # the seeds counter_normals takes: Philox's keys
+
+
 def counter_normals(seed: int, n: int) -> np.ndarray:
     """n standard normals from a counter-based stream.
 

@@ -23,8 +23,7 @@ from .probe import (GaussianProbeState, commutator_constant, crlb_amplitude,
                     flat_band_spectrum, monochromatic_spectrum,
                     quadrature_variances, remainder_variance_lattice,
                     smeared_correlator_check)
-from .scenarios import (build_family, build_field, build_region, load_bundled,
-                        run_bound)
+from .scenarios import load_bundled, run_bound
 from .simulate import crb_saturation_check
 
 
@@ -91,10 +90,8 @@ def _suite_identities(tol: dict) -> list:
     for label, scen in (("trace-null-flrw", "flrw-em-probe"),
                         ("trace-null-desitter", "desitter-em-probe")):
         sc = load_bundled(scen)
-        fam = build_family(sc)
-        field = build_field(sc, family=fam)
-        region = build_region(sc)
-        checks.append(_check(tol, label, trace_null_residual(field, fam, region), 1e-12))
+        checks.append(_check(tol, label, trace_null_residual(sc.field, sc.family, sc.region),
+                             1e-12))
 
     worst = max(_derivative_residual(f) for f in _representative_families())
     checks.append(_check(tol, "metric-derivative-crosscheck", worst, 1e-6))
@@ -122,8 +119,7 @@ def _suite_identities(tol: dict) -> list:
 
 def _suite_coordinate(tol: dict) -> list:
     checks = []
-    sc = load_bundled("schwarzschild-coordinate-check")
-    region = build_region(sc)
+    region = load_bundled("schwarzschild-coordinate-check").region
     bump = bundled_coordinate_bump()
 
     cons = conserved_test_tensor()

@@ -28,7 +28,7 @@ from metricprobe.probe import (GaussianProbeState, ModeLattice, ModeSpectrum,
                                remainder_variance_lattice,
                                smeared_correlator_check)
 from metricprobe.quadrature import RegionSpec
-from metricprobe.scenarios import (build_state, load_bundled, parse_scenario,
+from metricprobe.scenarios import (load_bundled, parse_scenario,
                                    run_bound, run_simulate)
 
 OMEGA_TAU = 2.0 * math.pi * 10.0
@@ -71,7 +71,7 @@ def test_criterion_03_broadband_shot_noise():
     sc = load_bundled("gw-broadband-coherent")
     rep = run_bound(sc)
     crlb = rep["crlb"]["crlb"]["value"]
-    spec = build_state(sc).spectrum
+    spec = sc.state.spectrum
     direct = 1.0 / float(np.sum((spec.lattice.omega * spec.tau) ** 2
                                 * np.abs(spec.alpha) ** 2))
     formula_resid = abs(crlb - direct) / direct

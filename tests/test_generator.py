@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from metricprobe import generator
 from metricprobe.generator import (_FD_STEP, _TEST_CENTER, _TEST_HALFW,
                                    CoordinateCheckReport, boundary_term,
                                    bundled_coordinate_bump,
@@ -122,6 +123,31 @@ def test_split_adds_up_and_estimate_behaves():
     assert res.P_shell != 0.0
     assert res.error_estimate > 0.0
     assert res.warnings == ()
+
+
+def test_bumped_generator_computes_the_bump_twice_per_point(monkeypatch):
+    # the fiducial metric eval(theta0, x) needs no chi; deriv and the
+    # plateau/shell split compute it once each
+    points = {"bump": 0, "density": 0}
+    bump_call, density = BumpProfile.__call__, generator.generator_density
+
+    def bump_spy(self, x):
+        points["bump"] += math.prod(np.shape(x)[:-1])
+        return bump_call(self, x)
+
+    def density_spy(T, family, x):
+        points["density"] += math.prod(np.shape(x)[:-1])
+        return density(T, family, x)
+
+    monkeypatch.setattr(BumpProfile, "__call__", bump_spy)
+    monkeypatch.setattr(generator, "generator_density", density_spy)
+    bump = BumpProfile(plateau=np.array([[0.3, 0.7]] * 4),
+                       support=np.array([[0.1, 0.9]] * 4), order=3)
+    region = RegionSpec(box=np.array([[0.0, 1.0]] * 4), resolution=9)
+    integrate_generator(_plane_wave_field(amplitude=1.0, omega=4.0),
+                        localize(gw_plane_wave(0.0), bump), region)
+    assert points["density"] == 9 ** 4
+    assert points["bump"] / points["density"] == 2.0
 
 
 @pytest.mark.parametrize("localized", [False, True], ids=["bare", "localized"])

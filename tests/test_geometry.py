@@ -246,6 +246,19 @@ def test_localized_family_invariant():
     assert np.array_equal(fam.eval(0.0, x_shell), ETA)
 
 
+def test_localized_fiducial_metric_skips_the_bump_with_the_same_bits():
+    # theta0 + (theta0 - theta0) chi == theta0, so eval need not compute chi
+    rng = np.random.default_rng(5)
+    for base in (gw_plane_wave(0.3), schwarzschild(0.0), isotropic(0.0), flrw_closed(2.0)):
+        lo, width = base.sample_box[:, 0], np.ptp(base.sample_box, axis=1)
+        bump = BumpProfile(plateau=lo[:, None] + width[:, None] * [0.3, 0.7],
+                           support=lo[:, None] + width[:, None] * [0.1, 0.9])
+        fam = localize(base, bump)
+        pts = rng.uniform(lo, lo + width, size=(500, 4))
+        bumped = fam.eval_fn(fam.theta0 + (fam.theta0 - fam.theta0) * bump(pts), pts)
+        assert np.array_equal(fam.eval(fam.theta0, pts), bumped)
+
+
 def test_localized_derivative_is_chi_times_base():
     bump = unit_bump()
     base = gw_plane_wave()

@@ -33,8 +33,12 @@ def test_scaled_resolution():
     assert r.scaled(2.0).resolution == (33, 33, 17, 17)
     assert r.scaled(0.5).resolution == (9, 9, 5, 5)
     assert r.scaled(0.01).resolution == (2, 2, 2, 2)
-    with pytest.raises(ValueError):
-        r.scaled(0.0)
+    for mult in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            r.scaled(mult)
+    # the factor 1 keeps the region, even an axis with an even node count
+    even = RegionSpec(box=UNIT_BOX, resolution=(10, 9, 9, 9))
+    assert even.scaled(1.0) is even
     # the interval count rounds to an even number, so every axis halves
     assert RegionSpec(box=UNIT_BOX, resolution=17).scaled(1.3).resolution[0] == 21
     assert RegionSpec(box=UNIT_BOX, resolution=33).scaled(0.4).resolution[0] == 13

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from metricprobe.cli import main
 from metricprobe.reports import dumps_report, render_summary, write_report
 from metricprobe.stress_energy import TensorGrid, in_orthonormal_frame, load_grid, save_grid
 from metricprobe.scenarios import (KINDS, Scenario, ScenarioError,
-                                   build_family, build_field, build_region,
-                                   build_sim_params, build_state,
                                    bundled_scenario_names, load_bundled,
                                    parse_scenario, resolve_scenario, run_bound,
                                    run_simulate)
@@ -81,25 +80,41 @@ def test_parse_rejects_unknown_section():
 
 
 def test_parse_accepts_all_kinds():
+    # the tiny document has every section; the audit reads none of them
     for kind in KINDS:
-        sc = parse_scenario({"name": "x", "kind": kind})
+        sc = parse_scenario(dict(_tiny_doc(), kind=kind))
         assert isinstance(sc, Scenario)
         assert sc.kind == kind
+        assert sc.state is not None
+    sc = parse_scenario({"name": "x", "kind": "coordinate-check"})
+    assert (sc.family, sc.field, sc.region, sc.state) == (None,) * 4
+    assert sc.simulation == {"n_samples": 10 ** 6, "seed": 0, "a_true": 0.0}
 
 
 def test_missing_section_names_the_key():
-    sc = parse_scenario({"name": "x", "kind": "generator-crlb"})
     with pytest.raises(ScenarioError) as exc:
-        build_family(sc)
+        parse_scenario({"name": "x", "kind": "generator-crlb"})
     assert exc.value.key == "family"
+    for kind in ("unruh-product", "proper-time"):
+        doc = dict(_tiny_doc(), kind=kind)
+        del doc["probe"]
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert exc.value.key == "probe"
+    # a source and a bump are built with the family, whatever the kind
+    for section in ("stress_energy", "bump"):
+        doc = {"name": "x", "kind": "coordinate-check", section: {}}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert exc.value.key == "family"
+        assert f"required by '{section}'" in str(exc.value)
 
 
 def test_section_must_be_mapping():
     doc = _tiny_doc()
     doc["region"] = 5
-    sc = parse_scenario(doc)
     with pytest.raises(ScenarioError) as exc:
-        build_region(sc)
+        parse_scenario(doc)
     assert exc.value.key == "region"
 
 
@@ -107,7 +122,7 @@ def test_unknown_family_lists_builtins():
     doc = _tiny_doc()
     doc["family"]["name"] = "kerr"
     with pytest.raises(ScenarioError) as exc:
-        build_family(parse_scenario(doc))
+        parse_scenario(doc)
     assert exc.value.key == "family.name"
     assert "gw_plane_wave" in str(exc.value)
 
@@ -116,20 +131,15 @@ def test_bad_family_parameters():
     doc = _tiny_doc()
     doc["family"]["parameters"] = {"theta0": 0.0, "bogus": 1}
     with pytest.raises(ScenarioError) as exc:
-        build_family(parse_scenario(doc))
+        parse_scenario(doc)
     assert exc.value.key == "family.parameters"
-
-
-def _field(doc):
-    sc = parse_scenario(doc)
-    return build_field(sc, build_family(sc))
 
 
 def test_field_requires_exactly_one_source():
     doc = _tiny_doc()
     del doc["stress_energy"]["em"]
     with pytest.raises(ScenarioError) as exc:
-        _field(doc)
+        parse_scenario(doc)
     assert exc.value.key == "stress_energy"
 
 
@@ -137,7 +147,7 @@ def test_field_frame_validation():
     doc = _tiny_doc()
     doc["stress_energy"]["frame"] = "comoving"
     with pytest.raises(ScenarioError) as exc:
-        _field(doc)
+        parse_scenario(doc)
     assert exc.value.key == "stress_energy.frame"
 
 
@@ -154,8 +164,7 @@ def test_grid_field_honours_the_orthonormal_frame(tmp_path):
     doc["region"]["box"] = [[1.0, 2.0], [0.5, 1.5], [0.8, 1.8], [-0.5, 0.5]]
     doc["stress_energy"] = {"frame": "orthonormal", "grid": {"path": str(path)}}
     sc = parse_scenario(doc)
-    fam = build_family(sc)
-    field = build_field(sc, family=fam)
+    fam, field = sc.family, sc.field
     grid = load_grid(path)
     pts = rng.uniform([1.0, 0.5, 0.8, -0.5], [2.0, 1.5, 1.8, 0.5], size=(20, 4))
     got = field.tensor(pts)
@@ -167,7 +176,7 @@ def test_field_unknown_em_kind():
     doc = _tiny_doc()
     doc["stress_energy"]["em"]["kind"] = "dipole"
     with pytest.raises(ScenarioError) as exc:
-        _field(doc)
+        parse_scenario(doc)
     assert exc.value.key == "stress_energy.em.kind"
 
 
@@ -177,7 +186,7 @@ def test_probe_rejects_string_numbers():
     doc = _tiny_doc()
     doc["probe"]["spectrum"]["n_photons"] = "1.0e4"
     with pytest.raises(ScenarioError) as exc:
-        build_state(parse_scenario(doc))
+        parse_scenario(doc)
     assert exc.value.key == "probe.spectrum.n_photons"
 
 
@@ -185,7 +194,7 @@ def test_probe_unknown_spectrum_family():
     doc = _tiny_doc()
     doc["probe"]["spectrum"]["family"] = "comb"
     with pytest.raises(ScenarioError) as exc:
-        build_state(parse_scenario(doc))
+        parse_scenario(doc)
     assert exc.value.key == "probe.spectrum.family"
 
 
@@ -193,7 +202,7 @@ def test_probe_reference_mismatch_is_scenario_error():
     doc = _tiny_doc()
     doc["probe"]["squeeze_r"] = 1.0  # vacuum-coherent reference
     with pytest.raises(ScenarioError) as exc:
-        build_state(parse_scenario(doc))
+        parse_scenario(doc)
     assert exc.value.key == "probe.reference"
 
 
@@ -211,24 +220,38 @@ def test_sim_params_validation_and_defaults():
     doc = _tiny_doc()
     doc["simulation"]["n_samples"] = True
     with pytest.raises(ScenarioError) as exc:
-        build_sim_params(parse_scenario(doc))
+        parse_scenario(doc)
     assert exc.value.key == "simulation.n_samples"
     doc["simulation"] = {"n_samples": 0}
     with pytest.raises(ScenarioError):
-        build_sim_params(parse_scenario(doc))
+        parse_scenario(doc)
     doc["simulation"] = {"seed": True}
     with pytest.raises(ScenarioError) as exc:
-        build_sim_params(parse_scenario(doc))
+        parse_scenario(doc)
     assert exc.value.key == "simulation.seed"
     del doc["simulation"]
-    params = build_sim_params(parse_scenario(doc))
+    params = parse_scenario(doc).simulation
     assert params == {"n_samples": 10 ** 6, "seed": 0, "a_true": 0.0}
 
 
 def test_resolution_multiplier_scales_region():
-    sc = load_bundled("gw-monochromatic-coherent")
-    assert tuple(build_region(sc).resolution) == (17, 17, 9, 9)
-    assert tuple(build_region(sc, 2.0).resolution) == (33, 33, 17, 17)
+    region = load_bundled("gw-monochromatic-coherent").region
+    assert tuple(region.resolution) == (17, 17, 9, 9)
+    assert tuple(region.scaled(2.0).resolution) == (33, 33, 17, 17)
+    assert region.scaled(1.0) is region
+
+
+def test_run_simulate_builds_each_section_once_at_parse(monkeypatch):
+    names = ("build_family", "build_field", "build_region", "build_state",
+             "build_sim_params")
+    calls = []
+    for name in names:
+        def spy(*args, _real=getattr(scenarios, name), _name=name):
+            calls.append((_name, sys._getframe(1).f_code.co_name))
+            return _real(*args)
+        monkeypatch.setattr(scenarios, name, spy)
+    run_simulate(parse_scenario(_tiny_doc()))
+    assert sorted(calls) == [(name, "parse_scenario") for name in sorted(names)]
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +601,9 @@ _FLAT_BAND = {"family": "flat-band", "omega_lo": 60.0, "omega_hi": 65.0,
     # names that are not one of the allowed strings
     ("family", "name", {"a": 1}, "family.name"),
     ("probe", "reference", "thermal", "probe.reference"),
+    # seeds outside Philox's key range [0, 2^128); bound checks them too
+    ("simulation", "seed", -1, "simulation.seed"),
+    ("simulation", "seed", 2 ** 128, "simulation.seed"),
 ])
 def test_cli_bad_number_exits_2_naming_the_key(tmp_path, capsys, section, key, value, path):
     doc = _tiny_doc()
@@ -651,24 +677,88 @@ def _audit_region_through_the_centre(tmp_path):
     return doc
 
 
-@pytest.mark.parametrize("make_doc,path", [
-    (_grid_without_chart_header, "stress_energy.grid.path"),
-    (_grid_on_another_chart, "stress_energy.grid.path"),
-    (_region_beyond_the_grid, "region.box"),
-    (_orthonormal_frame_of_a_non_diagonal_metric, "stress_energy.frame"),
-    (_region_before_the_big_bang, "region.box"),
-    (_bump_before_the_big_bang, "bump"),
-    (_audit_region_through_the_centre, "region.box"),
+def _hbar_squared_overflows(tmp_path):
+    doc = _tiny_doc()
+    doc["probe"]["hbar"] = 1e300
+    return doc
+
+
+def _squeezing_beyond_the_floats(tmp_path):
+    doc = _bundled_doc("gw-squeezed-r1")
+    doc["probe"]["squeeze_r"] = 355.0
+    return doc
+
+
+def _unknown_spectrum_family(tmp_path):
+    doc = _tiny_doc()
+    doc["probe"]["spectrum"]["family"] = "comb"
+    return doc
+
+
+def _unruh_without_a_probe(tmp_path):
+    doc = _bundled_doc("unruh-component")
+    del doc["probe"]
+    return doc
+
+
+def _one_sample(tmp_path):
+    doc = _tiny_doc()
+    doc["simulation"]["n_samples"] = 1
+    return doc
+
+
+def _negative_seed(tmp_path):
+    doc = _tiny_doc()
+    doc["simulation"]["seed"] = -1
+    return doc
+
+
+def _coordinate_check(tmp_path):
+    return _bundled_doc("schwarzschild-coordinate-check")
+
+
+@pytest.mark.parametrize("command,make_doc,path", [
+    ("bound", _grid_without_chart_header, "stress_energy.grid.path"),
+    ("bound", _grid_on_another_chart, "stress_energy.grid.path"),
+    ("bound", _region_beyond_the_grid, "region.box"),
+    ("bound", _orthonormal_frame_of_a_non_diagonal_metric, "stress_energy.frame"),
+    ("bound", _region_before_the_big_bang, "region.box"),
+    ("bound", _bump_before_the_big_bang, "bump"),
+    ("bound", _audit_region_through_the_centre, "region.box"),
+    ("bound", _hbar_squared_overflows, "probe.hbar"),
+    ("bound", _squeezing_beyond_the_floats, "probe.squeeze_r"),
+    ("bound", _unknown_spectrum_family, "probe.spectrum.family"),
+    ("bound", _unruh_without_a_probe, "probe"),
+    ("bound", _one_sample, "simulation.n_samples"),
+    ("bound", _negative_seed, "simulation.seed"),
+    # the audit has no probe to read out
+    ("simulate", _coordinate_check, "probe"),
 ])
-def test_cli_exits_2_before_any_quadrature(tmp_path, capsys, monkeypatch, make_doc, path):
+def test_cli_exits_2_before_any_quadrature(tmp_path, capsys, monkeypatch, command,
+                                           make_doc, path):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("the scenario reached the quadrature")
 
     monkeypatch.setattr(generator, "integrate", no_quadrature)
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(make_doc(tmp_path)))
-    assert main(["bound", "--config", str(config)]) == 2
+    assert main([command, "--config", str(config)]) == 2
     assert f"error: scenario key '{path}':" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option,value", [
+    (command, "--resolution", value) for command in ("bound", "simulate")
+    for value in ("0", "-1", "nan", "inf")
+] + [
+    # outside Philox's key range [0, 2^128)
+    ("simulate", "--seed", "-1"),
+    ("simulate", "--seed", str(2 ** 128)),
+])
+def test_cli_bad_argument_exits_2_naming_it(capsys, command, option, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "gw-monochromatic-coherent", option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
 
 
 # bundled scenarios with one value set where the run has nothing to compute

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -7,7 +8,7 @@ from metricprobe.generator import (bundled_coordinate_bump, conserved_test_tenso
                                    coordinate_independence_check, nonconserved_test_tensor)
 from metricprobe.quadrature import RegionSpec
 from metricprobe.reports import dumps_report
-from metricprobe.scenarios import build_region, load_bundled
+from metricprobe.scenarios import load_bundled
 from metricprobe.verify import SUITES, run_verify
 
 
@@ -72,8 +73,9 @@ def test_wick_fock_suite_passes():
 def test_coordinate_suite_reads_the_refinement_ratio_from_the_fine_audits(monkeypatch):
     # 9^4 instead of the scenario's 33^4 keeps this fast; the suite at
     # full resolution runs in acceptance criterion 06
-    box = build_region(load_bundled("schwarzschild-coordinate-check")).box
-    monkeypatch.setattr(verify, "build_region", lambda sc: RegionSpec(box=box, resolution=9))
+    box = load_bundled("schwarzschild-coordinate-check").region.box
+    monkeypatch.setattr(verify, "load_bundled", lambda name: dataclasses.replace(
+        load_bundled(name), region=RegionSpec(box=box, resolution=9)))
     audits = []
 
     def spy(testT, region, bump=None):
