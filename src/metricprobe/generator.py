@@ -28,7 +28,7 @@ _PLATEAU_EPS = 1e-12
 # finite-difference step of the coordinate check's covariant divergence,
 # and the divergence residual below which its source counts as conserved
 _FD_STEP = 1e-3
-_DIVERGENCE_TOL = 1e-6
+DIVERGENCE_TOL = 1e-6
 # how far outside a source's support its order-4 divergence stencil can
 # see the source: two steps, with a margin against rounding
 _STENCIL_REACH = 2.0 * _FD_STEP * 1.01
@@ -280,7 +280,7 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
         flux_minus_divergence=float(flux - div_integral),
         divergence_residual=float(resid),
         error_estimate=float(est),
-        conserved=bool(resid <= _DIVERGENCE_TOL),
+        conserved=bool(resid <= DIVERGENCE_TOL),
         warnings=res_s.warnings,
     )
 

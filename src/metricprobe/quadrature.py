@@ -11,6 +11,7 @@ reduction, which is deterministic for a fixed evaluation order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -21,12 +22,16 @@ from .geometry import _checked_box
 #: node budget of one fn call in integrate: whole axis-0 slices are
 #: grouped up to this many nodes, a larger slice is evaluated alone
 _BLOCK_NODES = 2048
+#: most nodes a region may have, about 76^4: the finest bundled run, the
+#: chart audit at --resolution 2.0 (65^4), fits, its next refinement does
+#: not; an axis-0 slice, never split, can hold up to half of them
+MAX_NODES = 2 ** 25
 
 
 @dataclass(frozen=True)
 class RegionSpec:
     """A coordinate box with per-axis resolution: trapezoid nodes per
-    axis (>= 2, endpoints included)."""
+    axis (>= 2, endpoints included), at most MAX_NODES in all."""
 
     box: np.ndarray
     resolution: tuple
@@ -36,6 +41,8 @@ class RegionSpec:
         res = tuple(int(n) for n in np.broadcast_to(self.resolution, (4,)))
         if any(n < 2 for n in res):
             raise ValueError("trapezoid rule needs at least 2 nodes per axis")
+        if math.prod(res) > MAX_NODES:
+            raise ValueError(f"resolution {res} exceeds the ceiling of {MAX_NODES} nodes")
         object.__setattr__(self, "box", b)
         object.__setattr__(self, "resolution", res)
 

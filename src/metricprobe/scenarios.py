@@ -13,7 +13,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -40,6 +40,8 @@ _NEEDS = {"generator-crlb": _SOURCE, "unruh-product": _SOURCE + ("probe",),
           "proper-time": _SOURCE + ("probe",), "bump": ("family",),
           "stress_energy": ("family", "region")}
 _SECTIONS = ("family", "bump", "stress_energy", "region", "probe", "simulation")
+#: largest trace-null residual at which a source counts as traceless
+TRACE_NULL_TOL = 1e-12
 #: largest squeeze_r whose e^(2 r) is a finite float
 _MAX_SQUEEZE_R = 0.5 * math.log(np.finfo(float).max)
 
@@ -128,8 +130,14 @@ def _only(d: dict, key: str, path: str, value: str) -> None:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r") as fh:
-        return parse_scenario(yaml.safe_load(fh))
+    """The scenario in a YAML file; a file that cannot be read, decoded as
+    UTF-8 or parsed as YAML is a ScenarioError at the document root."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ScenarioError("<root>", f"cannot read {str(path)!r}: {exc}") from exc
+    return parse_scenario(doc)
 
 
 def parse_scenario(doc) -> Scenario:
@@ -286,10 +294,14 @@ def build_region(doc: dict) -> RegionSpec:
         raise ScenarioError("region.resolution",
                             f"expected an integer or a list of integers, got {res!r}")
     _only(spec, "rule", "region", "trapezoid")
+    # the box at the coarsest resolution first, so each error names its key
+    key = "region.box"
     try:
-        return RegionSpec(box=box, resolution=tuple(np.atleast_1d(res)))
+        region = RegionSpec(box=box, resolution=2)
+        key = "region.resolution"
+        return replace(region, resolution=tuple(np.atleast_1d(res)))
     except ValueError as exc:
-        raise ScenarioError("region", str(exc)) from exc
+        raise ScenarioError(key, str(exc)) from exc
 
 
 def build_state(doc: dict) -> GaussianProbeState:
@@ -315,12 +327,17 @@ def build_state(doc: dict) -> GaussianProbeState:
             n_photons=_num(sp, "n_photons", "probe.spectrum"),
             n_modes=_int(sp, "n_modes", "probe.spectrum", default=101))
     elif fam == "table":
-        make, kwargs = load_spectrum_table, dict(path=_need(sp, "path", "probe.spectrum"))
+        path = _need(sp, "path", "probe.spectrum")
+        if not isinstance(path, str):
+            raise ScenarioError("probe.spectrum.path", f"expected a file path, got {path!r}")
+        make, kwargs = load_spectrum_table, dict(path=path)
     else:
         raise ScenarioError("probe.spectrum.family",
                             f"unknown spectrum family {fam!r}")
     try:
         spectrum = make(tau=tau, dc_cutoff_mult=cutoff, **kwargs)
+    except OSError as exc:
+        raise ScenarioError("probe.spectrum.path", str(exc)) from exc
     except ValueError as exc:
         raise ScenarioError("probe.spectrum", str(exc)) from exc
     if not np.any(spectrum.active):
@@ -405,12 +422,18 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
     from . import __version__
     report = {"scenario": dict(sc.raw), "name": sc.name, "kind": sc.kind,
               "version": __version__}
+    try:
+        # a coordinate check without a region audits the spherical test box
+        region = (sc.region or RegionSpec(box=spherical_test_box(), resolution=33)
+                  ).scaled(resolution_mult)
+    except ValueError as exc:
+        # a factor that is not positive and finite, or above MAX_NODES
+        raise ScenarioError("--resolution", str(exc)) from exc
     if sc.kind == "coordinate-check":
-        report["coordinate_check"] = _run_coordinate_check(sc.region, resolution_mult)
+        report["coordinate_check"] = _run_coordinate_check(region)
         return report
 
     fam, field, state = sc.family, sc.field, sc.state
-    region = sc.region.scaled(resolution_mult)
     res = integrate_generator(field, fam, region)
     report["generator"] = _generator_block(res)
 
@@ -418,7 +441,7 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
         resid = trace_null_residual(field, fam, region)
         report["trace_null"] = {
             "residual": _q(resid, "dimensionless"),
-            "traceless_coupling": bool(resid <= 1e-12),
+            "traceless_coupling": bool(resid <= TRACE_NULL_TOL),
         }
 
     if state is not None:
@@ -439,10 +462,7 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
     return report
 
 
-def _run_coordinate_check(region: Optional[RegionSpec], resolution_mult: float) -> dict:
-    if region is None:
-        region = RegionSpec(box=spherical_test_box(), resolution=33)
-    region = region.scaled(resolution_mult)
+def _run_coordinate_check(region: RegionSpec) -> dict:
     bump = bundled_coordinate_bump()
     out = {}
     for label, tensor in (("conserved", conserved_test_tensor()),
@@ -592,19 +612,19 @@ def run_simulate(sc: Scenario, seed: Optional[int] = None,
 # bundled library
 # ---------------------------------------------------------------------------
 
+_BUNDLED = importlib.resources.files("metricprobe") / "data" / "scenarios"
+
+
 def bundled_scenario_names() -> list:
-    root = importlib.resources.files("metricprobe") / "data" / "scenarios"
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".yaml"))
+    return sorted(p.name[:-5] for p in _BUNDLED.iterdir() if p.name.endswith(".yaml"))
 
 
 def load_bundled(name: str) -> Scenario:
-    root = importlib.resources.files("metricprobe") / "data" / "scenarios"
-    path = root / f"{name}.yaml"
+    path = _BUNDLED / f"{name}.yaml"
     if not path.is_file():
         raise ScenarioError("name", f"no bundled scenario {name!r}; available: "
                             + ", ".join(bundled_scenario_names()))
-    with path.open("r") as fh:
-        return parse_scenario(yaml.safe_load(fh))
+    return load_scenario(path)
 
 
 def resolve_scenario(ref: str) -> Scenario:

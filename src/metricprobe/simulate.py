@@ -146,9 +146,13 @@ def histogram_fisher(samples: np.ndarray, model: MeasurementModel) -> float:
     return float(np.sum(integrand) * dx)
 
 
+#: largest relative gap of a saturating readout (see crb_saturation_check)
+SATURATION_GAP = 1e-9
+
+
 def crb_saturation_check(state: GaussianProbeState) -> dict:
     """Quantum bound versus inverse classical Fisher of the X2 readout;
-    saturated means a relative gap of at most 1e-9."""
+    saturated means a relative gap of at most SATURATION_GAP."""
     report = crlb_amplitude(state)
     model = model_from_state(state)
     inv_fisher = 1.0 / classical_fisher(model)
@@ -157,5 +161,5 @@ def crb_saturation_check(state: GaussianProbeState) -> dict:
         "quantum_bound": report.crlb,
         "classical_fisher_inverse": inv_fisher,
         "relative_gap": gap,
-        "saturated": bool(gap <= 1e-9),
+        "saturated": bool(gap <= SATURATION_GAP),
     }

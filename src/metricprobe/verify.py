@@ -3,18 +3,17 @@
 Each check reports {name, passed, residual, tolerance, comparison}.
 Most are residual <= tolerance; a few are lower bounds (refinement
 ratios, detection significance) and say so via comparison ">=".
-Tolerances can be overridden per check name: each suite takes the
-override table and ``_check`` looks its check's name up in it.
+Every tolerance is fixed; a check that restates a report verdict reads
+that verdict's threshold from the module that computes it.
 """
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
 from . import geometry as geo
-from .generator import (bundled_coordinate_bump, conserved_test_tensor,
+from .generator import (DIVERGENCE_TOL, bundled_coordinate_bump, conserved_test_tensor,
                         coordinate_independence_check, nonconserved_test_tensor,
                         trace_null_residual)
 from .fock import probe_state_moments
@@ -23,20 +22,15 @@ from .probe import (GaussianProbeState, commutator_constant, crlb_amplitude,
                     flat_band_spectrum, monochromatic_spectrum,
                     quadrature_variances, remainder_variance_lattice,
                     smeared_correlator_check)
-from .scenarios import load_bundled, run_bound
-from .simulate import crb_saturation_check
+from .scenarios import TRACE_NULL_TOL, load_bundled, run_bound
+from .simulate import SATURATION_GAP, crb_saturation_check
 
 
-def _check(tol: dict, name: str, residual: float, default: float,
+def _check(name: str, residual: float, tolerance: float,
            comparison: str = "<=") -> dict:
-    """One check result; its tolerance is tol[name], else default."""
-    tolerance = float(tol.get(name, default))
-    if comparison == "<=":
-        passed = residual <= tolerance
-    elif comparison == ">=":
-        passed = residual >= tolerance
-    else:
-        raise ValueError(f"bad comparison {comparison!r}")
+    """One check result: residual compared with tolerance, as an upper
+    ("<=") or a lower (">=") bound."""
+    passed = residual <= tolerance if comparison == "<=" else residual >= tolerance
     return {"name": name, "passed": bool(passed), "residual": float(residual),
             "tolerance": tolerance, "comparison": comparison}
 
@@ -70,36 +64,36 @@ def _derivative_residual(fam) -> float:
     return float(np.max(np.abs(fd - an))) / scale
 
 
-def _suite_identities(tol: dict) -> list:
+def _suite_identities() -> list:
     checks = []
 
     spec = flat_band_spectrum(7.0, 700.0, n_photons=1.0e4, tau=1.0,
                               n_modes=100000)
     C = effective_constant_C(spec)
     comm = commutator_constant(spec, spec.conjugate())
-    checks.append(_check(tol, "commutator-lattice-100k", abs(comm - C) / C, 1e-12))
+    checks.append(_check("commutator-lattice-100k", abs(comm - C) / C, 1e-12))
     c = effective_mode_coefficients(spec)
-    checks.append(_check(tol, "effective-mode-normalization",
+    checks.append(_check("effective-mode-normalization",
                          abs(float(np.sum(np.abs(c) ** 2)) - 1.0), 1e-12))
 
     mono = monochromatic_spectrum(62.83185307179586, 1.0e4, tau=1.0)
     for label, r in (("saturation-coherent", 0.0), ("saturation-squeezed-r1", 1.0)):
         gap = crb_saturation_check(GaussianProbeState(mono, squeeze_r=r))["relative_gap"]
-        checks.append(_check(tol, label, gap, 1e-9))
+        checks.append(_check(label, gap, SATURATION_GAP))
 
     for label, scen in (("trace-null-flrw", "flrw-em-probe"),
                         ("trace-null-desitter", "desitter-em-probe")):
         sc = load_bundled(scen)
-        checks.append(_check(tol, label, trace_null_residual(sc.field, sc.family, sc.region),
-                             1e-12))
+        checks.append(_check(label, trace_null_residual(sc.field, sc.family, sc.region),
+                             TRACE_NULL_TOL))
 
     worst = max(_derivative_residual(f) for f in _representative_families())
-    checks.append(_check(tol, "metric-derivative-crosscheck", worst, 1e-6))
+    checks.append(_check("metric-derivative-crosscheck", worst, 1e-6))
 
     for label, (dt, dx) in (("correlator-equal-time", (0.0, 1.0)),
                             ("correlator-offset", (0.5, 1.5))):
         rep = smeared_correlator_check(dt, dx, width=0.05)
-        checks.append(_check(tol, label, rep["relative_error"], 1e-2))
+        checks.append(_check(label, rep["relative_error"], 1e-2))
 
     r1 = crlb_amplitude(GaussianProbeState(
         monochromatic_spectrum(62.83185307179586, 1.0e4, tau=1.0),
@@ -109,7 +103,7 @@ def _suite_identities(tol: dict) -> list:
         squeeze_r=0.8)).remainder_ratio
     # amplitude scale doubles when nbar quadruples
     slope = math.log(r2 / r1) / math.log(2.0)
-    checks.append(_check(tol, "remainder-slope", abs(slope + 2.0), 1e-9))
+    checks.append(_check("remainder-slope", abs(slope + 2.0), 1e-9))
     return checks
 
 
@@ -117,7 +111,7 @@ def _suite_identities(tol: dict) -> list:
 # coordinate independence
 # ---------------------------------------------------------------------------
 
-def _suite_coordinate(tol: dict) -> list:
+def _suite_coordinate() -> list:
     checks = []
     region = load_bundled("schwarzschild-coordinate-check").region
     bump = bundled_coordinate_bump()
@@ -125,23 +119,23 @@ def _suite_coordinate(tol: dict) -> list:
     cons = conserved_test_tensor()
     rep_fine = coordinate_independence_check(cons, region, bump=bump)
     d_fine = abs(rep_fine.P_isotropic - rep_fine.P_schwarzschild)
-    checks.append(_check(tol, "conserved-chart-agreement",
+    checks.append(_check("conserved-chart-agreement",
                          d_fine / rep_fine.error_estimate, 1.0))
-    checks.append(_check(tol, "conserved-divergence-residual",
-                         rep_fine.divergence_residual, 1e-6))
+    checks.append(_check("conserved-divergence-residual",
+                         rep_fine.divergence_residual, DIVERGENCE_TOL))
 
     # the chart difference on the half-interval grid, from the all-even
     # half rules of the fine pass
     d_coarse = abs(rep_fine.P_isotropic_half - rep_fine.P_schwarzschild_half)
     ratio = d_coarse / d_fine if d_fine > 0 else math.inf
-    checks.append(_check(tol, "conserved-refinement-ratio", ratio, 3.0, ">="))
+    checks.append(_check("conserved-refinement-ratio", ratio, 3.0, ">="))
 
     ncons = nonconserved_test_tensor()
     rep_n = coordinate_independence_check(ncons, region, bump=bump)
     d_n = rep_n.P_isotropic - rep_n.P_schwarzschild
-    checks.append(_check(tol, "nonconserved-detects",
+    checks.append(_check("nonconserved-detects",
                          abs(d_n) / rep_n.error_estimate, 5.0, ">="))
-    checks.append(_check(tol, "nonconserved-dual-route",
+    checks.append(_check("nonconserved-dual-route",
                          abs(d_n - rep_n.flux_minus_divergence)
                          / rep_n.error_estimate, 1.0))
     return checks
@@ -170,7 +164,7 @@ def _lattice_state(modes, r) -> GaussianProbeState:
     return GaussianProbeState(spec, squeeze_r=r)
 
 
-def _suite_wick_fock(tol: dict) -> list:
+def _suite_wick_fock() -> list:
     checks = []
     for label, modes, r in _WICK_STATES:
         state = _lattice_state(modes, r)
@@ -179,7 +173,7 @@ def _suite_wick_fock(tol: dict) -> list:
         fock = probe_state_moments(state)
         resid = max(abs(fock["var_X1"] - var1), abs(fock["var_X2"] - var2),
                     abs(fock["var_F"] - rem))
-        checks.append(_check(tol, f"wick-fock-{label}", resid, 1e-8))
+        checks.append(_check(f"wick-fock-{label}", resid, 1e-8))
     return checks
 
 
@@ -187,14 +181,14 @@ def _suite_wick_fock(tol: dict) -> list:
 # reductions
 # ---------------------------------------------------------------------------
 
-def _suite_reductions(tol: dict) -> list:
+def _suite_reductions() -> list:
     checks = []
     rep = run_bound(load_bundled("proper-time-reduction"))
     pt = rep["proper_time"]
-    checks.append(_check(tol, "proper-time-mean", pt["mean_residual"]["value"], 1e-10))
-    checks.append(_check(tol, "proper-time-bound", pt["reduction_residual"]["value"], 1e-12))
+    checks.append(_check("proper-time-mean", pt["mean_residual"]["value"], 1e-10))
+    checks.append(_check("proper-time-bound", pt["reduction_residual"]["value"], 1e-12))
     rep = run_bound(load_bundled("unruh-component"))
-    checks.append(_check(tol, "unruh-product",
+    checks.append(_check("unruh-product",
                          rep["unruh"]["product_residual"]["value"], 1e-12))
     return checks
 
@@ -207,23 +201,18 @@ SUITES = {
 }
 
 
-def run_verify(suite_names=None, tolerances: Optional[dict] = None) -> dict:
+def run_verify(suite_names=None) -> dict:
     from . import __version__
     names = list(suite_names) if suite_names else list(SUITES)
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; available: "
                              + ", ".join(SUITES))
-    tol = tolerances or {}
     suites = {}
     for name in names:
-        checks = SUITES[name](tol)
+        checks = SUITES[name]()
         suites[name] = {"checks": checks,
                         "passed": all(c["passed"] for c in checks)}
-    unknown = set(tol) - {c["name"] for s in suites.values() for c in s["checks"]}
-    if unknown:
-        raise ValueError("tolerance overrides matched no check: "
-                         + ", ".join(sorted(unknown)))
     return {
         "version": __version__,
         "suites": suites,

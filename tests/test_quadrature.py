@@ -44,8 +44,22 @@ def test_scaled_resolution():
     assert RegionSpec(box=UNIT_BOX, resolution=33).scaled(0.4).resolution[0] == 13
     for mult in np.linspace(0.05, 3.0, 60):
         for n in (3, 9, 13, 17, 33):
-            m = RegionSpec(box=UNIT_BOX, resolution=n).scaled(mult).resolution[0]
+            # one scaled axis: 97^4 nodes would exceed MAX_NODES
+            m = RegionSpec(box=UNIT_BOX, resolution=(n, 2, 2, 2)).scaled(mult).resolution[0]
             assert m == 2 or m % 2 == 1
+
+
+def test_node_ceiling():
+    assert RegionSpec(box=UNIT_BOX, resolution=(2, 2, 2048, 4096)).resolution[3] == 4096
+    with pytest.raises(ValueError, match="ceiling"):
+        RegionSpec(box=UNIT_BOX, resolution=(2, 2, 2048, 4097))
+    # the finest bundled run, the chart audit at --resolution 2.0, fits;
+    # its next refinement does not
+    audit = RegionSpec(box=UNIT_BOX, resolution=33)
+    assert math.prod(audit.scaled(2.0).resolution) == 65 ** 4 <= quadrature.MAX_NODES
+    for mult in (3.0, 1e30):
+        with pytest.raises(ValueError, match="ceiling"):
+            audit.scaled(mult)
 
 
 def test_trapezoid_exact_on_multilinear():

@@ -1,22 +1,31 @@
-"""Scenario-mutation property test.
+"""Scenario-mutation property tests.
 
-Each example takes one bundled scenario and mutates it once: it deletes
-a key or list element, swaps a value for one of another type, puts a
-non-finite number in its place, or reshapes a list.  Whatever the
+In the first, each example takes one bundled scenario and mutates it
+once: it deletes a key or list element, swaps a value for one of another
+type, puts a non-finite number in its place, or reshapes a list.  In the
+second, each example flips, inserts or deletes 1-3 bytes of one input
+file: a bundled scenario YAML, a grid written by ``save_grid`` or a
+spectrum table written by ``save_spectrum_table``.  Whatever the
 mutation, the command line must either succeed or exit 2 with a
 ``ScenarioError`` that names a key path.  Runs use ``--resolution 0.25``
 so that the whole test stays within a few seconds.
 """
 import copy
+import importlib.resources
 import math
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from metricprobe.cli import main
+from metricprobe.probe import flat_band_spectrum, save_spectrum_table
 from metricprobe.scenarios import bundled_scenario_names, load_bundled
+from metricprobe.stress_energy import TensorGrid, save_grid
 
 BUNDLED = {name: load_bundled(name).raw for name in bundled_scenario_names()}
 
@@ -75,6 +84,68 @@ def test_mutated_scenario_runs_or_exits_2_naming_a_key(tmp_path, capsys, case):
     config.write_text(yaml.safe_dump(doc))
     command = "simulate" if "simulation" in BUNDLED[name] else "bound"
     rc = main([command, "--config", str(config), "--resolution", "0.25"])
+    err = capsys.readouterr().err
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert re.match(r"error: scenario key '[^']+': ", err), err
+
+
+def _written(save, *args) -> bytes:
+    """The bytes that save(path, *args) writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.txt"
+        save(path, *args)
+        return path.read_bytes()
+
+
+_SCENARIO_DIR = importlib.resources.files("metricprobe") / "data" / "scenarios"
+#: the original bytes of each file the byte mutations start from; the
+#: grid covers the gravitational-wave region box, the table holds a
+#: flat band of five modes
+FILES = {
+    **{f"{name}.yaml": (_SCENARIO_DIR / f"{name}.yaml").read_bytes() for name in BUNDLED},
+    "grid.txt": _written(save_grid, TensorGrid(
+        values=np.linspace(0.0, 1.0, 36).reshape(3, 3, 2, 2, 1, 1) * (1.0 + np.eye(4)),
+        origin=np.zeros(4), spacing=np.array([0.5, 0.5, 0.25, 0.25]))),
+    "table.txt": _written(save_spectrum_table, flat_band_spectrum(
+        60.0, 65.0, n_photons=1.0e4, tau=1.0, n_modes=5)),
+}
+#: the scenario that reads each data file, with the file's name as its path
+READERS = {
+    "grid.txt": dict(BUNDLED["gw-monochromatic-coherent"], stress_energy={"grid": {"path": "grid.txt"}}),
+    "table.txt": dict(BUNDLED["gw-monochromatic-coherent"], probe={
+        "spectrum": {"family": "table", "path": "table.txt", "tau": 1.0}}),
+}
+
+
+@st.composite
+def mutated_bytes(draw):
+    name = draw(st.sampled_from(sorted(FILES)))
+    data = bytearray(FILES[name])
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(("flip", "insert", "delete")))
+        i = draw(st.integers(0, len(data) - (how != "insert")))
+        if how == "flip":
+            data[i] ^= draw(st.integers(1, 255))
+        elif how == "insert":
+            data.insert(i, draw(st.integers(0, 255)))
+        else:
+            del data[i]
+    return name, bytes(data)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_bytes())
+def test_mutated_file_runs_or_exits_2_naming_a_key(tmp_path, capsys, monkeypatch, case):
+    name, data = case
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_bytes(data)
+    config = name
+    if name in READERS:
+        config = "scenario.yaml"
+        Path(config).write_text(yaml.safe_dump(READERS[name]))
+    rc = main(["bound", "--config", config, "--resolution", "0.25"])
     err = capsys.readouterr().err
     assert rc in (0, 2), err
     if rc == 2:

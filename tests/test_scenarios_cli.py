@@ -10,9 +10,11 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricprobe import generator, scenarios
+from metricprobe import generator, scenarios, verify
 from metricprobe.cli import main
+from metricprobe.probe import flat_band_spectrum, save_spectrum_table
 from metricprobe.reports import dumps_report, render_summary, write_report
+from metricprobe.quadrature import MAX_NODES
 from metricprobe.stress_energy import TensorGrid, in_orthonormal_frame, load_grid, save_grid
 from metricprobe.scenarios import (KINDS, Scenario, ScenarioError,
                                    bundled_scenario_names, load_bundled,
@@ -598,6 +600,9 @@ _FLAT_BAND = {"family": "flat-band", "omega_lo": 60.0, "omega_hi": 65.0,
      "stress_energy.em.E"),
     ("stress_energy", "em", {"kind": "uniform", "E": ["a", 0.0, 0.0], "B": [0.0] * 3},
      "stress_energy.em.E"),
+    # numpy would read a list of strings as the table's lines
+    ("probe", "spectrum", {"family": "table", "path": [1, 2], "tau": 1.0},
+     "probe.spectrum.path"),
     # names that are not one of the allowed strings
     ("family", "name", {"a": 1}, "family.name"),
     ("probe", "reference", "thermal", "probe.reference"),
@@ -717,6 +722,19 @@ def _coordinate_check(tmp_path):
     return _bundled_doc("schwarzschild-coordinate-check")
 
 
+def _missing_spectrum_table(tmp_path):
+    doc = _tiny_doc()
+    doc["probe"]["spectrum"] = {"family": "table", "path": str(tmp_path / "none.txt"),
+                                "tau": 1.0}
+    return doc
+
+
+def _region_above_the_node_ceiling(tmp_path):
+    doc = _tiny_doc()
+    doc["region"]["resolution"] = [1001, 1001, 101, 101]
+    return doc
+
+
 @pytest.mark.parametrize("command,make_doc,path", [
     ("bound", _grid_without_chart_header, "stress_energy.grid.path"),
     ("bound", _grid_on_another_chart, "stress_energy.grid.path"),
@@ -731,6 +749,8 @@ def _coordinate_check(tmp_path):
     ("bound", _unruh_without_a_probe, "probe"),
     ("bound", _one_sample, "simulation.n_samples"),
     ("bound", _negative_seed, "simulation.seed"),
+    ("bound", _missing_spectrum_table, "probe.spectrum.path"),
+    ("bound", _region_above_the_node_ceiling, "region.resolution"),
     # the audit has no probe to read out
     ("simulate", _coordinate_check, "probe"),
 ])
@@ -748,8 +768,9 @@ def test_cli_exits_2_before_any_quadrature(tmp_path, capsys, monkeypatch, comman
 
 @pytest.mark.parametrize("command,option,value", [
     (command, "--resolution", value) for command in ("bound", "simulate")
-    for value in ("0", "-1", "nan", "inf")
+    for value in ("0", "-1", "nan", "inf", "abc")
 ] + [
+    ("simulate", "--seed", "1.5"),
     # outside Philox's key range [0, 2^128)
     ("simulate", "--seed", "-1"),
     ("simulate", "--seed", str(2 ** 128)),
@@ -793,34 +814,73 @@ def test_cli_degenerate_scenario_exits_2(tmp_path, capsys, command, name, sectio
     assert f"error: scenario key '{path}':" in capsys.readouterr().err
 
 
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("the run reached the quadrature")
+
+
+# config files that cannot be read (None: a directory), decoded as UTF-8
+# or parsed as YAML: one ScenarioError at the document root
+@pytest.mark.parametrize("content", [
+    None, b"name: caf\xe9\n", b"name: [unclosed\n", b"name: x\n\tkind: y\n",
+], ids=["directory", "non-utf8", "unclosed-list", "tab-indent"])
+def test_cli_unreadable_config_exits_2_naming_the_root(tmp_path, capsys, monkeypatch,
+                                                       content):
+    monkeypatch.setattr(generator, "integrate", _no_quadrature)
+    config = tmp_path / "config.yaml"
+    if content is None:
+        config.mkdir()
+    else:
+        config.write_bytes(content)
+    assert main(["bound", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: scenario key '<root>': cannot read '{config}': ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--config", "gw-monochromatic-coherent"],
+    ["simulate", "--config", "gw-monochromatic-coherent"],
+    ["verify", "--suite", "reductions"],
+])
+@pytest.mark.parametrize("out", ["missing/r.json", ".", "", "r/"])
+def test_cli_out_is_checked_before_any_run(tmp_path, capsys, monkeypatch, argv, out):
+    monkeypatch.setattr(generator, "integrate", _no_quadrature)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", out])
+    assert exc.value.code == 2
+    assert "argument --out: expected a file path in an existing directory" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mult", ["1e30", "100"])
+def test_cli_resolution_above_the_node_ceiling_exits_2(capsys, monkeypatch, mult):
+    # at 100 the region would be (1601, 1601, 801, 801) nodes
+    monkeypatch.setattr(generator, "integrate", _no_quadrature)
+    assert main(["bound", "--config", "gw-monochromatic-coherent", "--resolution", mult]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario key '--resolution': resolution ("), err
+    assert f"exceeds the ceiling of {MAX_NODES} nodes" in err
+
+
 def test_grid_source_on_the_family_chart_runs(tmp_path):
     # the grid that the cases above break, intact
     assert run_bound(parse_scenario(_grid_doc(tmp_path)))["generator"]["P_total"]["value"] == 0.0
 
 
 def test_cli_verify_unknown_suite_exits_2(capsys):
-    assert main(["verify", "--suite", "nope"]) == 2
-    assert "nope" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nope"])
+    assert exc.value.code == 2
+    assert "argument --suite: invalid choice: 'nope'" in capsys.readouterr().err
 
 
-def test_cli_verify_unmatched_tolerance_exits_2(capsys):
-    assert main(["verify", "--suite", "identities", "--tolerance",
-                 "bogus-check=1"]) == 2
-    capsys.readouterr()
-
-
-def test_cli_verify_bad_tolerance_syntax_exits_2(capsys):
-    assert main(["verify", "--tolerance", "oops"]) == 2
-    assert main(["verify", "--tolerance", "a=b"]) == 2
-    capsys.readouterr()
-
-
-def test_cli_verify_forced_failure_exits_1(capsys):
-    rc = main(["verify", "--suite", "identities", "--tolerance",
-               "correlator-equal-time=1e-9"])
+def test_cli_verify_forced_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "identities",
+                        lambda: [verify._check("forced", 1.0, 0.5)])
+    rc = main(["verify", "--suite", "identities"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "FAIL" in out
+    assert "[FAIL] forced: residual 1.000e+00 <= 5.000e-01" in out
     assert "CHECKS FAILED" in out
 
 

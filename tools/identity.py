@@ -5,7 +5,7 @@
 unpacks ``git archive REV`` into a temporary directory, then writes the
 ``dumps_report`` text of a fixed corpus once from that tree and once from
 the tree this script lives in, each in a fresh child process that imports
-``metricprobe`` from the tree's own ``src/``.  The corpus (91 reports):
+``metricprobe`` from the tree's own ``src/``.  The corpus (98 files):
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
@@ -19,7 +19,11 @@ the tree this script lives in, each in a fresh child process that imports
   writes with ``save_grid`` next to its reports;
 * ``run_bound`` of the gravitational-wave scenario with a ``bump:``
   section inside its region box and ``stress_energy.frame: orthonormal``,
-  the scenario path through ``localize`` into the source's frame.
+  the scenario path through ``localize`` into the source's frame;
+* ``cli.main`` in the child's directory: ``bound`` and ``simulate`` of
+  gw-monochromatic-coherent and ``verify --suite reductions``, each with
+  ``--out``, and ``list-scenarios``; each run's stdout is a corpus file
+  (``*.stdout``) next to the report it wrote.
 
 The workload inputs come from this tree's ``bench/workloads.py`` for both
 trees, so both libraries see the same scenario dicts.  The script prints
@@ -30,6 +34,8 @@ exits 0 when every file is identical and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import struct
@@ -52,6 +58,15 @@ GRID_FILE = "grid.txt"
 #: bump of the localized gravitational-wave entry, inside its region box
 GW_BUMP = {"plateau": [[0.2, 0.8], [0.2, 0.8], [0.05, 0.2], [0.05, 0.2]],
            "support": [[0.05, 0.95], [0.05, 0.95], [0.01, 0.24], [0.01, 0.24]]}
+#: command lines run through cli.main; an --out path is relative to the
+#: child's working directory
+CLI_RUNS = {
+    "cli_bound": ["bound", "--config", "gw-monochromatic-coherent", "--out", "cli_bound.json"],
+    "cli_simulate": ["simulate", "--config", "gw-monochromatic-coherent",
+                     "--out", "cli_simulate.json"],
+    "cli_verify": ["verify", "--suite", "reductions", "--out", "cli_verify.json"],
+    "cli_list-scenarios": ["list-scenarios"],
+}
 
 
 def _grid_values(shape, spacing) -> np.ndarray:
@@ -68,7 +83,7 @@ def _grid_values(shape, spacing) -> np.ndarray:
 
 def write_corpus(out_dir: str) -> None:
     """Write every corpus report as one file under out_dir (child side)."""
-    from metricprobe import reports, scenarios, verify
+    from metricprobe import cli, reports, scenarios, verify
     from metricprobe.stress_energy import TensorGrid, save_grid
     import workloads
 
@@ -110,6 +125,12 @@ def write_corpus(out_dir: str) -> None:
     doc["stress_energy"] = dict(doc["stress_energy"], frame="orthonormal")
     put("bound_gw-localized-orthonormal",
         reports.dumps_report(scenarios.run_bound(scenarios.parse_scenario(doc))))
+
+    for name, argv in CLI_RUNS.items():
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            if cli.main(argv) != 0:
+                raise SystemExit(f"metricprobe {' '.join(argv)} failed")
+        (Path(out_dir) / f"{name}.stdout").write_text(stdout.getvalue())
 
 
 def _run_tree(tree: Path, out_dir: Path) -> subprocess.Popen:
@@ -158,7 +179,8 @@ def _first_difference(a, b, path: str = ""):
 
 def compare(dir_a: Path, dir_b: Path) -> tuple:
     """(number identical, total, text describing the first difference)."""
-    names = sorted({p.name for p in dir_a.glob("*.json")} | {p.name for p in dir_b.glob("*.json")})
+    names = sorted({p.name for d in (dir_a, dir_b) for suffix in ("json", "stdout")
+                    for p in d.glob(f"*.{suffix}")})
     same, first = 0, ""
     for name in names:
         pa, pb = dir_a / name, dir_b / name
@@ -169,6 +191,11 @@ def compare(dir_a: Path, dir_b: Path) -> tuple:
             continue
         if not (pa.exists() and pb.exists()):
             first = f"{name}: written by only one tree"
+            continue
+        if pa.suffix == ".stdout":
+            la, lb = pa.read_text().splitlines(), pb.read_text().splitlines()
+            i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+            first = f"{name}: line {i + 1}: {la[i:i + 1]!r} != {lb[i:i + 1]!r}"
             continue
         found = _first_difference(json.loads(pa.read_text()), json.loads(pb.read_text()))
         if found is None:
