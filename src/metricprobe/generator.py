@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import BumpProfile, box_corners, localize, schwarzschild, isotropic
-from .quadrature import RegionSpec, integrate, region_rules
+from .geometry import BumpProfile, _checked_box, box_corners, localize, schwarzschild, isotropic
+from .quadrature import RegionSpec, axis_rule, integrate
 from .stress_energy import StressEnergyField, covariant_divergence, divergence_residual
 
 _PLATEAU_EPS = 1e-12
@@ -155,8 +155,10 @@ def boundary_term(T: StressEnergyField, box, metric_eval: Callable[[np.ndarray],
     0, so X_nu = g_{nu r}.  This is the coordinate form of the surface
     element, which is what makes the discrete divergence identity close.
     """
-    region = RegionSpec(box=box, resolution=resolution)
-    rules = region_rules(region)
+    box = _checked_box(box, "box")
+    if resolution < 2:
+        raise ValueError("trapezoid rule needs at least 2 nodes per axis")
+    rules = [axis_rule(lo, hi, resolution) for lo, hi in box]
 
     total = 0.0
     for axis in range(4):
@@ -164,7 +166,7 @@ def boundary_term(T: StressEnergyField, box, metric_eval: Callable[[np.ndarray],
         mesh = np.stack(np.meshgrid(xa, xb, xc, indexing="ij"), axis=-1)
         w3 = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
         for side, sign in ((1, 1.0), (0, -1.0)):
-            pts = np.insert(mesh, axis, region.box[axis, side], axis=-1)
+            pts = np.insert(mesh, axis, box[axis, side], axis=-1)
             g = metric_eval(pts)
             vol = np.sqrt(np.abs(np.linalg.det(g)))
             Tv = T.tensor(pts)

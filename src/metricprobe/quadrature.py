@@ -49,13 +49,15 @@ class RegionSpec:
     def scaled(self, mult: float) -> "RegionSpec":
         """Resolution scaled by a positive finite factor (CLI --resolution
         knob); interval counts round to even, so every axis halves or has
-        2 nodes, except at the factor 1, which returns the region itself."""
+        2 nodes, except at the factor 1, which returns the region itself;
+        a half count over MAX_NODES is capped there, so it cannot overflow."""
         if not (np.isfinite(mult) and mult > 0):
             raise ValueError(f"resolution multiplier must be positive and finite, got {mult!r}")
         if mult == 1.0:
             return self
-        return replace(self, resolution=tuple(max(2, 2 * int(round((n - 1) * mult / 2)) + 1)
-                                              for n in self.resolution))
+        return replace(self, resolution=tuple(
+            max(2, 2 * int(round(min((n - 1) * mult / 2, MAX_NODES))) + 1)
+            for n in self.resolution))
 
 
 def axis_rule(lo: float, hi: float, n: int):

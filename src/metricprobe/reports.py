@@ -77,6 +77,9 @@ def write_report(report: dict, path) -> None:
 # console rendering
 # ---------------------------------------------------------------------------
 
+_SKIP_SECTIONS = {"scenario"}
+
+
 def _leaf_text(val) -> str:
     if isinstance(val, dict) and set(val) == {"value", "units"}:
         v = val["value"]
@@ -96,6 +99,8 @@ def _walk(node: dict, prefix: str, rows: list):
         if isinstance(val, dict) and set(val) != {"value", "units"}:
             _walk(val, name + ".", rows)
         elif isinstance(val, (list, tuple)):
+            if not val:
+                continue
             for item in val:
                 rows.append((name, str(item)))
         else:
@@ -105,6 +110,15 @@ def _walk(node: dict, prefix: str, rows: list):
 def render_summary(report: dict) -> str:
     """Aligned key/value listing of everything except the config echo."""
     rows = []
-    _walk({key: val for key, val in report.items() if key != "scenario"}, "", rows)
-    width = max((len(name) for name, _ in rows), default=0)
-    return "".join(f"{name.ljust(width)}  {text}\n" for name, text in rows)
+    for key, val in report.items():
+        if key in _SKIP_SECTIONS:
+            continue
+        if isinstance(val, dict):
+            _walk(val, key + ".", rows)
+        else:
+            rows.append((key, _leaf_text(val)))
+    if not rows:
+        return "(empty report)\n"
+    width = max(len(name) for name, _ in rows)
+    lines = [f"{name.ljust(width)}  {text}" for name, text in rows]
+    return "\n".join(lines) + "\n"

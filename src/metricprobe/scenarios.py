@@ -13,7 +13,8 @@ from __future__ import annotations
 import importlib.resources
 import math
 import os
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,6 +53,15 @@ class ScenarioError(ValueError):
     def __init__(self, key: str, message: str):
         self.key = key
         super().__init__(f"scenario key '{key}': {message}")
+
+
+@contextmanager
+def _keyed(key: str, errors=ValueError):
+    """Raise the errors of the block as a ScenarioError naming key."""
+    try:
+        yield
+    except errors as exc:
+        raise ScenarioError(key, str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -188,10 +198,8 @@ def _build_bump(spec: dict, path: str) -> geo.BumpProfile:
     support = _array(spec, "support", path)
     _only(spec, "kind_name", path, "smoothstep")
     order = _int(spec, "order", path, default=3)
-    try:
+    with _keyed(path):
         return geo.BumpProfile(plateau=plateau, support=support, order=order)
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
 
 
 def build_family(doc: dict) -> geo.MetricFamily:
@@ -210,16 +218,12 @@ def build_family(doc: dict) -> geo.MetricFamily:
     if name == "g00_profile_perturbation":
         path = "family.parameters.profile"
         params["profile"] = _build_profile(_mapping(params.pop("profile", None), path), path)
-    try:
+    with _keyed("family.parameters", (TypeError, ValueError)):
         fam = geo.BUILTIN_FAMILIES[name](**params)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("family.parameters", str(exc)) from exc
     if doc.get("bump") is not None:
         bump = _build_bump(_mapping(doc["bump"], "bump"), "bump")
-        try:
+        with _keyed("bump", geo.ChartDomainError):
             fam = geo.localize(fam, bump)
-        except geo.ChartDomainError as exc:
-            raise ScenarioError("bump", str(exc)) from exc
     return fam
 
 
@@ -228,11 +232,9 @@ def build_field(doc: dict, family: geo.MetricFamily,
     """The scenario's source over the region, which must lie in the
     family's chart domain; family supplies the chart a grid file must be
     tabulated on and the metric of an orthonormal frame."""
-    try:
+    with _keyed("region.box", geo.ChartDomainError):
         # integrate_generator's check, made before any quadrature
         family.domain.require(geo.box_corners(region.box))
-    except geo.ChartDomainError as exc:
-        raise ScenarioError("region.box", str(exc)) from exc
     spec = _mapping(doc["stress_energy"], "stress_energy")
     em_spec = spec.get("em")
     grid_spec = spec.get("grid")
@@ -248,10 +250,8 @@ def build_field(doc: dict, family: geo.MetricFamily,
     else:
         fn = _build_em(_mapping(em_spec, "stress_energy.em"), "stress_energy.em")
     if frame == "orthonormal":
-        try:
+        with _keyed("stress_energy.frame"):
             fn = se.in_orthonormal_frame(fn, family)
-        except ValueError as exc:
-            raise ScenarioError("stress_energy.frame", str(exc)) from exc
     return se.StressEnergyField(fn)
 
 
@@ -262,10 +262,8 @@ def _build_grid(spec: dict, family: geo.MetricFamily, box: np.ndarray):
     path = _need(spec, "path", "stress_energy.grid")
     if not isinstance(path, str):
         raise ScenarioError(key, f"expected a file path, got {path!r}")
-    try:
+    with _keyed(key, (OSError, ValueError)):
         grid = se.load_grid(path)
-    except (OSError, ValueError) as exc:
-        raise ScenarioError(key, str(exc)) from exc
     if grid.chart != family.chart_name:
         raise ScenarioError(key, f"grid is on chart {grid.chart!r}, the family "
                             f"on {family.chart_name!r}")
@@ -294,14 +292,10 @@ def build_region(doc: dict) -> RegionSpec:
         raise ScenarioError("region.resolution",
                             f"expected an integer or a list of integers, got {res!r}")
     _only(spec, "rule", "region", "trapezoid")
-    # the box at the coarsest resolution first, so each error names its key
-    key = "region.box"
-    try:
-        region = RegionSpec(box=box, resolution=2)
-        key = "region.resolution"
-        return replace(region, resolution=tuple(np.atleast_1d(res)))
-    except ValueError as exc:
-        raise ScenarioError(key, str(exc)) from exc
+    with _keyed("region.box"):
+        geo._checked_box(box, "box")
+    with _keyed("region.resolution"):
+        return RegionSpec(box=box, resolution=tuple(np.atleast_1d(res)))
 
 
 def build_state(doc: dict) -> GaussianProbeState:
@@ -334,12 +328,8 @@ def build_state(doc: dict) -> GaussianProbeState:
     else:
         raise ScenarioError("probe.spectrum.family",
                             f"unknown spectrum family {fam!r}")
-    try:
+    with _keyed("probe.spectrum.path", OSError), _keyed("probe.spectrum"):
         spectrum = make(tau=tau, dc_cutoff_mult=cutoff, **kwargs)
-    except OSError as exc:
-        raise ScenarioError("probe.spectrum.path", str(exc)) from exc
-    except ValueError as exc:
-        raise ScenarioError("probe.spectrum", str(exc)) from exc
     if not np.any(spectrum.active):
         raise ScenarioError("probe.spectrum", "no modes survive the DC cutoff "
                             f"omega >= {spectrum.omega_min:g}")
@@ -363,10 +353,8 @@ def build_state(doc: dict) -> GaussianProbeState:
         C = effective_constant_C(spectrum, hbar)
     if not math.isfinite(C * C):
         raise ScenarioError("probe.spectrum", f"the mode sum C = {C!r} squared overflows")
-    try:
+    with _keyed("probe"):
         return GaussianProbeState(spectrum=spectrum, squeeze_r=squeeze_r, hbar=hbar)
-    except ValueError as exc:
-        raise ScenarioError("probe", str(exc)) from exc
 
 
 def build_sim_params(doc: dict) -> dict:
@@ -422,13 +410,11 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
     from . import __version__
     report = {"scenario": dict(sc.raw), "name": sc.name, "kind": sc.kind,
               "version": __version__}
-    try:
+    # a factor that is not positive and finite, or gives over MAX_NODES nodes
+    with _keyed("--resolution"):
         # a coordinate check without a region audits the spherical test box
         region = (sc.region or RegionSpec(box=spherical_test_box(), resolution=33)
                   ).scaled(resolution_mult)
-    except ValueError as exc:
-        # a factor that is not positive and finite, or above MAX_NODES
-        raise ScenarioError("--resolution", str(exc)) from exc
     if sc.kind == "coordinate-check":
         report["coordinate_check"] = _run_coordinate_check(region)
         return report
@@ -612,15 +598,14 @@ def run_simulate(sc: Scenario, seed: Optional[int] = None,
 # bundled library
 # ---------------------------------------------------------------------------
 
-_BUNDLED = importlib.resources.files("metricprobe") / "data" / "scenarios"
-
-
 def bundled_scenario_names() -> list:
-    return sorted(p.name[:-5] for p in _BUNDLED.iterdir() if p.name.endswith(".yaml"))
+    root = importlib.resources.files("metricprobe") / "data" / "scenarios"
+    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".yaml"))
 
 
 def load_bundled(name: str) -> Scenario:
-    path = _BUNDLED / f"{name}.yaml"
+    root = importlib.resources.files("metricprobe") / "data" / "scenarios"
+    path = root / f"{name}.yaml"
     if not path.is_file():
         raise ScenarioError("name", f"no bundled scenario {name!r}; available: "
                             + ", ".join(bundled_scenario_names()))

@@ -30,6 +30,8 @@ def _check(name: str, residual: float, tolerance: float,
            comparison: str = "<=") -> dict:
     """One check result: residual compared with tolerance, as an upper
     ("<=") or a lower (">=") bound."""
+    if comparison not in ("<=", ">="):
+        raise ValueError(f"bad comparison {comparison!r}")
     passed = residual <= tolerance if comparison == "<=" else residual >= tolerance
     return {"name": name, "passed": bool(passed), "residual": float(residual),
             "tolerance": tolerance, "comparison": comparison}

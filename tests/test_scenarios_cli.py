@@ -10,7 +10,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricprobe import generator, scenarios, verify
+from metricprobe import generator, quadrature, scenarios, verify
 from metricprobe.cli import main
 from metricprobe.probe import flat_band_spectrum, save_spectrum_table
 from metricprobe.reports import dumps_report, render_summary, write_report
@@ -852,14 +852,28 @@ def test_cli_out_is_checked_before_any_run(tmp_path, capsys, monkeypatch, argv, 
         in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mult", ["1e30", "100"])
+@pytest.mark.parametrize("mult", ["1e30", "100", "1e308"])
 def test_cli_resolution_above_the_node_ceiling_exits_2(capsys, monkeypatch, mult):
-    # at 100 the region would be (1601, 1601, 801, 801) nodes
+    # at 100 the region would be (1601, 1601, 801, 801) nodes; at 1e308 an
+    # axis's scaled interval count is no finite float
     monkeypatch.setattr(generator, "integrate", _no_quadrature)
     assert main(["bound", "--config", "gw-monochromatic-coherent", "--resolution", mult]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: scenario key '--resolution': resolution ("), err
     assert f"exceeds the ceiling of {MAX_NODES} nodes" in err
+
+
+def test_cli_anisotropic_audit_under_the_ceiling_runs(tmp_path, capsys, monkeypatch):
+    # the boundary flux samples every face at the region's largest axis
+    # count; those 3-D faces are no 4-D region, and a region with
+    # 3 * 3 * 3 * 9 nodes under the ceiling runs although 9^4 is above it
+    doc = _bundled_doc("schwarzschild-coordinate-check")
+    doc["region"]["resolution"] = [3, 3, 3, 9]
+    monkeypatch.setattr(quadrature, "MAX_NODES", 3 * 3 * 3 * 9)
+    config = tmp_path / "audit.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert main(["bound", "--config", str(config)]) == 0
+    assert "coordinate_check.nonconserved.flux_minus_divergence" in capsys.readouterr().out
 
 
 def test_grid_source_on_the_family_chart_runs(tmp_path):

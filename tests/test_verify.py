@@ -25,6 +25,16 @@ def test_unknown_suite_lists_available():
     assert "reductions" in msg
 
 
+def test_check_compares_both_ways_and_refuses_any_other_comparison():
+    assert verify._check("upper", 1.0, 1.0)["passed"]
+    assert not verify._check("upper", 1.5, 1.0)["passed"]
+    assert verify._check("lower", 1.0, 1.0, ">=")["passed"]
+    assert not verify._check("lower", 0.5, 1.0, ">=")["passed"]
+    for comparison in ("<", ">", "=="):
+        with pytest.raises(ValueError, match="bad comparison"):
+            verify._check("typo", 0.0, 1.0, comparison)
+
+
 def test_reductions_suite_report_shape():
     report = run_verify(["reductions"])
     assert report["all_passed"]
