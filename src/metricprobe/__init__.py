@@ -15,7 +15,7 @@ from .geometry import (BUILTIN_FAMILIES, BumpProfile, MetricFamily,
                        gw_plane_wave, isotropic, localize,
                        minkowski_component, schwarzschild)
 from .stress_energy import (StressEnergyField, em_plane_wave, em_stress_tensor,
-                            em_uniform, in_orthonormal_frame, trace)
+                            em_uniform, in_orthonormal_frame)
 from .quadrature import RegionSpec, integrate
 from .generator import (GeneratorResult, CoordinateCheckReport,
                         coordinate_independence_check, generator_density,
@@ -41,7 +41,7 @@ __all__ = [
     "de_sitter", "flrw_closed", "g00_profile_perturbation", "gw_plane_wave",
     "isotropic", "localize", "minkowski_component", "schwarzschild",
     "StressEnergyField", "em_plane_wave", "em_stress_tensor", "em_uniform",
-    "in_orthonormal_frame", "trace",
+    "in_orthonormal_frame",
     "RegionSpec", "integrate",
     "GeneratorResult", "CoordinateCheckReport",
     "coordinate_independence_check", "generator_density",

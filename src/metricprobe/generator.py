@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import BumpProfile, _checked_box, box_corners, localize, schwarzschild, isotropic
-from .quadrature import RegionSpec, axis_rule, integrate
+from .geometry import BumpProfile, box_corners, localize, schwarzschild, isotropic
+from .quadrature import RegionSpec, integrate, region_rules
 from .stress_energy import StressEnergyField, covariant_divergence, divergence_residual
 
 _PLATEAU_EPS = 1e-12
@@ -142,10 +141,9 @@ def trace_null_residual(T: StressEnergyField, family, region: RegionSpec) -> flo
 # boundary flux
 # ---------------------------------------------------------------------------
 
-def boundary_term(T: StressEnergyField, box, metric_eval: Callable[[np.ndarray], np.ndarray],
-                  resolution: int = 33) -> float:
+def boundary_term(T: StressEnergyField, region: RegionSpec) -> float:
     """Flux of T against the radial chart-map deformation through the
-    boundary of a coordinate box:
+    boundary of the region's box in flat spherical coordinates:
 
         B = sum_faces sign int sqrt(|det g|) T^{a nu} X_nu d^3x,
 
@@ -154,12 +152,9 @@ def boundary_term(T: StressEnergyField, box, metric_eval: Callable[[np.ndarray],
     r = rho (1 + m / 2 rho)^2 at m = 0, X^r = 1 and its other components
     0, so X_nu = g_{nu r}.  This is the coordinate form of the surface
     element, which is what makes the discrete divergence identity close.
+    Each face takes the region's trapezoid rules on its three free axes.
     """
-    box = _checked_box(box, "box")
-    if resolution < 2:
-        raise ValueError("trapezoid rule needs at least 2 nodes per axis")
-    rules = [axis_rule(lo, hi, resolution) for lo, hi in box]
-
+    flat, box, rules = schwarzschild(0.0), region.box, region_rules(region)
     total = 0.0
     for axis in range(4):
         (xa, wa), (xb, wb), (xc, wc) = (rules[a] for a in range(4) if a != axis)
@@ -167,7 +162,7 @@ def boundary_term(T: StressEnergyField, box, metric_eval: Callable[[np.ndarray],
         w3 = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
         for side, sign in ((1, 1.0), (0, -1.0)):
             pts = np.insert(mesh, axis, box[axis, side], axis=-1)
-            g = metric_eval(pts)
+            g = flat.eval(0.0, pts)
             vol = np.sqrt(np.abs(np.linalg.det(g)))
             Tv = T.tensor(pts)
             flux = np.einsum("...j,...j->...", Tv[..., axis, :], g[..., :, 1])
@@ -205,11 +200,11 @@ class CoordinateCheckReport:
     warnings: tuple
 
 
-def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
-                                  bump: Optional[BumpProfile] = None) -> CoordinateCheckReport:
+def coordinate_independence_check(testT: StressEnergyField,
+                                  region: RegionSpec) -> CoordinateCheckReport:
     """Compare the mass-derivative generator in Schwarzschild versus
     isotropic coordinates at m0 = 0 (charts coincide there, so the same
-    T components serve both).
+    T components serve both), both localized by bundled_coordinate_bump.
 
     The difference P_iso - P_schw equals the angular integral
 
@@ -231,19 +226,14 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
     inside it, the divergence within the stencil's reach of it; the
     boundary flux and the residual sample always run in full.
     """
-    flat = schwarzschild(0.0)
-    fam_s, fam_i = flat, isotropic(0.0)
-    if bump is not None:
-        fam_s = localize(fam_s, bump)
-        fam_i = localize(fam_i, bump)
+    flat, chi = schwarzschild(0.0), bundled_coordinate_bump()
+    fam_s, fam_i = localize(flat, chi), localize(isotropic(0.0), chi)
 
     res_s = integrate_generator(testT, fam_s, region)
     res_i = integrate_generator(testT, fam_i, region)
 
     def metric_eval(pts):
         return flat.eval(0.0, pts)
-
-    chi = bump if bump is not None else (lambda pts: 1.0)
 
     def angular_density(pts):
         Tv = testT.tensor(pts)
@@ -264,7 +254,7 @@ def coordinate_independence_check(testT: StressEnergyField, region: RegionSpec,
                    else testT.support + np.array([-_STENCIL_REACH, _STENCIL_REACH]))
     div_integral, div_est, _ = integrate(div_r_density, region, div_support)
 
-    flux = boundary_term(testT, region.box, metric_eval, resolution=max(region.resolution))
+    flux = boundary_term(testT, region)
 
     # conservation diagnostic on a moderate interior sample
     sample_axes = [np.linspace(region.box[ax, 0], region.box[ax, 1], 7)[1:-1] for ax in range(4)]

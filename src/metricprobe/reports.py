@@ -77,9 +77,6 @@ def write_report(report: dict, path) -> None:
 # console rendering
 # ---------------------------------------------------------------------------
 
-_SKIP_SECTIONS = {"scenario"}
-
-
 def _leaf_text(val) -> str:
     if isinstance(val, dict) and set(val) == {"value", "units"}:
         v = val["value"]
@@ -110,15 +107,7 @@ def _walk(node: dict, prefix: str, rows: list):
 def render_summary(report: dict) -> str:
     """Aligned key/value listing of everything except the config echo."""
     rows = []
-    for key, val in report.items():
-        if key in _SKIP_SECTIONS:
-            continue
-        if isinstance(val, dict):
-            _walk(val, key + ".", rows)
-        else:
-            rows.append((key, _leaf_text(val)))
-    if not rows:
-        return "(empty report)\n"
+    _walk({key: val for key, val in report.items() if key != "scenario"}, "", rows)
     width = max(len(name) for name, _ in rows)
     lines = [f"{name.ljust(width)}  {text}" for name, text in rows]
     return "\n".join(lines) + "\n"

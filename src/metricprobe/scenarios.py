@@ -22,8 +22,7 @@ import yaml
 
 from . import geometry as geo
 from . import stress_energy as se
-from .generator import (GeneratorResult, coordinate_independence_check,
-                        bundled_coordinate_bump, conserved_test_tensor,
+from .generator import (GeneratorResult, conserved_test_tensor, coordinate_independence_check,
                         integrate_generator, nonconserved_test_tensor,
                         spherical_test_box, trace_null_residual)
 from .probe import (CrlbReport, GaussianProbeState, crlb_amplitude,
@@ -81,62 +80,82 @@ class Scenario:
     simulation: dict
 
 
-def _mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(path, "must be a mapping")
-    return value
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _need(d: dict, key: str, path: str):
-    if key not in d:
-        raise ScenarioError(f"{path}.{key}", "missing")
-    return d[key]
+class _Reader:
+    """One mapping of a scenario document at its key path; each getter
+    records the key it reads, so check_read can refuse the keys no one took."""
 
+    def __init__(self, value, path: str = ""):
+        if not isinstance(value, dict):
+            raise ScenarioError(path or "<root>", "must be a mapping")
+        self.data, self.path, self.read, self.subs = value, path, set(), {}
 
-def _num(d: dict, key: str, path: str, default=None):
-    if key not in d and default is not None:
-        return default
-    v = _need(d, key, path)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ScenarioError(f"{path}.{key}", f"expected a number, got {v!r}")
-    if not math.isfinite(v):
-        raise ScenarioError(f"{path}.{key}", f"expected a finite number, got {v!r}")
-    return float(v)
+    def key(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
 
+    def get(self, key: str, default=None):
+        self.read.add(key)
+        return self.data.get(key, default)
 
-def _int(d: dict, key: str, path: str, default: int) -> int:
-    v = d.get(key, default)
-    if not _is_int(v):
-        raise ScenarioError(f"{path}.{key}", f"expected an integer, got {v!r}")
-    return v
+    def need(self, key: str):
+        if key not in self.data:
+            raise ScenarioError(self.key(key), "missing")
+        return self.get(key)
 
+    def num(self, key: str, default=None) -> float:
+        if key not in self.data and default is not None:
+            return default
+        v = self.need(key)
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ScenarioError(self.key(key), f"expected a number, got {v!r}")
+        if not math.isfinite(v):
+            raise ScenarioError(self.key(key), f"expected a finite number, got {v!r}")
+        return float(v)
 
-def _array(d: dict, key: str, path: str) -> np.ndarray:
-    v = _need(d, key, path)
-    try:
-        arr = np.asarray(v, dtype=float)
-        if np.all(np.isfinite(arr)):
-            return arr
-    except (TypeError, ValueError):
-        pass
-    raise ScenarioError(f"{path}.{key}", f"expected an array of finite numbers, got {v!r}")
+    def int(self, key: str, default: int) -> int:
+        v = self.get(key, default)
+        if not _is_int(v):
+            raise ScenarioError(self.key(key), f"expected an integer, got {v!r}")
+        return v
 
+    def array(self, key: str, shape=None) -> np.ndarray:
+        """Finite numbers, of the given shape if one is given."""
+        v = self.need(key)
+        try:
+            arr = np.asarray(v, dtype=float)
+            if np.all(np.isfinite(arr)) and shape in (None, arr.shape):
+                return arr
+        except (TypeError, ValueError):
+            pass
+        raise ScenarioError(self.key(key), "expected an array of finite numbers"
+                            + (f" of shape {shape}" if shape else "") + f", got {v!r}")
 
-def _vector(d: dict, key: str, path: str) -> np.ndarray:
-    arr = _array(d, key, path)
-    if arr.shape != (3,):
-        raise ScenarioError(f"{path}.{key}", f"expected 3 numbers, got {d[key]!r}")
-    return arr
+    def only(self, key: str, value: str) -> None:
+        """Accept an optional key whose one allowed value is also its default."""
+        if self.get(key, value) != value:
+            raise ScenarioError(self.key(key), f"must be {value!r}, got {self.data[key]!r}")
 
+    def sub(self, key: str, optional: bool = False) -> "_Reader":
+        """The mapping at key; an optional one may be missing or null."""
+        value = self.get(key)
+        self.subs[key] = _Reader({} if optional and value is None else value, self.key(key))
+        return self.subs[key]
 
-def _only(d: dict, key: str, path: str, value: str) -> None:
-    """Accept an optional key whose one allowed value is also its default."""
-    if d.get(key, value) != value:
-        raise ScenarioError(f"{path}.{key}", f"must be {value!r}, got {d[key]!r}")
+    def kwargs(self) -> dict:
+        """Every key, each counted as read: keyword arguments passed on whole."""
+        self.read.update(self.data)
+        return dict(self.data)
+
+    def check_read(self) -> None:
+        """Refuse the first key, in document order and at any depth, no getter read."""
+        for key in self.data:
+            if key not in self.read:
+                raise ScenarioError(self.key(key), "unknown key")
+            if key in self.subs:
+                self.subs[key].check_read()
 
 
 def load_scenario(path) -> Scenario:
@@ -151,83 +170,76 @@ def load_scenario(path) -> Scenario:
 
 
 def parse_scenario(doc) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("<root>", "document must be a mapping")
-    name = doc.get("name")
+    root = _Reader(doc)
+    name = root.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("name", "must be a nonempty string")
-    kind = doc.get("kind")
+    kind = root.get("kind")
     if kind not in KINDS:
         raise ScenarioError("kind", f"must be one of {', '.join(KINDS)}; got {kind!r}")
-    for key in doc:
-        if key not in _SECTIONS + ("name", "kind", "description"):
-            raise ScenarioError(key, "unknown section")
-    present = [key for key in _SECTIONS if doc.get(key) is not None]
+    present = [key for key in _SECTIONS if root.get(key) is not None]
     for need in [kind] + present:
         for key in _NEEDS.get(need, ()):
             if key not in present:
                 raise ScenarioError(key, f"section is required by {need!r}")
-    family = build_family(doc) if "family" in present else None
-    region = build_region(doc) if "region" in present else None
-    field = build_field(doc, family, region) if "stress_energy" in present else None
-    state = build_state(doc) if "probe" in present else None
+    family = build_family(root) if "family" in present else None
+    region = build_region(root) if "region" in present else None
+    field = build_field(root, family, region) if "stress_energy" in present else None
+    state = build_state(root) if "probe" in present else None
     if kind == "proper-time" and hamiltonian_variance(state) == 0.0:
         raise ScenarioError("probe.spectrum", "proper-time needs a probe whose energy "
                             "fluctuates (no active photons)")
-    return Scenario(name=name, kind=kind, description=str(doc.get("description", "")), raw=doc,
-                    family=family, field=field, region=region, state=state,
-                    simulation=build_sim_params(doc))
+    sc = Scenario(name=name, kind=kind, description=str(root.get("description", "")), raw=doc,
+                  family=family, field=field, region=region, state=state,
+                  simulation=build_sim_params(root))
+    root.check_read()
+    return sc
 
 
 # ---------------------------------------------------------------------------
-# builders
+# build_* functions: each takes the document's reader and reads its section
 # ---------------------------------------------------------------------------
 
-def _build_profile(spec: dict, path: str):
-    kind = _need(spec, "kind", path)
+def _build_profile(spec: _Reader):
+    kind = spec.need("kind")
     if kind == "constant":
-        value = _num(spec, "value", path, default=1.0)
+        value = spec.num("value", default=1.0)
         return lambda x: np.full(np.asarray(x).shape[:-1], value)
     if kind == "bump":
-        return _build_bump(spec, path)
-    raise ScenarioError(f"{path}.kind", f"unknown profile kind {kind!r}")
+        return _build_bump(spec)
+    raise ScenarioError(spec.key("kind"), f"unknown profile kind {kind!r}")
 
 
-def _build_bump(spec: dict, path: str) -> geo.BumpProfile:
-    plateau = _array(spec, "plateau", path)
-    support = _array(spec, "support", path)
-    _only(spec, "kind_name", path, "smoothstep")
-    order = _int(spec, "order", path, default=3)
-    with _keyed(path):
+def _build_bump(spec: _Reader) -> geo.BumpProfile:
+    plateau, support = spec.array("plateau"), spec.array("support")
+    spec.only("kind_name", "smoothstep")
+    order = spec.int("order", default=3)
+    with _keyed(spec.path):
         return geo.BumpProfile(plateau=plateau, support=support, order=order)
 
 
-def build_family(doc: dict) -> geo.MetricFamily:
-    spec = _mapping(doc["family"], "family")
-    name = _need(spec, "name", "family")
-    params = dict(_mapping(spec.get("parameters") or {}, "family.parameters"))
-    if "theta0" in params:
-        params["theta0"] = _num(params, "theta0", "family.parameters")
-    for key in ("mu0", "nu0"):
-        if key in params:
-            params[key] = _int(params, key, "family.parameters", 0)
+def build_family(doc: _Reader) -> geo.MetricFamily:
+    spec = doc.sub("family")
+    name = spec.need("name")
+    params_spec = spec.sub("parameters", optional=True)
+    params = params_spec.kwargs()
+    for key in [k for k in ("theta0", "mu0", "nu0") if k in params]:
+        params[key] = params_spec.num(key) if key == "theta0" else params_spec.int(key, 0)
     if not isinstance(name, str) or name not in geo.BUILTIN_FAMILIES:
-        raise ScenarioError("family.name",
-                            f"unknown family {name!r}; built-ins: "
+        raise ScenarioError(spec.key("name"), f"unknown family {name!r}; built-ins: "
                             + ", ".join(sorted(geo.BUILTIN_FAMILIES)))
     if name == "g00_profile_perturbation":
-        path = "family.parameters.profile"
-        params["profile"] = _build_profile(_mapping(params.pop("profile", None), path), path)
-    with _keyed("family.parameters", (TypeError, ValueError)):
+        params["profile"] = _build_profile(params_spec.sub("profile"))
+    with _keyed(params_spec.path, (TypeError, ValueError)):
         fam = geo.BUILTIN_FAMILIES[name](**params)
     if doc.get("bump") is not None:
-        bump = _build_bump(_mapping(doc["bump"], "bump"), "bump")
+        bump = _build_bump(doc.sub("bump"))
         with _keyed("bump", geo.ChartDomainError):
             fam = geo.localize(fam, bump)
     return fam
 
 
-def build_field(doc: dict, family: geo.MetricFamily,
+def build_field(doc: _Reader, family: geo.MetricFamily,
                 region: RegionSpec) -> se.StressEnergyField:
     """The scenario's source over the region, which must lie in the
     family's chart domain; family supplies the chart a grid file must be
@@ -235,31 +247,25 @@ def build_field(doc: dict, family: geo.MetricFamily,
     with _keyed("region.box", geo.ChartDomainError):
         # integrate_generator's check, made before any quadrature
         family.domain.require(geo.box_corners(region.box))
-    spec = _mapping(doc["stress_energy"], "stress_energy")
-    em_spec = spec.get("em")
-    grid_spec = spec.get("grid")
+    spec = doc.sub("stress_energy")
+    em_spec, grid_spec = spec.get("em"), spec.get("grid")
     if (em_spec is None) == (grid_spec is None):
-        raise ScenarioError("stress_energy",
-                            "exactly one of 'em' or 'grid' must be given")
+        raise ScenarioError(spec.path, "exactly one of 'em' or 'grid' must be given")
     frame = spec.get("frame", "chart")
     if frame not in ("chart", "orthonormal"):
-        raise ScenarioError("stress_energy.frame",
-                            f"must be 'chart' or 'orthonormal', got {frame!r}")
-    if grid_spec is not None:
-        fn = _build_grid(_mapping(grid_spec, "stress_energy.grid"), family, region.box)
-    else:
-        fn = _build_em(_mapping(em_spec, "stress_energy.em"), "stress_energy.em")
+        raise ScenarioError(spec.key("frame"), f"must be 'chart' or 'orthonormal', got {frame!r}")
+    fn = (_build_grid(spec.sub("grid"), family, region.box) if grid_spec is not None
+          else _build_em(spec.sub("em")))
     if frame == "orthonormal":
-        with _keyed("stress_energy.frame"):
+        with _keyed(spec.key("frame")):
             fn = se.in_orthonormal_frame(fn, family)
     return se.StressEnergyField(fn)
 
 
-def _build_grid(spec: dict, family: geo.MetricFamily, box: np.ndarray):
+def _build_grid(spec: _Reader, family: geo.MetricFamily, box: np.ndarray):
     """Interpolant of a grid file on the family's chart that covers the
     region box."""
-    key = "stress_energy.grid.path"
-    path = _need(spec, "path", "stress_energy.grid")
+    path, key = spec.need("path"), spec.key("path")
     if not isinstance(path, str):
         raise ScenarioError(key, f"expected a file path, got {path!r}")
     with _keyed(key, (OSError, ValueError)):
@@ -273,102 +279,93 @@ def _build_grid(spec: dict, family: geo.MetricFamily, box: np.ndarray):
     return grid.interpolate
 
 
-def _build_em(spec: dict, path: str):
-    kind = _need(spec, "kind", path)
+def _build_em(spec: _Reader):
+    kind = spec.need("kind")
     if kind == "plane-wave":
-        return se.em_plane_wave(amplitude=_num(spec, "amplitude", path),
-                                omega=_num(spec, "omega", path),
-                                phase=_num(spec, "phase", path, default=0.0))
+        return se.em_plane_wave(amplitude=spec.num("amplitude"), omega=spec.num("omega"),
+                                phase=spec.num("phase", default=0.0))
     if kind == "uniform":
-        return se.em_uniform(_vector(spec, "E", path), _vector(spec, "B", path))
-    raise ScenarioError(f"{path}.kind", f"unknown EM configuration {kind!r}")
+        return se.em_uniform(spec.array("E", (3,)), spec.array("B", (3,)))
+    raise ScenarioError(spec.key("kind"), f"unknown EM configuration {kind!r}")
 
 
-def build_region(doc: dict) -> RegionSpec:
-    spec = _mapping(doc["region"], "region")
-    box = _array(spec, "box", "region")
-    res = _need(spec, "resolution", "region")
+def build_region(doc: _Reader) -> RegionSpec:
+    spec = doc.sub("region")
+    box = spec.array("box")
+    res = spec.need("resolution")
     if not all(_is_int(n) for n in (res if isinstance(res, list) else [res])):
-        raise ScenarioError("region.resolution",
+        raise ScenarioError(spec.key("resolution"),
                             f"expected an integer or a list of integers, got {res!r}")
-    _only(spec, "rule", "region", "trapezoid")
-    with _keyed("region.box"):
+    spec.only("rule", "trapezoid")
+    with _keyed(spec.key("box")):
         geo._checked_box(box, "box")
-    with _keyed("region.resolution"):
+    with _keyed(spec.key("resolution")):
         return RegionSpec(box=box, resolution=tuple(np.atleast_1d(res)))
 
 
-def build_state(doc: dict) -> GaussianProbeState:
-    spec = _mapping(doc["probe"], "probe")
-    sp = _mapping(spec.get("spectrum"), "probe.spectrum")
-    fam = _need(sp, "family", "probe.spectrum")
-    tau = _num(sp, "tau", "probe.spectrum")
-    cutoff = _num(sp, "dc_cutoff_mult", "probe.spectrum", default=1.0)
+def build_state(doc: _Reader) -> GaussianProbeState:
+    spec = doc.sub("probe")
+    sp = spec.sub("spectrum")
+    fam = sp.need("family")
+    tau = sp.num("tau")
+    cutoff = sp.num("dc_cutoff_mult", default=1.0)
     if fam == "monochromatic":
         make, kwargs = monochromatic_spectrum, dict(
-            omega=_num(sp, "omega", "probe.spectrum"),
-            n_photons=_num(sp, "n_photons", "probe.spectrum"))
+            omega=sp.num("omega"), n_photons=sp.num("n_photons"))
     elif fam == "gaussian-band":
         make, kwargs = gaussian_band_spectrum, dict(
-            omega0=_num(sp, "omega", "probe.spectrum"),
-            fractional_width=_num(sp, "fractional_width", "probe.spectrum"),
-            n_photons=_num(sp, "n_photons", "probe.spectrum"),
-            n_modes=_int(sp, "n_modes", "probe.spectrum", default=101))
+            omega0=sp.num("omega"), fractional_width=sp.num("fractional_width"),
+            n_photons=sp.num("n_photons"), n_modes=sp.int("n_modes", default=101))
     elif fam == "flat-band":
         make, kwargs = flat_band_spectrum, dict(
-            omega_lo=_num(sp, "omega_lo", "probe.spectrum"),
-            omega_hi=_num(sp, "omega_hi", "probe.spectrum"),
-            n_photons=_num(sp, "n_photons", "probe.spectrum"),
-            n_modes=_int(sp, "n_modes", "probe.spectrum", default=101))
+            omega_lo=sp.num("omega_lo"), omega_hi=sp.num("omega_hi"),
+            n_photons=sp.num("n_photons"), n_modes=sp.int("n_modes", default=101))
     elif fam == "table":
-        path = _need(sp, "path", "probe.spectrum")
+        path = sp.need("path")
         if not isinstance(path, str):
-            raise ScenarioError("probe.spectrum.path", f"expected a file path, got {path!r}")
+            raise ScenarioError(sp.key("path"), f"expected a file path, got {path!r}")
         make, kwargs = load_spectrum_table, dict(path=path)
     else:
-        raise ScenarioError("probe.spectrum.family",
-                            f"unknown spectrum family {fam!r}")
-    with _keyed("probe.spectrum.path", OSError), _keyed("probe.spectrum"):
+        raise ScenarioError(sp.key("family"), f"unknown spectrum family {fam!r}")
+    with _keyed(sp.key("path"), OSError), _keyed(sp.path):
         spectrum = make(tau=tau, dc_cutoff_mult=cutoff, **kwargs)
     if not np.any(spectrum.active):
-        raise ScenarioError("probe.spectrum", "no modes survive the DC cutoff "
+        raise ScenarioError(sp.path, "no modes survive the DC cutoff "
                             f"omega >= {spectrum.omega_min:g}")
-    squeeze_r = _num(spec, "squeeze_r", "probe", default=0.0)
-    hbar = _num(spec, "hbar", "probe", default=1.0)
+    squeeze_r = spec.num("squeeze_r", default=0.0)
+    hbar = spec.num("hbar", default=1.0)
     # squeeze_r alone sets the state; the reference name must agree with it
     reference = spec.get("reference", "vacuum-coherent")
     if reference not in ("vacuum-coherent", "squeezed-vacuum"):
-        raise ScenarioError("probe.reference", "must be 'vacuum-coherent' or "
+        raise ScenarioError(spec.key("reference"), "must be 'vacuum-coherent' or "
                             f"'squeezed-vacuum', got {reference!r}")
     if reference == "vacuum-coherent" and squeeze_r != 0.0:
-        raise ScenarioError("probe.reference", "vacuum-coherent is the unsqueezed "
+        raise ScenarioError(spec.key("reference"), "vacuum-coherent is the unsqueezed "
                             f"state, but squeeze_r = {squeeze_r!r}")
     # the bound and the readout take e^(2 r) and square hbar and C
     if squeeze_r > _MAX_SQUEEZE_R:
-        raise ScenarioError("probe.squeeze_r", f"e^(2 r) overflows above "
+        raise ScenarioError(spec.key("squeeze_r"), f"e^(2 r) overflows above "
                             f"{_MAX_SQUEEZE_R!r}, got {squeeze_r!r}")
     if not math.isfinite(hbar * hbar):
-        raise ScenarioError("probe.hbar", f"hbar^2 overflows, got {hbar!r}")
+        raise ScenarioError(spec.key("hbar"), f"hbar^2 overflows, got {hbar!r}")
     with np.errstate(over="ignore"):
         C = effective_constant_C(spectrum, hbar)
     if not math.isfinite(C * C):
-        raise ScenarioError("probe.spectrum", f"the mode sum C = {C!r} squared overflows")
-    with _keyed("probe"):
+        raise ScenarioError(sp.path, f"the mode sum C = {C!r} squared overflows")
+    with _keyed(spec.path):
         return GaussianProbeState(spectrum=spectrum, squeeze_r=squeeze_r, hbar=hbar)
 
 
-def build_sim_params(doc: dict) -> dict:
-    spec = doc.get("simulation")
-    spec = {} if spec is None else _mapping(spec, "simulation")
+def build_sim_params(doc: _Reader) -> dict:
+    spec = doc.sub("simulation", optional=True)
     n = spec.get("n_samples", 10 ** 6)
     if not _is_int(n) or n < 2:
         # the estimator's sample variance needs two samples
-        raise ScenarioError("simulation.n_samples", f"must be an integer >= 2, got {n!r}")
-    seed = _int(spec, "seed", "simulation", default=0)
+        raise ScenarioError(spec.key("n_samples"), f"must be an integer >= 2, got {n!r}")
+    seed = spec.int("seed", default=0)
     if seed not in SEEDS:
-        raise ScenarioError("simulation.seed", f"must lie in [0, 2^128), got {seed!r}")
-    return {"n_samples": n, "seed": seed,
-            "a_true": _num(spec, "a_true", "simulation", default=0.0)}
+        raise ScenarioError(spec.key("seed"), f"must lie in [0, 2^128), got {seed!r}")
+    return {"n_samples": n, "seed": seed, "a_true": spec.num("a_true", default=0.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +446,11 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
 
 
 def _run_coordinate_check(region: RegionSpec) -> dict:
-    bump = bundled_coordinate_bump()
     out = {}
     for label, tensor in (("conserved", conserved_test_tensor()),
                           ("nonconserved", nonconserved_test_tensor())):
         try:
-            rep = coordinate_independence_check(tensor, region, bump=bump)
+            rep = coordinate_independence_check(tensor, region)
         except geo.ChartDomainError as exc:
             # raised by the region check that precedes any quadrature
             raise ScenarioError("region.box", str(exc)) from exc
@@ -613,5 +609,7 @@ def load_bundled(name: str) -> Scenario:
 
 
 def resolve_scenario(ref: str) -> Scenario:
-    """Accept either a filesystem path or a bundled scenario name."""
-    return load_scenario(ref) if os.path.exists(ref) else load_bundled(ref)
+    """The scenario file ref, when it exists or looks like a path (it holds a
+    path separator or ends in .yaml or .yml), else the bundled scenario ref."""
+    looks_like_path = os.path.dirname(ref) != "" or ref.endswith((".yaml", ".yml"))
+    return load_scenario(ref) if looks_like_path or os.path.exists(ref) else load_bundled(ref)

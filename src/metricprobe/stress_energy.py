@@ -256,11 +256,6 @@ class StressEnergyField:
         return np.asarray(self.fn(x), dtype=float)
 
 
-def trace(T: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g_munu T^munu with both in the same chart at the same points."""
-    return np.einsum("...ij,...ij->...", np.asarray(g, dtype=float), np.asarray(T, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # covariant divergence (finite differences)
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import geometry as geo
-from .generator import (DIVERGENCE_TOL, bundled_coordinate_bump, conserved_test_tensor,
+from .generator import (DIVERGENCE_TOL, conserved_test_tensor,
                         coordinate_independence_check, nonconserved_test_tensor,
                         trace_null_residual)
 from .fock import probe_state_moments
@@ -116,10 +116,9 @@ def _suite_identities() -> list:
 def _suite_coordinate() -> list:
     checks = []
     region = load_bundled("schwarzschild-coordinate-check").region
-    bump = bundled_coordinate_bump()
 
     cons = conserved_test_tensor()
-    rep_fine = coordinate_independence_check(cons, region, bump=bump)
+    rep_fine = coordinate_independence_check(cons, region)
     d_fine = abs(rep_fine.P_isotropic - rep_fine.P_schwarzschild)
     checks.append(_check("conserved-chart-agreement",
                          d_fine / rep_fine.error_estimate, 1.0))
@@ -133,7 +132,7 @@ def _suite_coordinate() -> list:
     checks.append(_check("conserved-refinement-ratio", ratio, 3.0, ">="))
 
     ncons = nonconserved_test_tensor()
-    rep_n = coordinate_independence_check(ncons, region, bump=bump)
+    rep_n = coordinate_independence_check(ncons, region)
     d_n = rep_n.P_isotropic - rep_n.P_schwarzschild
     checks.append(_check("nonconserved-detects",
                          abs(d_n) / rep_n.error_estimate, 5.0, ">="))

@@ -278,13 +278,7 @@ def test_gw_density_vanishes_nowhere_special():
 # ---------------------------------------------------------------------------
 
 def test_boundary_term_zero_for_compact_source():
-    T = conserved_test_tensor()
-
-    def metric_eval(pts):
-        return schwarzschild(0.0).eval(0.0, pts)
-
-    val = boundary_term(T, spherical_test_box(), metric_eval, resolution=9)
-    assert val == 0.0
+    assert boundary_term(conserved_test_tensor(), _check_region(9)) == 0.0
 
 
 def test_boundary_term_radial_shell_oracle():
@@ -295,27 +289,29 @@ def test_boundary_term_radial_shell_oracle():
         T[..., 1, 1] = 1.0
         return T
 
-    def metric_eval(pts):
-        return schwarzschild(0.0).eval(0.0, pts)
-
     box = np.array([[0.0, 0.5], [2.0, 3.0], [0.8, 2.2], [-0.4, 0.4]])
-    val = boundary_term(StressEnergyField(fn), box, metric_eval, resolution=65)
+    val = boundary_term(StressEnergyField(fn), RegionSpec(box=box, resolution=65))
     dt, dph = 0.5, 0.8
     oracle = dt * dph * (math.cos(0.8) - math.cos(2.2)) * (3.0 ** 2 - 2.0 ** 2)
     assert math.isclose(val, oracle, rel_tol=1e-3)
 
 
-def test_boundary_term_validation():
-    def metric_eval(pts):
-        return schwarzschild(0.0).eval(0.0, pts)
+def test_audit_faces_take_the_region_rules(monkeypatch):
+    # a face along axis a has the region's nodes on the other three axes,
+    # so on a [3, 3, 3, 9] region no face holds more than 3 * 3 * 9 points
+    counts = []
+    real = generator.boundary_term
 
-    T = nonconserved_test_tensor()
-    with pytest.raises(ValueError):
-        boundary_term(T, np.zeros((3, 2)), metric_eval)
-    with pytest.raises(ValueError):
-        boundary_term(T, np.array([[1.0, 0.0]] + [[0.0, 1.0]] * 3), metric_eval)
-    with pytest.raises(ValueError):
-        boundary_term(T, spherical_test_box(), metric_eval, resolution=1)
+    def spy(T, *args, **kwargs):
+        def fn(pts):
+            counts.append(pts[..., 0].size)
+            return T.tensor(pts)
+        return real(StressEnergyField(fn), *args, **kwargs)
+
+    monkeypatch.setattr(generator, "boundary_term", spy)
+    coordinate_independence_check(nonconserved_test_tensor(),
+                                  RegionSpec(box=spherical_test_box(), resolution=(3, 3, 3, 9)))
+    assert sorted(counts) == [27, 27] + [81] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +323,7 @@ def _check_region(n):
 
 
 def test_conserved_source_gives_chart_independent_generator():
-    rep = coordinate_independence_check(conserved_test_tensor(), _check_region(17),
-                                        bump=bundled_coordinate_bump())
+    rep = coordinate_independence_check(conserved_test_tensor(), _check_region(17))
     assert isinstance(rep, CoordinateCheckReport)
     assert rep.conserved
     diff = abs(rep.P_isotropic - rep.P_schwarzschild)
@@ -339,8 +334,7 @@ def test_conserved_source_gives_chart_independent_generator():
 
 
 def test_nonconserved_source_splits_charts():
-    rep = coordinate_independence_check(nonconserved_test_tensor(), _check_region(17),
-                                        bump=bundled_coordinate_bump())
+    rep = coordinate_independence_check(nonconserved_test_tensor(), _check_region(17))
     assert not rep.conserved
     diff = rep.P_isotropic - rep.P_schwarzschild
     assert abs(diff) > 5.0 * rep.error_estimate
@@ -360,8 +354,7 @@ _OP45_BOX = np.array([[-1.327772678425007, 1.3096765751476565],
 
 def test_conserved_routes_agree_within_the_estimate_on_a_widened_box():
     rep = coordinate_independence_check(conserved_test_tensor(),
-                                        RegionSpec(box=_OP45_BOX, resolution=17),
-                                        bump=bundled_coordinate_bump())
+                                        RegionSpec(box=_OP45_BOX, resolution=17))
     diff = rep.P_isotropic - rep.P_schwarzschild
     assert abs(diff - rep.flux_minus_divergence) <= rep.error_estimate
     # the angular integral of a conserved source is exactly 0
@@ -398,7 +391,7 @@ def test_nonconserved_angular_integral_within_its_estimate_of_the_closed_form(n)
         return r * r * sth * bump(pts) * r * (Tv[..., 2, 2] + sth ** 2 * Tv[..., 3, 3])
 
     value, estimate, _ = integrate(angular_density, region, T.support)
-    assert value == coordinate_independence_check(T, region, bump=bump).angular_integral
+    assert value == coordinate_independence_check(T, region).angular_integral
     assert abs(value - exact) <= estimate
 
 
@@ -452,9 +445,8 @@ def test_conserved_support_covers_its_cartesian_cube():
 def test_coordinate_check_keeps_every_bit_with_declared_support(make):
     T = make()
     undeclared = dataclasses.replace(T, support=None)
-    bump = bundled_coordinate_bump()
-    with_support = coordinate_independence_check(T, _check_region(9), bump=bump)
-    without = coordinate_independence_check(undeclared, _check_region(9), bump=bump)
+    with_support = coordinate_independence_check(T, _check_region(9))
+    without = coordinate_independence_check(undeclared, _check_region(9))
     assert repr(dataclasses.astuple(with_support)) == repr(dataclasses.astuple(without))
 
 

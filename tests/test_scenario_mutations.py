@@ -2,13 +2,14 @@
 
 In the first, each example takes one bundled scenario and mutates it
 once: it deletes a key or list element, swaps a value for one of another
-type, puts a non-finite number in its place, or reshapes a list.  In the
-second, each example flips, inserts or deletes 1-3 bytes of one input
-file: a bundled scenario YAML, a grid written by ``save_grid`` or a
-spectrum table written by ``save_spectrum_table``.  Whatever the
-mutation, the command line must either succeed or exit 2 with a
-``ScenarioError`` that names a key path.  Runs use ``--resolution 0.25``
-so that the whole test stays within a few seconds.
+type, puts a non-finite number in its place, reshapes a list, or renames
+a mapping key by appending a character.  In the second, each example flips,
+inserts or deletes 1-3 bytes of one input file: a bundled scenario YAML,
+a grid written by ``save_grid`` or a spectrum table written by
+``save_spectrum_table``.  Whatever the mutation, the command line must
+either succeed or exit 2 with a ``ScenarioError`` that names a key path;
+a renamed key is misspelled, so it must exit 2.  Runs use
+``--resolution 0.25`` so that the whole test stays within a few seconds.
 """
 import copy
 import importlib.resources
@@ -60,32 +61,34 @@ def mutated_scenarios(draw):
         parent = parent[key]
     key = path[-1]
     value = parent[key]
-    how = draw(st.sampled_from(("delete", "swap", "non-finite", "reshape")
-                               if isinstance(value, list) else
-                               ("delete", "swap", "non-finite")))
+    how = draw(st.sampled_from(("delete", "swap", "non-finite")
+                               + (("reshape",) if isinstance(value, list) else ())
+                               + (("rename",) if isinstance(parent, dict) else ())))
     if how == "delete":
         del parent[key]
     elif how == "swap":
         parent[key] = copy.deepcopy(draw(st.sampled_from(SWAPS)))
     elif how == "non-finite":
         parent[key] = draw(st.sampled_from(NON_FINITE))
-    else:
+    elif how == "reshape":
         reshape = RESHAPES[draw(st.sampled_from(sorted(RESHAPES)))]
         parent[key] = reshape(value, draw(st.integers(0, max(len(value) - 1, 0))))
-    return name, doc
+    else:
+        parent[key + draw(st.sampled_from("sx_"))] = parent.pop(key)
+    return name, doc, how
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_scenarios())
 def test_mutated_scenario_runs_or_exits_2_naming_a_key(tmp_path, capsys, case):
-    name, doc = case
+    name, doc, how = case
     config = tmp_path / "mutated.yaml"
     config.write_text(yaml.safe_dump(doc))
     command = "simulate" if "simulation" in BUNDLED[name] else "bound"
     rc = main([command, "--config", str(config), "--resolution", "0.25"])
     err = capsys.readouterr().err
-    assert rc in (0, 2), err
+    assert rc in ((2,) if how == "rename" else (0, 2)), err
     if rc == 2:
         assert re.match(r"error: scenario key '[^']+': ", err), err
 

@@ -534,7 +534,18 @@ def test_cli_simulate_seed_override(tmp_path, capsys):
 def test_cli_unknown_scenario_exits_2(capsys):
     assert main(["bound", "--config", "no-such-scenario"]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert err.startswith("error: scenario key 'name': no bundled scenario 'no-such-scenario'; "
+                          "available: desitter-em-probe, "), err
+
+
+# a --config with a path separator or a YAML suffix names a file, never a
+# bundled scenario, so a missing one is a file that cannot be read
+@pytest.mark.parametrize("config", ["nope/typo.yaml", "typo.yml", "nope/typo"])
+def test_cli_missing_config_file_exits_2_naming_the_root(tmp_path, capsys, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)
+    assert main(["bound", "--config", config]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: scenario key '<root>': cannot read '{config}': ")
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
@@ -624,6 +635,32 @@ def test_cli_bad_number_exits_2_naming_the_key(tmp_path, capsys, section, key, v
 
 def _bundled_doc(name):
     return copy.deepcopy(load_bundled(name).raw)
+
+
+# keys no reader takes: an optional key renamed, whose default would
+# replace the value given, a misspelling beside a required key, and a key
+# of another branch (a band's width on a monochromatic spectrum)
+@pytest.mark.parametrize("name,section,key,renamed", [
+    ("gw-squeezed-r1", "probe", "squeez_r", "squeeze_r"),
+    ("gw-monochromatic-coherent", "simulation", "a_ture", "a_true"),
+    ("gw-monochromatic-coherent", "region", "reslution", None),
+    ("gw-monochromatic-coherent", "stress_energy.em", "amplitdue", None),
+    ("gw-monochromatic-coherent", "family", "nme", None),
+    ("gw-monochromatic-coherent", "probe.spectrum", "omgea", None),
+    ("gw-monochromatic-coherent", "probe.spectrum", "fractional_width", None),
+])
+def test_cli_unknown_key_exits_2_naming_its_path(tmp_path, capsys, monkeypatch, name,
+                                                 section, key, renamed):
+    monkeypatch.setattr(generator, "integrate", _no_quadrature)
+    doc = _bundled_doc(name)
+    node = doc
+    for part in section.split("."):
+        node = node[part]
+    node[key] = node.pop(renamed) if renamed else 0.1
+    config = tmp_path / "typo.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert main(["bound", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: scenario key '{section}.{key}': unknown key\n"
 
 
 def _grid_doc(tmp_path, **grid):
@@ -864,9 +901,9 @@ def test_cli_resolution_above_the_node_ceiling_exits_2(capsys, monkeypatch, mult
 
 
 def test_cli_anisotropic_audit_under_the_ceiling_runs(tmp_path, capsys, monkeypatch):
-    # the boundary flux samples every face at the region's largest axis
-    # count; those 3-D faces are no 4-D region, and a region with
-    # 3 * 3 * 3 * 9 nodes under the ceiling runs although 9^4 is above it
+    # a boundary face takes the region's rules on its three free axes, so
+    # it holds at most half the region's nodes: a region with 3 * 3 * 3 * 9
+    # nodes at the ceiling runs
     doc = _bundled_doc("schwarzschild-coordinate-check")
     doc["region"]["resolution"] = [3, 3, 3, 9]
     monkeypatch.setattr(quadrature, "MAX_NODES", 3 * 3 * 3 * 9)

@@ -7,7 +7,7 @@ from metricprobe.geometry import flrw_closed
 from metricprobe.stress_energy import (StressEnergyField, TensorGrid,
                                        covariant_divergence, divergence_residual,
                                        em_plane_wave, em_stress_tensor, em_uniform,
-                                       in_orthonormal_frame, load_grid, save_grid, trace)
+                                       in_orthonormal_frame, load_grid, save_grid)
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 FOUR_PI = 4.0 * math.pi
@@ -59,19 +59,7 @@ def test_maxwell_trace_free_on_flat_background():
     T = em_stress_tensor(E, B)
     g = np.broadcast_to(ETA, T.shape)
     t00 = T[..., 0, 0]
-    assert np.max(np.abs(trace(T, g))) <= 1e-12 * np.max(t00)
-
-
-def test_trace_of_dust_is_minus_density():
-    field = dust(2.5)
-    x = np.zeros((3, 4))
-    tr = trace(field.tensor(x), flat_metric(x))
-    np.testing.assert_allclose(tr, -2.5, rtol=1e-15)
-
-
-def test_trace_zero_tensor():
-    T = np.zeros((5, 4, 4))
-    assert np.array_equal(trace(T, flat_metric(np.zeros((5, 4)))), np.zeros(5))
+    assert np.max(np.abs(np.einsum("...ij,...ij->...", g, T))) <= 1e-12 * np.max(t00)
 
 
 def test_plane_wave_trace_free_against_curved_metric_in_orthonormal_frame():
@@ -82,7 +70,7 @@ def test_plane_wave_trace_free_against_curved_metric_in_orthonormal_frame():
     pts = np.array([[1.3, 0.9, 1.4, 0.1], [2.0, 0.6, 1.9, -0.3]])
     T = field.tensor(pts)
     g = fam.eval(fam.theta0, pts)
-    assert np.max(np.abs(trace(T, g))) == 0.0
+    assert np.max(np.abs(np.einsum("...ij,...ij->...", g, T))) == 0.0
 
 
 @pytest.mark.parametrize("support", [

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from metricprobe import verify
-from metricprobe.generator import (bundled_coordinate_bump, conserved_test_tensor,
+from metricprobe.generator import (conserved_test_tensor,
                                    coordinate_independence_check, nonconserved_test_tensor)
 from metricprobe.quadrature import RegionSpec
 from metricprobe.reports import dumps_report
@@ -66,8 +66,8 @@ def test_coordinate_suite_reads_the_refinement_ratio_from_the_fine_audits(monkey
         load_bundled(name), region=RegionSpec(box=box, resolution=9)))
     audits = []
 
-    def spy(testT, region, bump=None):
-        rep = coordinate_independence_check(testT, region, bump=bump)
+    def spy(testT, region):
+        rep = coordinate_independence_check(testT, region)
         audits.append((testT.support.tolist(), region.resolution, rep))
         return rep
 
@@ -79,8 +79,7 @@ def test_coordinate_suite_reads_the_refinement_ratio_from_the_fine_audits(monkey
 
     fine = audits[0][2]
     coarse = coordinate_independence_check(conserved_test_tensor(),
-                                           RegionSpec(box=box, resolution=5),
-                                           bump=bundled_coordinate_bump())
+                                           RegionSpec(box=box, resolution=5))
     ratio = (abs(coarse.P_isotropic - coarse.P_schwarzschild)
              / abs(fine.P_isotropic - fine.P_schwarzschild))
     got = next(c for c in checks if c["name"] == "conserved-refinement-ratio")

@@ -5,7 +5,7 @@
 unpacks ``git archive REV`` into a temporary directory, then writes the
 ``dumps_report`` text of a fixed corpus once from that tree and once from
 the tree this script lives in, each in a fresh child process that imports
-``metricprobe`` from the tree's own ``src/``.  The corpus (98 files):
+``metricprobe`` from the tree's own ``src/``.  The corpus (114 files):
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
@@ -14,16 +14,19 @@ the tree this script lives in, each in a fresh child process that imports
 * ``run_verify()`` over all four suites;
 * the chart audit at resolution 0.5 on a box whose faces cut both
   bundled sources, the one route where ``boundary_term`` is nonzero;
-* ``run_bound`` of the gravitational-wave scenario with its source read
-  from a grid file, which each child builds from a numpy array and
-  writes with ``save_grid`` next to its reports;
-* ``run_bound`` of the gravitational-wave scenario with a ``bump:``
-  section inside its region box and ``stress_energy.frame: orthonormal``,
-  the scenario path through ``localize`` into the source's frame;
+* ``run_bound`` of ten ``VARIANTS`` of bundled scenarios, which take the
+  ``build_*`` branches no bundled scenario takes: a source read from a grid
+  file and a probe spectrum read from a table, which each child writes
+  with ``save_grid`` and ``save_spectrum_table`` next to its reports; a
+  ``bump:`` section with ``stress_energy.frame: orthonormal``; a uniform
+  EM field; a flat-band spectrum; squeezed unruh-component and
+  proper-time-reduction; a g00 profile of kind bump; the off-diagonal
+  minkowski_component (mu0 0, nu0 1); and a probe without photons;
 * ``cli.main`` in the child's directory: ``bound`` and ``simulate`` of
   gw-monochromatic-coherent and ``verify --suite reductions``, each with
-  ``--out``, and ``list-scenarios``; each run's stdout is a corpus file
-  (``*.stdout``) next to the report it wrote.
+  ``--out``, ``list-scenarios``, and ``bound --resolution 0.5`` of every
+  bundled scenario; each run's stdout is a corpus file (``*.stdout``),
+  next to the report it wrote if any.
 
 The workload inputs come from this tree's ``bench/workloads.py`` for both
 trees, so both libraries see the same scenario dicts.  The script prints
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import os
@@ -52,12 +56,37 @@ SEED = 7
 OPS = {"bound-sweep": range(1, 9), "chart-audit": range(1, 7), "readout-mc": range(1, 7)}
 #: chart-audit box whose t and r faces cut both bundled sources
 FACE_CUTTING_BOX = [[-0.5, 0.5], [1.6, 3.5], [0.94, 2.21], [-0.61, 0.61]]
-#: the grid field's file, relative to the child's working directory, so
-#: both trees echo the same path in their reports
+#: the grid field's and the spectrum table's files, relative to the
+#: child's working directory, so both trees echo the same paths in their
+#: reports
 GRID_FILE = "grid.txt"
-#: bump of the localized gravitational-wave entry, inside its region box
+SPECTRUM_FILE = "spectrum.txt"
+#: a bump inside the gravitational-wave region box
 GW_BUMP = {"plateau": [[0.2, 0.8], [0.2, 0.8], [0.05, 0.2], [0.05, 0.2]],
            "support": [[0.05, 0.95], [0.05, 0.95], [0.01, 0.24], [0.01, 0.24]]}
+SQUEEZED = {"probe.squeeze_r": 0.5, "probe.reference": "squeezed-vacuum"}
+#: run_bound entries: name -> (bundled scenario, {dotted key: new value})
+VARIANTS = {
+    "gw-grid-field": ("gw-monochromatic-coherent",
+                      {"stress_energy": {"grid": {"path": GRID_FILE}}}),
+    "gw-localized-orthonormal": ("gw-monochromatic-coherent",
+                                 {"bump": GW_BUMP, "stress_energy.frame": "orthonormal"}),
+    "gw-uniform-field": ("gw-monochromatic-coherent", {"stress_energy.em": {
+        "kind": "uniform", "E": [0, 1, 0], "B": [0, 0, 1]}}),
+    "gw-flat-band": ("gw-monochromatic-coherent", {"probe.spectrum": {
+        "family": "flat-band", "omega_lo": 60.0, "omega_hi": 65.0, "n_photons": 1.0e4,
+        "tau": 1.0}}),
+    "gw-table-spectrum": ("gw-monochromatic-coherent", {"probe.spectrum": {
+        "family": "table", "path": SPECTRUM_FILE, "tau": 1.0}}),
+    "unruh-component-squeezed": ("unruh-component", SQUEEZED),
+    "proper-time-reduction-squeezed": ("proper-time-reduction", SQUEEZED),
+    "gw-g00-bump-profile": ("gw-monochromatic-coherent", {"family": {
+        "name": "g00_profile_perturbation",
+        "parameters": {"theta0": 0.0, "profile": dict(GW_BUMP, kind="bump")}}}),
+    "unruh-component-mu0-nu0": ("unruh-component",
+                                {"family.parameters.mu0": 0, "family.parameters.nu0": 1}),
+    "gw-zero-mean-field": ("gw-monochromatic-coherent", {"probe.spectrum.n_photons": 0.0}),
+}
 #: command lines run through cli.main; an --out path is relative to the
 #: child's working directory
 CLI_RUNS = {
@@ -84,6 +113,7 @@ def _grid_values(shape, spacing) -> np.ndarray:
 def write_corpus(out_dir: str) -> None:
     """Write every corpus report as one file under out_dir (child side)."""
     from metricprobe import cli, reports, scenarios, verify
+    from metricprobe.probe import flat_band_spectrum, save_spectrum_table
     from metricprobe.stress_energy import TensorGrid, save_grid
     import workloads
 
@@ -116,17 +146,24 @@ def write_corpus(out_dir: str) -> None:
     shape, spacing = (9, 9, 3, 3), np.full(4, 0.125)
     save_grid(GRID_FILE, TensorGrid(values=_grid_values(shape, spacing),
                                     origin=np.zeros(4), spacing=spacing))
-    doc = dict(scenarios.load_bundled("gw-monochromatic-coherent").raw,
-               name="gw-grid-field", stress_energy={"grid": {"path": GRID_FILE}})
-    put("bound_gw-grid-field", reports.dumps_report(scenarios.run_bound(scenarios.parse_scenario(doc))))
+    save_spectrum_table(SPECTRUM_FILE, flat_band_spectrum(60.0, 65.0, n_photons=1.0e4,
+                                                          tau=1.0, n_modes=5))
+    for variant, (base, changes) in VARIANTS.items():
+        doc = copy.deepcopy(scenarios.load_bundled(base).raw)
+        doc["name"] = variant
+        for dotted, value in changes.items():
+            *sections, key = dotted.split(".")
+            node = doc
+            for section in sections:
+                node = node[section]
+            node[key] = value
+        report = scenarios.run_bound(scenarios.parse_scenario(doc))
+        put(f"bound_{variant}", reports.dumps_report(report))
 
-    doc = dict(scenarios.load_bundled("gw-monochromatic-coherent").raw,
-               name="gw-localized-orthonormal", bump=GW_BUMP)
-    doc["stress_energy"] = dict(doc["stress_energy"], frame="orthonormal")
-    put("bound_gw-localized-orthonormal",
-        reports.dumps_report(scenarios.run_bound(scenarios.parse_scenario(doc))))
-
-    for name, argv in CLI_RUNS.items():
+    cli_runs = dict(CLI_RUNS, **{
+        f"cli_bound@0.5_{name}": ["bound", "--config", name, "--resolution", "0.5"]
+        for name in scenarios.bundled_scenario_names()})
+    for name, argv in cli_runs.items():
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
             if cli.main(argv) != 0:
                 raise SystemExit(f"metricprobe {' '.join(argv)} failed")
