@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BumpProfile, box_corners, localize, schwarzschild, isotropic
+from .geometry import BumpProfile, _per_distinct, box_corners, localize, schwarzschild, isotropic
 from .quadrature import RegionSpec, integrate, region_rules
 from .stress_energy import StressEnergyField, covariant_divergence, divergence_residual
 
@@ -56,7 +56,7 @@ def _density_terms(T: StressEnergyField, family, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     g0 = family.eval(family.theta0, x)
     dg = family.deriv(x)
-    vol = np.sqrt(np.abs(np.linalg.det(g0)))
+    vol = np.sqrt(np.abs(_per_distinct(np.linalg.det, 2, g0)))
     return vol, T.tensor(x), dg
 
 
@@ -163,7 +163,7 @@ def boundary_term(T: StressEnergyField, region: RegionSpec) -> float:
         for side, sign in ((1, 1.0), (0, -1.0)):
             pts = np.insert(mesh, axis, box[axis, side], axis=-1)
             g = flat.eval(0.0, pts)
-            vol = np.sqrt(np.abs(np.linalg.det(g)))
+            vol = np.sqrt(np.abs(_per_distinct(np.linalg.det, 2, g)))
             Tv = T.tensor(pts)
             flux = np.einsum("...j,...j->...", Tv[..., axis, :], g[..., :, 1])
             total += sign * float(np.sum(vol * flux * w3))
@@ -246,7 +246,7 @@ def coordinate_independence_check(testT: StressEnergyField,
 
     def div_r_density(pts):
         g = metric_eval(pts)
-        vol = np.sqrt(np.abs(np.linalg.det(g)))
+        vol = np.sqrt(np.abs(_per_distinct(np.linalg.det, 2, g)))
         div = covariant_divergence(testT, metric_eval, pts, h=_FD_STEP)
         return vol * div[..., 1]
 

@@ -49,6 +49,28 @@ def box_corners(box) -> np.ndarray:
     return np.stack(np.meshgrid(*np.asarray(box, dtype=float), indexing="ij"), axis=-1)
 
 
+def _per_distinct(kernel: Callable, core_ndim: int, *arrays) -> np.ndarray:
+    """kernel(*arrays) for a kernel that maps each point of a batch on its
+    own, run once per distinct input along repeated axes.  The arrays
+    share their batch shape, all but their last core_ndim axes.  A batch
+    axis along which every array holds the bits of its index 0 at every
+    index is cut to that index before the call, and the result is
+    broadcast back over it.  Bits are compared, so -0.0 and 0.0, or two
+    NaN payloads, are distinct.  Returns a read-only broadcast view;
+    callers must not write into it."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    batch = arrays[0].shape[:arrays[0].ndim - core_ndim]
+    for ax, n in enumerate(batch):
+        first = (slice(None),) * ax + (slice(0, 1),)
+        if n > 1 and all(np.all(a.view(np.uint64) == a[first].view(np.uint64))
+                         for a in arrays):
+            # the arrays are their index-0 slice repeated along ax, so the
+            # later axes compare the same on that slice alone
+            arrays = [a[first] for a in arrays]
+    out = kernel(*arrays)
+    return np.broadcast_to(out, batch + out.shape[len(batch):])
+
+
 @dataclass(frozen=True)
 class ChartDomain:
     """Validity region of a coordinate chart.

@@ -14,7 +14,7 @@ import importlib.resources
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -158,15 +158,30 @@ class _Reader:
                 self.subs[key].check_read()
 
 
+#: (section, subsection) of each file path a scenario may name
+_FILE_PATHS = (("stress_energy", "grid"), ("probe", "spectrum"))
+
+
 def load_scenario(path) -> Scenario:
     """The scenario in a YAML file; a file that cannot be read, decoded as
-    UTF-8 or parsed as YAML is a ScenarioError at the document root."""
+    UTF-8 or parsed as YAML is a ScenarioError at the document root.  A
+    relative grid or spectrum-table path in it names a file relative to
+    the YAML file's directory; raw keeps the path as written."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ScenarioError("<root>", f"cannot read {str(path)!r}: {exc}") from exc
-    return parse_scenario(doc)
+    resolved = doc
+    for section, sub in _FILE_PATHS:
+        # copies along the way, so doc itself stays as written; any other
+        # shape is left for parse_scenario to refuse
+        spec = resolved.get(section) if isinstance(resolved, dict) else None
+        if isinstance(spec, dict) and isinstance(spec.get(sub), dict) \
+                and isinstance(spec[sub].get("path"), str):
+            file_path = os.path.join(os.path.dirname(path), spec[sub]["path"])
+            resolved = {**resolved, section: {**spec, sub: {**spec[sub], "path": file_path}}}
+    return replace(parse_scenario(resolved), raw=doc)
 
 
 def parse_scenario(doc) -> Scenario:

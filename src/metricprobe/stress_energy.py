@@ -11,6 +11,13 @@ expectation values, with quantum fluctuations handled separately by the
 probe module.  Components are contravariant T^munu in the chart of the
 metric they are paired with, units with G = c = 1 and Gaussian
 electromagnetic units (energy density (E^2 + B^2) / 8 pi).
+
+Pointwise kernels run once per distinct input: the Maxwell tensor of the
+sources here, and det and inv of the metric where the generator and the
+divergence take them.  So T, and those kernels' outputs, may be
+read-only broadcast views that repeat one point's value along the axes
+on which the input repeats; callers build new arrays from them and never
+write into them.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .geometry import MetricFamily, _checked_box, box_corners
+from .geometry import MetricFamily, _checked_box, _per_distinct, box_corners
 
 _COMPONENT_ORDER = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 _COMPONENT_NAMES = [f"T{i}{j}" for i, j in _COMPONENT_ORDER]
@@ -73,7 +80,7 @@ def em_plane_wave(amplitude: float, omega: float,
         B = np.zeros(x.shape[:-1] + (3,))
         E[..., 1] = f
         B[..., 2] = f
-        return em_stress_tensor(E, B)
+        return _per_distinct(em_stress_tensor, 1, E, B)
 
     return fn
 
@@ -87,7 +94,8 @@ def em_uniform(E_vec, B_vec) -> Callable[[np.ndarray], np.ndarray]:
 
     def fn(x):
         shape = x.shape[:-1] + (3,)
-        return em_stress_tensor(np.broadcast_to(E0, shape), np.broadcast_to(B0, shape))
+        return _per_distinct(em_stress_tensor, 1, np.broadcast_to(E0, shape),
+                             np.broadcast_to(B0, shape))
 
     return fn
 
@@ -250,6 +258,8 @@ class StressEnergyField:
             object.__setattr__(self, "support", _checked_box(self.support, "support"))
 
     def tensor(self, x: np.ndarray) -> np.ndarray:
+        """T^munu at points (..., 4), shape (..., 4, 4).  It may be a
+        read-only broadcast view; callers must not write into it."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != 4:
             raise ValueError("points must have shape (..., 4)")
@@ -281,7 +291,7 @@ def christoffel(metric_eval: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     Returns shape (..., 4, 4, 4) indexed [lam, mu, nu]."""
     x = np.asarray(x, dtype=float)
     g = metric_eval(x)
-    ginv = np.linalg.inv(g)
+    ginv = _per_distinct(np.linalg.inv, 2, g)
     dg = np.moveaxis(_partials(metric_eval, x, h), 0, -3)
     # dg[..., rho, mu, nu] = d_rho g_munu
     lower = 0.5 * (np.einsum("...mrn->...rmn", dg)      # d_mu g_rhonu

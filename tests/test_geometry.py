@@ -6,11 +6,11 @@ import pytest
 
 from metricprobe.geometry import (BUILTIN_FAMILIES, BumpProfile,
                                   ChartDomainError, MetricFamily,
-                                  de_sitter, finite_difference_derivative,
+                                  _per_distinct, de_sitter, finite_difference_derivative,
                                   flrw_closed, g00_profile_perturbation,
                                   gw_plane_wave, isotropic, localize,
                                   minkowski_component, schwarzschild)
-from metricprobe.stress_energy import em_plane_wave, in_orthonormal_frame
+from metricprobe.stress_energy import em_plane_wave, em_stress_tensor, in_orthonormal_frame
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -345,3 +345,93 @@ def test_builtin_family_registry_names():
     assert set(BUILTIN_FAMILIES) == {
         "gw_plane_wave", "minkowski_component", "g00_profile_perturbation",
         "schwarzschild", "isotropic", "flrw_closed", "de_sitter"}
+
+
+# ---------------------------------------------------------------------------
+# kernels run once per distinct input
+# ---------------------------------------------------------------------------
+
+#: (kernel, core axes, core shape of each input); the matrices get 4 I
+#: added so that det and inv stay well conditioned
+KERNELS = {
+    "det": (np.linalg.det, 2, [(4, 4)]),
+    "inv": (np.linalg.inv, 2, [(4, 4)]),
+    "em_stress_tensor": (em_stress_tensor, 1, [(3,), (3,)]),
+}
+_NAN_A = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+_NAN_B = np.array([0x7FF8000000000002], dtype=np.uint64).view(float)[0]
+#: (batch shape, axes repeated by construction, twist, batch shape the
+#: kernel must see).  A twist changes index 1 of axis 1 in one input
+#: only: a +0.0 becomes -0.0, a NaN payload becomes another one, or any
+#: value changes in the last input; or the inputs stay zero-stride views.
+CASES = {
+    "one-repeated-axis": ((3, 4, 5), {1}, None, (3, 1, 5)),
+    "two-repeated-axes": ((3, 4, 5), {0, 2}, None, (1, 4, 1)),
+    "all-repeated": ((2, 3, 4, 5), {0, 1, 2, 3}, None, (1, 1, 1, 1)),
+    "none-repeated": ((3, 4, 5), set(), None, (3, 4, 5)),
+    "length-1-axis": ((3, 1, 5), {2}, None, (3, 1, 1)),
+    "zero-size": ((0, 4, 5), {1}, None, (0, 1, 1)),
+    "no-batch": ((), set(), None, ()),
+    "signed-zero": ((3, 4, 5), {1}, "signed-zero", (3, 4, 5)),
+    "nan-payloads": ((3, 4, 5), {1}, "nan-payloads", (3, 4, 5)),
+    "same-nan-payload": ((3, 4, 5), {1}, "same-nan-payload", (3, 1, 5)),
+    "last-input-differs": ((3, 4, 5), {1}, "last-input-differs", (3, 4, 5)),
+    "broadcast-views": ((3, 4, 5), {0, 2}, "broadcast-views", (1, 4, 1)),
+}
+
+
+def _inputs(kernel_name, case, rng):
+    _, core_ndim, cores = KERNELS[kernel_name]
+    shape, repeated, twist, _ = CASES[case]
+    distinct = tuple(1 if ax in repeated else n for ax, n in enumerate(shape))
+    arrays = []
+    for core in cores:
+        base = rng.standard_normal(distinct + core) + (4.0 * np.eye(4) if core == (4, 4) else 0.0)
+        view = np.broadcast_to(base, shape + core)
+        arrays.append(view if twist == "broadcast-views" else np.ascontiguousarray(view))
+    first = (0,) * len(cores[0])
+    at_1 = (slice(None), 1, Ellipsis) + first
+    if twist == "signed-zero":
+        arrays[0][(Ellipsis,) + first] = 0.0
+        arrays[0][at_1] = -0.0
+    elif twist in ("nan-payloads", "same-nan-payload"):
+        arrays[0][(Ellipsis,) + first] = _NAN_A
+        arrays[0][at_1] = _NAN_B if twist == "nan-payloads" else _NAN_A
+    elif twist == "last-input-differs":
+        arrays[-1][at_1] += 1.0
+    return arrays
+
+
+def _bits(a):
+    """The uint64 bits of a, with the sign bit of every NaN cleared: where
+    two NaNs of opposite sign meet in an addition (the diagonal of
+    em_stress_tensor), numpy's loops return either, depending on the
+    array's length, so the sign of a NaN output depends on the batch
+    shape even for the kernel alone.  Its payload does not."""
+    a = np.asarray(a)
+    bits = a.view(np.uint64).copy()
+    bits[np.isnan(a)] &= np.uint64(0x7FFFFFFFFFFFFFFF)
+    return bits
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+def test_per_distinct_matches_the_kernel_bit_for_bit(kernel_name, case):
+    kernel, core_ndim, _ = KERNELS[kernel_name]
+    arrays = _inputs(kernel_name, case, np.random.default_rng(5))
+    seen = []
+
+    def spy(*args):
+        seen.append(args[0].shape[:args[0].ndim - core_ndim])
+        return kernel(*args)
+
+    with np.errstate(invalid="ignore"):
+        direct = kernel(*arrays)
+        out = _per_distinct(spy, core_ndim, *arrays)
+    assert seen == [CASES[case][3]]
+    assert out.shape == direct.shape
+    assert np.array_equal(_bits(out), _bits(direct))
+    assert not out.flags.writeable
+    if out.size:
+        with pytest.raises(ValueError, match="read-only"):
+            out[(0,) * out.ndim] = 1.0

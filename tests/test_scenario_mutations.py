@@ -140,15 +140,15 @@ def mutated_bytes(draw):
 @settings(max_examples=300, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_bytes())
-def test_mutated_file_runs_or_exits_2_naming_a_key(tmp_path, capsys, monkeypatch, case):
+def test_mutated_file_runs_or_exits_2_naming_a_key(tmp_path, capsys, case):
     name, data = case
-    monkeypatch.chdir(tmp_path)
-    Path(name).write_bytes(data)
-    config = name
+    (tmp_path / name).write_bytes(data)
+    config = tmp_path / name
     if name in READERS:
-        config = "scenario.yaml"
-        Path(config).write_text(yaml.safe_dump(READERS[name]))
-    rc = main(["bound", "--config", config, "--resolution", "0.25"])
+        # the scenario names its data file relative to itself
+        config = tmp_path / "scenario.yaml"
+        config.write_text(yaml.safe_dump(READERS[name]))
+    rc = main(["bound", "--config", str(config), "--resolution", "0.25"])
     err = capsys.readouterr().err
     assert rc in (0, 2), err
     if rc == 2:

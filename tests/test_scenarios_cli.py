@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metricprobe import generator, quadrature, scenarios, verify
+from metricprobe import generator, quadrature, scenarios, stress_energy, verify
 from metricprobe.cli import main
 from metricprobe.probe import flat_band_spectrum, save_spectrum_table
 from metricprobe.reports import dumps_report, render_summary, write_report
@@ -399,6 +400,43 @@ def test_simulate_requires_probe():
 
 class _SeenRegion(Exception):
     pass
+
+
+def test_plane_wave_bound_runs_det_and_maxwell_once_per_distinct_point(monkeypatch):
+    # at theta0 the gw metric is constant and the plane wave reads only t
+    # and x, so on the 17 x 17 x 9 x 9 region the y and z axes collapse:
+    # det and em_stress_tensor each see at most 1/81 of the nodes
+    counts = {"nodes": 0, "det": 0, "em": 0}
+    real_integrate, real_det = generator.integrate, np.linalg.det
+    real_em = stress_energy.em_stress_tensor
+
+    def points(x, core_ndim):
+        return math.prod(np.shape(x)[:np.ndim(x) - core_ndim])
+
+    def integrate(fn, region, support=None):
+        def counted(pts):
+            counts["nodes"] += points(pts, 1)
+            return fn(pts)
+        return real_integrate(counted, region, support)
+
+    def det(a):
+        counts["det"] += points(a, 2)
+        return real_det(a)
+
+    def em(E, B):
+        counts["em"] += points(E, 1)
+        return real_em(E, B)
+
+    monkeypatch.setattr(generator, "integrate", integrate)
+    monkeypatch.setattr(np.linalg, "det", det)
+    monkeypatch.setattr(stress_energy, "em_stress_tensor", em)
+    sc = load_bundled("gw-monochromatic-coherent")
+    assert sc.region.resolution == (17, 17, 9, 9)
+    assert run_bound(sc)["generator"]["P_total"]["value"] == pytest.approx(
+        MONO_P_TOTAL, rel=1e-13)
+    assert counts["nodes"] == 17 * 17 * 9 * 9
+    assert 0 < counts["det"] <= counts["nodes"] / 81
+    assert 0 < counts["em"] <= counts["nodes"] / 81
 
 
 @pytest.mark.parametrize("mult", [1.0, 0.5])
@@ -916,6 +954,33 @@ def test_cli_anisotropic_audit_under_the_ceiling_runs(tmp_path, capsys, monkeypa
 def test_grid_source_on_the_family_chart_runs(tmp_path):
     # the grid that the cases above break, intact
     assert run_bound(parse_scenario(_grid_doc(tmp_path)))["generator"]["P_total"]["value"] == 0.0
+
+
+def test_cli_reads_relative_file_paths_next_to_the_scenario(tmp_path, capsys, monkeypatch):
+    # the grid and the spectrum table sit next to the scenario file, which
+    # names them relative to itself; the run starts in another directory
+    here = tmp_path / "scenario"
+    here.mkdir()
+    doc = _grid_doc(here)
+    doc["stress_energy"]["grid"]["path"] = "grid.txt"
+    save_spectrum_table(here / "table.txt", flat_band_spectrum(
+        60.0, 65.0, n_photons=1.0e4, tau=1.0, n_modes=5))
+    doc["probe"]["spectrum"] = {"family": "table", "path": "table.txt", "tau": 1.0}
+    (here / "tiny.yaml").write_text(yaml.safe_dump(doc))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["bound", "--config", "../scenario/tiny.yaml", "--out", "bound.json"]) == 0, \
+        capsys.readouterr().err
+    report = json.loads(Path("bound.json").read_text())
+    # the report echoes the paths as written
+    assert report["scenario"]["stress_energy"]["grid"]["path"] == "grid.txt"
+    assert report["scenario"]["probe"]["spectrum"]["path"] == "table.txt"
+    assert report["generator"]["P_total"]["value"] == 0.0
+    # an in-memory document has no file, so its paths name files in the
+    # working directory
+    with pytest.raises(ScenarioError, match="'stress_energy.grid.path'"):
+        parse_scenario(doc)
 
 
 def test_cli_verify_unknown_suite_exits_2(capsys):
