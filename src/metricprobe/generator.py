@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BumpProfile, _per_distinct, box_corners, localize, schwarzschild, isotropic
-from .quadrature import RegionSpec, integrate, region_rules
+from .geometry import BumpProfile, _per_distinct, box_grid, localize, schwarzschild, isotropic
+from .quadrature import RegionSpec, face_integral, integrate
 from .stress_energy import StressEnergyField, covariant_divergence, divergence_residual
 
 _PLATEAU_EPS = 1e-12
@@ -89,7 +89,7 @@ def integrate_generator(T: StressEnergyField, family, region: RegionSpec) -> Gen
               "so error_estimate leaves out its error"
               for ax, n in enumerate(region.resolution) if n > 2 and n % 2 == 0]
 
-    family.domain.require(box_corners(region.box))
+    family.domain.require(box_grid(region.box, 2))
 
     def dens(pts):
         return generator_density(T, family, pts)
@@ -124,10 +124,7 @@ def trace_null_residual(T: StressEnergyField, family, region: RegionSpec) -> flo
     positive| over a uniform 9^4 sample grid, so an exactly traceless
     coupling shows up at rounding level regardless of field strength.
     """
-    axes = [np.linspace(region.box[ax, 0], region.box[ax, 1], 9)
-            for ax in range(4)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vol, Tv, dg = _density_terms(T, family, pts)
+    vol, Tv, dg = _density_terms(T, family, box_grid(region.box, 9))
     dens = 0.5 * vol * np.einsum("...ij,...ij->...", Tv, dg)
     scale = 0.5 * vol * np.einsum("...ij,...ij->...", np.abs(Tv), np.abs(dg))
     top = float(np.max(np.abs(dens)))
@@ -152,21 +149,18 @@ def boundary_term(T: StressEnergyField, region: RegionSpec) -> float:
     r = rho (1 + m / 2 rho)^2 at m = 0, X^r = 1 and its other components
     0, so X_nu = g_{nu r}.  This is the coordinate form of the surface
     element, which is what makes the discrete divergence identity close.
-    Each face takes the region's trapezoid rules on its three free axes.
+    Each face is a face_integral, upper side before lower, axis by axis.
     """
-    flat, box, rules = schwarzschild(0.0), region.box, region_rules(region)
+    flat, box = schwarzschild(0.0), region.box
     total = 0.0
     for axis in range(4):
-        (xa, wa), (xb, wb), (xc, wc) = (rules[a] for a in range(4) if a != axis)
-        mesh = np.stack(np.meshgrid(xa, xb, xc, indexing="ij"), axis=-1)
-        w3 = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
-        for side, sign in ((1, 1.0), (0, -1.0)):
-            pts = np.insert(mesh, axis, box[axis, side], axis=-1)
+        def flux_density(pts):
             g = flat.eval(0.0, pts)
             vol = np.sqrt(np.abs(_per_distinct(np.linalg.det, 2, g)))
-            Tv = T.tensor(pts)
-            flux = np.einsum("...j,...j->...", Tv[..., axis, :], g[..., :, 1])
-            total += sign * float(np.sum(vol * flux * w3))
+            return vol * np.einsum("...j,...j->...", T.tensor(pts)[..., axis, :], g[..., :, 1])
+
+        for side, sign in ((1, 1.0), (0, -1.0)):
+            total += sign * face_integral(flux_density, region, axis, box[axis, side])
     return total
 
 
@@ -257,8 +251,7 @@ def coordinate_independence_check(testT: StressEnergyField,
     flux = boundary_term(testT, region)
 
     # conservation diagnostic on a moderate interior sample
-    sample_axes = [np.linspace(region.box[ax, 0], region.box[ax, 1], 7)[1:-1] for ax in range(4)]
-    sample = np.stack(np.meshgrid(*sample_axes, indexing="ij"), axis=-1)
+    sample = box_grid(region.box, 7)[1:-1, 1:-1, 1:-1, 1:-1]
     resid = divergence_residual(testT, metric_eval, sample, h=_FD_STEP)
 
     est = (res_s.error_estimate + res_i.error_estimate
@@ -417,22 +410,15 @@ def nonconserved_test_tensor() -> StressEnergyField:
 #: Spherical-chart boxes for the bundled coordinate check.  The conserved
 #: source's Cartesian cube (center (3, 0, 0), half-width 0.8) maps into
 #: t [-0.8, 0.8], r [2.2, 3.97], theta [1.19, 1.95], phi [-0.35, 0.35];
-#: the plateau covers that, the support adds the transition shell, and
-#: the region box adds a final margin, all clear of origin and poles.
+#: the plateau covers that and the support adds the transition shell,
+#: all clear of origin and poles.
 _COORD_PLATEAU = np.array([
     [-0.9, 0.9], [2.1, 4.1], [1.15, 2.00], [-0.40, 0.40]])
 _COORD_SUPPORT = np.array([
     [-1.25, 1.25], [1.65, 4.55], [0.97, 2.18], [-0.58, 0.58]])
-_COORD_REGION = np.array([
-    [-1.3, 1.3], [1.6, 4.6], [0.94, 2.21], [-0.61, 0.61]])
-
-
-def spherical_test_box() -> np.ndarray:
-    """Region box for the bundled coordinate check."""
-    return _COORD_REGION.copy()
 
 
 def bundled_coordinate_bump() -> BumpProfile:
-    """Bump whose plateau covers the bundled sources inside the test box."""
+    """Bump whose plateau covers the bundled sources."""
     return BumpProfile(plateau=_COORD_PLATEAU.copy(), support=_COORD_SUPPORT.copy(),
                        order=3)

@@ -42,11 +42,13 @@ def _checked_box(box, name: str) -> np.ndarray:
     return b
 
 
-def box_corners(box) -> np.ndarray:
-    """The 16 corners, shape (2, 2, 2, 2, 4), of a (4, 2) box of per-axis
-    (lo, hi) bounds.  A ChartDomain is a box too, so a box lies inside
-    it exactly when the corners do."""
-    return np.stack(np.meshgrid(*np.asarray(box, dtype=float), indexing="ij"), axis=-1)
+def box_grid(box, n: int) -> np.ndarray:
+    """The uniform grid of n points per axis, ends included, shape
+    (n, n, n, n, 4), of a (4, 2) box of per-axis (lo, hi) bounds.  At
+    n = 2 these are the 16 corners; a ChartDomain is a box too, so a box
+    lies inside it exactly when the corners do."""
+    axes = [np.linspace(lo, hi, n) for lo, hi in np.asarray(box, dtype=float)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _per_distinct(kernel: Callable, core_ndim: int, *arrays) -> np.ndarray:
@@ -55,15 +57,17 @@ def _per_distinct(kernel: Callable, core_ndim: int, *arrays) -> np.ndarray:
     share their batch shape, all but their last core_ndim axes.  A batch
     axis along which every array holds the bits of its index 0 at every
     index is cut to that index before the call, and the result is
-    broadcast back over it.  Bits are compared, so -0.0 and 0.0, or two
-    NaN payloads, are distinct.  Returns a read-only broadcast view;
+    broadcast back over it.  Bits are compared, index 1 first, so -0.0 and
+    0.0, or two NaN payloads, are distinct, and an axis whose index 1
+    differs costs no full comparison.  Returns a read-only broadcast view;
     callers must not write into it."""
     arrays = [np.asarray(a, dtype=float) for a in arrays]
     batch = arrays[0].shape[:arrays[0].ndim - core_ndim]
     for ax, n in enumerate(batch):
-        first = (slice(None),) * ax + (slice(0, 1),)
-        if n > 1 and all(np.all(a.view(np.uint64) == a[first].view(np.uint64))
-                         for a in arrays):
+        first, second = ((slice(None),) * ax + (slice(i, i + 1),) for i in (0, 1))
+        bits = [a.view(np.uint64) for a in arrays]
+        if n > 1 and all(np.all(b[second] == b[first]) for b in bits) \
+                and all(np.all(b == b[first]) for b in bits):
             # the arrays are their index-0 slice repeated along ax, so the
             # later axes compare the same on that slice alone
             arrays = [a[first] for a in arrays]
@@ -498,5 +502,5 @@ class BumpProfile:
 def localize(family: MetricFamily, bump: BumpProfile) -> MetricFamily:
     """The family with its parameter change confined by a bump.  The bump
     support must lie inside the chart domain."""
-    family.domain.require(box_corners(bump.support))
+    family.domain.require(box_grid(bump.support, 2))
     return replace(family, bump=bump)

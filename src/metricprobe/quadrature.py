@@ -75,6 +75,18 @@ def region_rules(region: RegionSpec):
             for ax in range(4)]
 
 
+def face_integral(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
+                  axis: int, value: float) -> float:
+    """Integral of fn over the face of the region's box where coordinate
+    axis is value: one weighted sum over the region's trapezoid rules on
+    the three free axes.  fn maps points (na, nb, nc, 4) to (na, nb, nc)."""
+    (xa, wa), (xb, wb), (xc, wc) = (axis_rule(*region.box[a], region.resolution[a])
+                                    for a in range(4) if a != axis)
+    mesh = np.stack(np.meshgrid(xa, xb, xc, indexing="ij"), axis=-1)
+    w3 = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
+    return float(np.sum(fn(np.insert(mesh, axis, value, axis=-1)) * w3))
+
+
 def _nodes_inside(x: np.ndarray, lo: float, hi: float) -> slice:
     """Index range of the ascending nodes x that lie in [lo, hi]."""
     return slice(int(np.searchsorted(x, lo, side="left")),

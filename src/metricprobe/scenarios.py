@@ -23,20 +23,20 @@ import yaml
 from . import geometry as geo
 from . import stress_energy as se
 from .generator import (GeneratorResult, conserved_test_tensor, coordinate_independence_check,
-                        integrate_generator, nonconserved_test_tensor,
-                        spherical_test_box, trace_null_residual)
+                        integrate_generator, nonconserved_test_tensor, trace_null_residual)
 from .probe import (CrlbReport, GaussianProbeState, crlb_amplitude,
                     effective_constant_C, flat_band_spectrum,
                     gaussian_band_spectrum, hamiltonian_variance,
                     load_spectrum_table, monochromatic_spectrum)
-from .quadrature import RegionSpec, integrate
+from .quadrature import RegionSpec, face_integral
 from .simulate import (SEEDS, crb_saturation_check, histogram_fisher, linear_estimator,
                        model_from_state, classical_fisher, simulate_readout)
 
 KINDS = ("generator-crlb", "coordinate-check", "unruh-product", "proper-time")
 _SOURCE = ("family", "stress_energy", "region")
 #: sections parse_scenario requires: those a kind reads, or a section is built with
-_NEEDS = {"generator-crlb": _SOURCE, "unruh-product": _SOURCE + ("probe",),
+_NEEDS = {"generator-crlb": _SOURCE, "coordinate-check": ("region",),
+          "unruh-product": _SOURCE + ("probe",),
           "proper-time": _SOURCE + ("probe",), "bump": ("family",),
           "stress_energy": ("family", "region")}
 _SECTIONS = ("family", "bump", "stress_energy", "region", "probe", "simulation")
@@ -258,10 +258,12 @@ def build_field(doc: _Reader, family: geo.MetricFamily,
                 region: RegionSpec) -> se.StressEnergyField:
     """The scenario's source over the region, which must lie in the
     family's chart domain; family supplies the chart a grid file must be
-    tabulated on and the metric of an orthonormal frame."""
+    tabulated on and the metric of an orthonormal frame, which must have
+    no zero diagonal component on the region."""
+    corners = geo.box_grid(region.box, 2)
     with _keyed("region.box", geo.ChartDomainError):
         # integrate_generator's check, made before any quadrature
-        family.domain.require(geo.box_corners(region.box))
+        family.domain.require(corners)
     spec = doc.sub("stress_energy")
     em_spec, grid_spec = spec.get("em"), spec.get("grid")
     if (em_spec is None) == (grid_spec is None):
@@ -272,6 +274,12 @@ def build_field(doc: _Reader, family: geo.MetricFamily,
     fn = (_build_grid(spec.sub("grid"), family, region.box) if grid_spec is not None
           else _build_em(spec.sub("em")))
     if frame == "orthonormal":
+        # the built-in charts degenerate only at closed-axis ends: box corners
+        g = family.eval(family.theta0, corners)
+        zero = np.any(np.diagonal(g, axis1=-2, axis2=-1) == 0.0, axis=-1)
+        if np.any(zero):
+            raise ScenarioError("region.box", f"the metric has a zero diagonal component at "
+                                f"{corners[zero][0].tolist()}: no orthonormal frame there")
         with _keyed(spec.key("frame")):
             fn = se.in_orthonormal_frame(fn, family)
     return se.StressEnergyField(fn)
@@ -357,6 +365,10 @@ def build_state(doc: _Reader) -> GaussianProbeState:
     if reference == "vacuum-coherent" and squeeze_r != 0.0:
         raise ScenarioError(spec.key("reference"), "vacuum-coherent is the unsqueezed "
                             f"state, but squeeze_r = {squeeze_r!r}")
+    if reference == "squeezed-vacuum" and squeeze_r == 0.0:
+        spec.check_read()  # a misspelt squeeze_r is the likelier fault
+        raise ScenarioError(spec.key("reference"), "squeezed-vacuum needs squeeze_r > 0, "
+                            "but squeeze_r = 0.0 is the coherent state")
     # the bound and the readout take e^(2 r) and square hbar and C
     if squeeze_r > _MAX_SQUEEZE_R:
         raise ScenarioError(spec.key("squeeze_r"), f"e^(2 r) overflows above "
@@ -424,9 +436,7 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
               "version": __version__}
     # a factor that is not positive and finite, or gives over MAX_NODES nodes
     with _keyed("--resolution"):
-        # a coordinate check without a region audits the spherical test box
-        region = (sc.region or RegionSpec(box=spherical_test_box(), resolution=33)
-                  ).scaled(resolution_mult)
+        region = sc.region.scaled(resolution_mult)
     if sc.kind == "coordinate-check":
         report["coordinate_check"] = _run_coordinate_check(region)
         return report
@@ -513,28 +523,16 @@ def _run_proper_time(state: GaussianProbeState, rep: CrlbReport,
     """Time-energy reduction for a uniform lapse perturbation.
 
     Classical side: the generator integral must equal half the window
-    length times the (constant) field energy; the energy route samples
-    thin spatial slabs, independent of the 4D quadrature.  Quantum
-    side: the amplitude bound pulled back to proper time through
-    d tau / d theta = -tau_w / 2 must land on hbar^2 / (4 var H).
+    length times the (constant) field energy; the energy route takes the
+    region's spatial rule at five fixed times, independent of the 4D
+    quadrature.  Quantum side: the amplitude bound pulled back to proper
+    time through d tau / d theta = -tau_w / 2 must land on
+    hbar^2 / (4 var H).
     """
     box = region.box
     tau_window = box[0, 1] - box[0, 0]
-    slab_box = box.copy()
-    energies = []
-    for t in np.linspace(box[0, 0], box[0, 1], 5):
-        width = 1e-3 * tau_window
-        slab_box[0] = (t - width, t + width) if t > box[0, 0] else (t, t + 2 * width)
-        # 3D energy at fixed time via a thin normalized slab
-        slab = RegionSpec(box=slab_box, resolution=(2,) + region.resolution[1:])
-
-        def t00(pts, tt=t):
-            p = pts.copy()
-            p[..., 0] = tt
-            return field.tensor(p)[..., 0, 0]
-
-        energies.append(integrate(t00, slab)[0] / (slab_box[0, 1] - slab_box[0, 0]))
-    energies = np.asarray(energies)
+    energies = np.array([face_integral(lambda pts: field.tensor(pts)[..., 0, 0], region, 0, t)
+                         for t in np.linspace(box[0, 0], box[0, 1], 5)])
     H_bar = float(np.mean(energies))
     if H_bar == 0.0:
         raise ScenarioError("stress_energy", "proper-time needs a source of nonzero energy")

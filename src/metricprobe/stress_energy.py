@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .geometry import MetricFamily, _checked_box, _per_distinct, box_corners
+from .geometry import MetricFamily, _checked_box, _per_distinct, box_grid
 
 _COMPONENT_ORDER = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 _COMPONENT_NAMES = [f"T{i}{j}" for i, j in _COMPONENT_ORDER]
@@ -116,7 +116,7 @@ def in_orthonormal_frame(fn: Callable[[np.ndarray], np.ndarray],
     diagonal at the corners of the family's sample_box, and at any later
     call on points where it is not."""
 
-    _require_diagonal(family.eval(family.theta0, box_corners(family.sample_box)))
+    _require_diagonal(family.eval(family.theta0, box_grid(family.sample_box, 2)))
 
     def chart_fn(x):
         T_frame = fn(x)

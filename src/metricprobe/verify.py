@@ -56,8 +56,7 @@ def _representative_families() -> list:
 
 
 def _derivative_residual(fam) -> float:
-    axes = [np.linspace(lo, hi, 4) for lo, hi in fam.sample_box]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    pts = geo.box_grid(fam.sample_box, 4)
     step = 1e-5 * max(1.0, abs(fam.theta0))
     fd = (fam.eval(fam.theta0 + step, pts) - fam.eval(fam.theta0 - step, pts))
     fd /= 2.0 * step

@@ -12,9 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from metricprobe.generator import (conserved_test_tensor,
-                                   coordinate_independence_check,
-                                   spherical_test_box)
+from metricprobe.generator import conserved_test_tensor, coordinate_independence_check
 from metricprobe.geometry import (BUILTIN_FAMILIES, de_sitter, flrw_closed,
                                   g00_profile_perturbation, gw_plane_wave,
                                   finite_difference_derivative, isotropic,
@@ -118,7 +116,8 @@ def test_criterion_06_coordinate_independence():
     # halving the spacing (17 -> 33 nodes per axis)
     coarse = coordinate_independence_check(
         conserved_test_tensor(),
-        RegionSpec(box=spherical_test_box(), resolution=17))
+        RegionSpec(box=load_bundled("schwarzschild-coordinate-check").region.box,
+                   resolution=17))
     diff_coarse = abs(coarse.P_isotropic - coarse.P_schwarzschild)
     ratio = diff_coarse / diff_fine
     assert ratio >= 3.0, f"refinement ratio {ratio:.2f} < 3"

@@ -12,16 +12,18 @@ from metricprobe.generator import (_FD_STEP, _TEST_CENTER, _TEST_HALFW,
                                    conserved_test_tensor,
                                    coordinate_independence_check,
                                    generator_density, integrate_generator,
-                                   nonconserved_test_tensor,
-                                   spherical_test_box, trace_null_residual)
+                                   nonconserved_test_tensor, trace_null_residual)
 from metricprobe.geometry import (BumpProfile, ChartDomainError, de_sitter,
                                   flrw_closed, gw_plane_wave, localize,
                                   minkowski_component, schwarzschild)
 from metricprobe.quadrature import RegionSpec, integrate
+from metricprobe.scenarios import load_bundled
 from metricprobe.stress_energy import (StressEnergyField, em_plane_wave, em_uniform,
                                        in_orthonormal_frame)
 
 FOURPI = 4.0 * math.pi
+#: the bundled chart audit's region box
+AUDIT_BOX = load_bundled("schwarzschild-coordinate-check").region.box
 
 
 def _plane_wave_field(amplitude=1.0, omega=2.0 * math.pi * 10.0, phase=0.0):
@@ -310,7 +312,7 @@ def test_audit_faces_take_the_region_rules(monkeypatch):
 
     monkeypatch.setattr(generator, "boundary_term", spy)
     coordinate_independence_check(nonconserved_test_tensor(),
-                                  RegionSpec(box=spherical_test_box(), resolution=(3, 3, 3, 9)))
+                                  RegionSpec(box=AUDIT_BOX, resolution=(3, 3, 3, 9)))
     assert sorted(counts) == [27, 27] + [81] * 6
 
 
@@ -319,7 +321,7 @@ def test_audit_faces_take_the_region_rules(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _check_region(n):
-    return RegionSpec(box=spherical_test_box(), resolution=n)
+    return RegionSpec(box=AUDIT_BOX, resolution=n)
 
 
 def test_conserved_source_gives_chart_independent_generator():
@@ -403,8 +405,7 @@ def test_declared_support_is_sound(make):
     box = T.support
     lo, hi = box[:, 0], box[:, 1]
     rng = np.random.default_rng(20261018)
-    test_box = spherical_test_box()
-    pts = test_box[:, 0] + (test_box[:, 1] - test_box[:, 0]) * rng.random((200_000, 4))
+    pts = AUDIT_BOX[:, 0] + (AUDIT_BOX[:, 1] - AUDIT_BOX[:, 0]) * rng.random((200_000, 4))
     outside = pts[np.any((pts < lo) | (pts > hi), axis=-1)][:100_000]
     assert len(outside) == 100_000
     assert np.all(T.tensor(outside) == 0.0)

@@ -363,7 +363,9 @@ _NAN_B = np.array([0x7FF8000000000002], dtype=np.uint64).view(float)[0]
 #: (batch shape, axes repeated by construction, twist, batch shape the
 #: kernel must see).  A twist changes index 1 of axis 1 in one input
 #: only: a +0.0 becomes -0.0, a NaN payload becomes another one, or any
-#: value changes in the last input; or the inputs stay zero-stride views.
+#: value changes in the last input; or it changes index 2 of axis 1, past
+#: the index-1 slice that is compared first; or the inputs stay
+#: zero-stride views.
 CASES = {
     "one-repeated-axis": ((3, 4, 5), {1}, None, (3, 1, 5)),
     "two-repeated-axes": ((3, 4, 5), {0, 2}, None, (1, 4, 1)),
@@ -376,6 +378,7 @@ CASES = {
     "nan-payloads": ((3, 4, 5), {1}, "nan-payloads", (3, 4, 5)),
     "same-nan-payload": ((3, 4, 5), {1}, "same-nan-payload", (3, 1, 5)),
     "last-input-differs": ((3, 4, 5), {1}, "last-input-differs", (3, 4, 5)),
+    "later-index-differs": ((3, 4, 5), {1}, "later-index-differs", (3, 4, 5)),
     "broadcast-views": ((3, 4, 5), {0, 2}, "broadcast-views", (1, 4, 1)),
 }
 
@@ -399,6 +402,8 @@ def _inputs(kernel_name, case, rng):
         arrays[0][at_1] = _NAN_B if twist == "nan-payloads" else _NAN_A
     elif twist == "last-input-differs":
         arrays[-1][at_1] += 1.0
+    elif twist == "later-index-differs":
+        arrays[0][(slice(None), 2, Ellipsis) + first] += 1.0
     return arrays
 
 

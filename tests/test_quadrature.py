@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metricprobe import quadrature
-from metricprobe.quadrature import RegionSpec, axis_rule, integrate, region_rules
+from metricprobe.quadrature import RegionSpec, axis_rule, face_integral, integrate, region_rules
 
 UNIT_BOX = np.array([[0.0, 1.0]] * 4)
 
@@ -26,6 +26,26 @@ def test_region_validation():
     # scalar resolution broadcasts
     r = RegionSpec(box=UNIT_BOX, resolution=5)
     assert r.resolution == (5, 5, 5, 5)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 3])
+def test_face_integral_is_exact_on_multilinear_integrands(axis):
+    # the trapezoid rule integrates a function linear in each free axis
+    # exactly, whatever the node counts of a non-cubic box
+    box = np.array([[-0.5, 1.5], [2.0, 2.75], [0.1, 3.1], [-4.0, -1.0]])
+    region = RegionSpec(box=box, resolution=(3, 2, 5, 4))
+    value = 0.3 * box[axis, 0] + 0.7 * box[axis, 1]
+    free = [a for a in range(4) if a != axis]
+    slopes = {0: 0.25, 1: -1.5, 2: 2.0, 3: 0.5}
+
+    def fn(pts):
+        assert pts.shape == tuple(region.resolution[a] for a in free) + (4,)
+        assert np.all(pts[..., axis] == value)
+        return math.prod(1.0 + slopes[a] * pts[..., a] for a in free)
+
+    exact = math.prod((hi - lo) * (1.0 + slopes[a] * 0.5 * (lo + hi))
+                      for a, (lo, hi) in enumerate(box) if a != axis)
+    assert face_integral(fn, region, axis, value) == pytest.approx(exact, rel=1e-14)
 
 
 def test_scaled_resolution():

@@ -83,14 +83,18 @@ def test_parse_rejects_unknown_section():
 
 
 def test_parse_accepts_all_kinds():
-    # the tiny document has every section; the audit reads none of them
+    # the tiny document has every section; the audit reads only region
     for kind in KINDS:
         sc = parse_scenario(dict(_tiny_doc(), kind=kind))
         assert isinstance(sc, Scenario)
         assert sc.kind == kind
         assert sc.state is not None
-    sc = parse_scenario({"name": "x", "kind": "coordinate-check"})
-    assert (sc.family, sc.field, sc.region, sc.state) == (None,) * 4
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario({"name": "x", "kind": "coordinate-check"})
+    assert exc.value.key == "region"
+    sc = parse_scenario({"name": "x", "kind": "coordinate-check",
+                         "region": _tiny_doc()["region"]})
+    assert (sc.family, sc.field, sc.state) == (None,) * 3
     assert sc.simulation == {"n_samples": 10 ** 6, "seed": 0, "a_true": 0.0}
 
 
@@ -104,9 +108,15 @@ def test_missing_section_names_the_key():
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(doc)
         assert exc.value.key == "probe"
-    # a source and a bump are built with the family, whatever the kind
+    # a source and a bump are built with the family, whatever the kind;
+    # the audit itself reads only its region
     for section in ("stress_energy", "bump"):
         doc = {"name": "x", "kind": "coordinate-check", section: {}}
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert exc.value.key == "region"
+        assert "required by 'coordinate-check'" in str(exc.value)
+        doc["region"] = _tiny_doc()["region"]
         with pytest.raises(ScenarioError) as exc:
             parse_scenario(doc)
         assert exc.value.key == "family"
@@ -209,14 +219,15 @@ def test_probe_reference_mismatch_is_scenario_error():
     assert exc.value.key == "probe.reference"
 
 
-def test_unsqueezed_squeezed_vacuum_is_the_coherent_state():
-    # squeeze_r alone sets the state: at r = 0 both names give one bound
+def test_squeezed_vacuum_reference_needs_squeezing():
+    # squeeze_r alone sets the state, and r = 0 is the coherent state
     doc = _tiny_doc()
     doc["probe"]["reference"] = "squeezed-vacuum"
-    squeezed = run_bound(parse_scenario(doc))["crlb"]
-    doc["probe"]["reference"] = "vacuum-coherent"
-    coherent = run_bound(parse_scenario(doc))["crlb"]
-    assert dumps_report(squeezed) == dumps_report(coherent)
+    with pytest.raises(ScenarioError, match="needs squeeze_r > 0") as exc:
+        parse_scenario(doc)
+    assert exc.value.key == "probe.reference"
+    doc["probe"]["squeeze_r"] = 0.5
+    assert parse_scenario(doc).state.squeeze_r == 0.5
 
 
 def test_sim_params_validation_and_defaults():
@@ -437,6 +448,31 @@ def test_plane_wave_bound_runs_det_and_maxwell_once_per_distinct_point(monkeypat
     assert counts["nodes"] == 17 * 17 * 9 * 9
     assert 0 < counts["det"] <= counts["nodes"] / 81
     assert 0 < counts["em"] <= counts["nodes"] / 81
+
+
+def test_proper_time_energies_take_the_face_rule(monkeypatch):
+    # one integrate call, the 4D generator at 33 * 33 * 5 * 5 nodes; the
+    # five fixed-time energies each take T once on the 33 * 5 * 5 nodes
+    # of a face
+    counts = {"integrate": 0, "T": 0}
+    real_integrate, real_tensor = generator.integrate, stress_energy.StressEnergyField.tensor
+
+    def integrate(*args, **kwargs):
+        counts["integrate"] += 1
+        return real_integrate(*args, **kwargs)
+
+    def tensor(self, x):
+        counts["T"] += math.prod(np.shape(x)[:-1])
+        return real_tensor(self, x)
+
+    # any integrate that the runner imports is counted too
+    for module in (generator, scenarios):
+        monkeypatch.setattr(module, "integrate", integrate, raising=False)
+    monkeypatch.setattr(stress_energy.StressEnergyField, "tensor", tensor)
+    pt = run_bound(load_bundled("proper-time-reduction"))["proper_time"]
+    assert counts == {"integrate": 1, "T": 33 * 33 * 5 * 5 + 5 * 33 * 5 * 5}
+    assert counts["T"] == 31_350
+    assert pt["mean_residual"]["value"] <= 1e-10
 
 
 @pytest.mark.parametrize("mult", [1.0, 0.5])
@@ -757,6 +793,25 @@ def _audit_region_through_the_centre(tmp_path):
     return doc
 
 
+def _audit_without_a_region(tmp_path):
+    doc = _bundled_doc("schwarzschild-coordinate-check")
+    del doc["region"]
+    return doc
+
+
+def _orthonormal_frame_on_the_chart_pole(tmp_path):
+    # chi = 0 lies in the closed chart domain, but there g_22 = g_33 = 0
+    doc = _bundled_doc("desitter-em-probe")
+    doc["region"]["box"][1] = [0.0, 1.5]
+    return doc
+
+
+def _unsqueezed_squeezed_vacuum(tmp_path):
+    doc = _bundled_doc("gw-squeezed-r1")
+    doc["probe"]["squeeze_r"] = 0.0
+    return doc
+
+
 def _hbar_squared_overflows(tmp_path):
     doc = _tiny_doc()
     doc["probe"]["hbar"] = 1e300
@@ -818,6 +873,9 @@ def _region_above_the_node_ceiling(tmp_path):
     ("bound", _region_before_the_big_bang, "region.box"),
     ("bound", _bump_before_the_big_bang, "bump"),
     ("bound", _audit_region_through_the_centre, "region.box"),
+    ("bound", _audit_without_a_region, "region"),
+    ("bound", _orthonormal_frame_on_the_chart_pole, "region.box"),
+    ("bound", _unsqueezed_squeezed_vacuum, "probe.reference"),
     ("bound", _hbar_squared_overflows, "probe.hbar"),
     ("bound", _squeezing_beyond_the_floats, "probe.squeeze_r"),
     ("bound", _unknown_spectrum_family, "probe.spectrum.family"),

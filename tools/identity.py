@@ -5,7 +5,19 @@
 unpacks ``git archive REV`` into a temporary directory, then writes the
 ``dumps_report`` text of a fixed corpus once from that tree and once from
 the tree this script lives in, each in a fresh child process that imports
-``metricprobe`` from the tree's own ``src/``.  The corpus (114 files):
+``metricprobe`` from the tree's own ``src/``.
+
+    python3 tools/identity.py --coverage
+
+writes the corpus once, from this tree only, under the standard library's
+``trace.Trace(count=1)``, and prints every statement in a function body
+of ``src/`` that no corpus entry executes, as ``path:line: source``, one
+a line, then their number.  A statement counts as executed when any line
+of it (of its header, for a compound statement) is; ``global`` and
+``nonlocal`` statements, which run no code, and docstrings are left out.
+It takes about 20 s on a 2-core host.
+
+The corpus (114 files), the same in both modes:
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
@@ -37,6 +49,7 @@ exits 0 when every file is identical and 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import copy
 import io
@@ -46,6 +59,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import trace
 import warnings
 from pathlib import Path
 
@@ -170,14 +184,67 @@ def write_corpus(out_dir: str) -> None:
         (Path(out_dir) / f"{name}.stdout").write_text(stdout.getvalue())
 
 
-def _run_tree(tree: Path, out_dir: Path) -> subprocess.Popen:
+def traced_corpus(out_dir: str, lines_path: str) -> None:
+    """Write the corpus under trace.Trace(count=1), and the [file, line]
+    pairs of src/ that it executes as JSON to lines_path (child side)."""
+    tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
+    tracer.runfunc(write_corpus, out_dir)
+    src = str(ROOT / "src")
+    executed = sorted(key for key in tracer.results().counts if key[0].startswith(src))
+    Path(lines_path).write_text(json.dumps(executed))
+
+
+def _run_tree(tree: Path, out_dir: Path, lines_path=None) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(tree / "src"), str(ROOT / "tools"), str(ROOT / "bench")]))
+    call = ("identity.write_corpus(sys.argv[2])" if lines_path is None
+            else "identity.traced_corpus(sys.argv[2], sys.argv[3])")
     code = ("import sys, metricprobe, identity\n"
             "assert metricprobe.__file__.startswith(sys.argv[1]), metricprobe.__file__\n"
-            "identity.write_corpus(sys.argv[2])\n")
-    return subprocess.Popen([sys.executable, "-c", code, str(tree / "src"), str(out_dir)],
-                            env=env, cwd=out_dir)
+            f"{call}\n")
+    args = [str(tree / "src"), str(out_dir)] + ([] if lines_path is None else [str(lines_path)])
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env, cwd=out_dir)
+
+
+def _function_statements(node, inside: bool = False):
+    """The statements nested in a function body anywhere under node,
+    without docstrings and without global and nonlocal statements."""
+    inside = inside or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    documented = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    doc = node.body[0] if documented and ast.get_docstring(node) is not None else None
+    for child in ast.iter_child_nodes(node):
+        if inside and isinstance(child, ast.stmt) and child is not doc \
+                and not isinstance(child, (ast.Global, ast.Nonlocal)):
+            yield child
+        yield from _function_statements(child, inside)
+
+
+def unexecuted(executed) -> list:
+    """'path:line: source' of every function-body statement of src/ with
+    no executed line; a compound statement's lines are its header's."""
+    hit = {(path, line) for path, line in executed}
+    out = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text()
+        source = text.splitlines()
+        for stmt in _function_statements(ast.parse(text)):
+            body = getattr(stmt, "body", None)
+            last = body[0].lineno - 1 if body else stmt.end_lineno
+            if not any((str(path), n) in hit for n in range(stmt.lineno, max(last, stmt.lineno) + 1)):
+                out.append(f"{path.relative_to(ROOT)}:{stmt.lineno}: {source[stmt.lineno - 1].strip()}")
+    return out
+
+
+def coverage() -> int:
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        lines_path = Path(tmp) / "executed.json"
+        if _run_tree(ROOT, Path(tmp), lines_path).wait() != 0:
+            print("the child process failed; see its traceback above", file=sys.stderr)
+            return 2
+        missed = unexecuted(json.loads(lines_path.read_text()))
+    print("\n".join(missed + [f"{len(missed)} function-body statements of src/ "
+                               "that no corpus entry executes"]))
+    return 0
 
 
 def _ordered(x: float) -> int:
@@ -248,9 +315,14 @@ def compare(dir_a: Path, dir_b: Path) -> tuple:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--against", required=True, metavar="REV",
-                    help="git revision whose reports this tree must reproduce")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--against", metavar="REV",
+                      help="git revision whose reports this tree must reproduce")
+    mode.add_argument("--coverage", action="store_true",
+                      help="print the function-body statements of src/ the corpus never runs")
     args = ap.parse_args(argv)
+    if args.coverage:
+        return coverage()
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         tmp = Path(tmp)
         other = tmp / "tree"
