@@ -169,32 +169,35 @@ def _sym_zeros(x: np.ndarray) -> np.ndarray:
     return np.zeros(x.shape[:-1] + (4, 4))
 
 
-def _broadcast_eta(x: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(MINKOWSKI, x.shape[:-1] + (4, 4)).copy()
+def _constant(e: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The direction x -> e at every point, as a fresh array."""
+    return lambda x: np.broadcast_to(e, x.shape[:-1] + (4, 4)).copy()
+
+
+def _flat_plus(label: str, direction: Callable[[np.ndarray], np.ndarray],
+               theta0: float) -> MetricFamily:
+    """g = eta + theta e(x) on the Cartesian chart, so dg/dtheta = e(x).
+    direction(x) must return a fresh (..., 4, 4) array: eval scales it in
+    place."""
+
+    def ev(theta, x):
+        g = direction(x)
+        g *= np.asarray(theta)[..., None, None]
+        g += MINKOWSKI
+        return g
+
+    return MetricFamily(
+        label=label, chart_name="cartesian", theta0=float(theta0),
+        eval_fn=ev, deriv_fn=direction,
+        sample_box=np.array([[-2.0, 2.0]] * 4),
+    )
 
 
 def gw_plane_wave(theta0: float = 0.0) -> MetricFamily:
     """Linearly polarized plane gravitational wave on a Cartesian chart
     (t, x, y, z), propagating along z in the broadband approximation:
     g = eta + A (dx^2 - dy^2), the constant-amplitude limit."""
-
-    def ev(theta, x):
-        g = _broadcast_eta(x)
-        g[..., 1, 1] += theta
-        g[..., 2, 2] -= theta
-        return g
-
-    def dv(x):
-        d = _sym_zeros(x)
-        d[..., 1, 1] = 1.0
-        d[..., 2, 2] = -1.0
-        return d
-
-    return MetricFamily(
-        label="gw_plane_wave", chart_name="cartesian", theta0=float(theta0),
-        eval_fn=ev, deriv_fn=dv,
-        sample_box=np.array([[-2.0, 2.0]] * 4),
-    )
+    return _flat_plus("gw_plane_wave", _constant(np.diag([0.0, 1.0, -1.0, 0.0])), theta0)
 
 
 def minkowski_component(mu0: int, nu0: int, theta0: float = 0.0) -> MetricFamily:
@@ -203,26 +206,9 @@ def minkowski_component(mu0: int, nu0: int, theta0: float = 0.0) -> MetricFamily
     its symmetric partner when mu0 != nu0)."""
     if not (0 <= mu0 <= 3 and 0 <= nu0 <= 3):
         raise ValueError("component indices must be in 0..3")
-
-    def ev(theta, x):
-        g = _broadcast_eta(x)
-        g[..., mu0, nu0] += theta
-        if mu0 != nu0:
-            g[..., nu0, mu0] += theta
-        return g
-
-    def dv(x):
-        d = _sym_zeros(x)
-        d[..., mu0, nu0] = 1.0
-        if mu0 != nu0:
-            d[..., nu0, mu0] = 1.0
-        return d
-
-    return MetricFamily(
-        label=f"minkowski_component_{mu0}{nu0}", chart_name="cartesian",
-        theta0=float(theta0), eval_fn=ev, deriv_fn=dv,
-        sample_box=np.array([[-2.0, 2.0]] * 4),
-    )
+    e = np.zeros((4, 4))
+    e[mu0, nu0] = e[nu0, mu0] = 1.0
+    return _flat_plus(f"minkowski_component_{mu0}{nu0}", _constant(e), theta0)
 
 
 def g00_profile_perturbation(profile: Callable[[np.ndarray], np.ndarray],
@@ -231,20 +217,27 @@ def g00_profile_perturbation(profile: Callable[[np.ndarray], np.ndarray],
     g_00 = -1 + theta * a(x).  With a constant profile this is the
     uniform lapse perturbation behind the proper-time reduction."""
 
-    def ev(theta, x):
-        g = _broadcast_eta(x)
-        g[..., 0, 0] += theta * np.asarray(profile(x), dtype=float)
-        return g
+    def direction(x):
+        e = _sym_zeros(x)
+        e[..., 0, 0] = np.asarray(profile(x), dtype=float)
+        return e
 
-    def dv(x):
-        d = _sym_zeros(x)
-        d[..., 0, 0] = np.asarray(profile(x), dtype=float)
-        return d
+    return _flat_plus("g00_profile_perturbation", direction, theta0)
 
+
+def _spherical(label: str, m0: float, ev, dv, r_lo: float, r_min: float,
+               note: str) -> MetricFamily:
+    """A mass family on the chart (t, r, theta, phi) named label: r > r_lo,
+    the polar angle closed, samples from r_min out."""
+    dom = ChartDomain(
+        box=((-math.inf, math.inf), (r_lo, math.inf), (0.0, math.pi), (-math.inf, math.inf)),
+        closed_axes=(2,), note=note,
+    )
     return MetricFamily(
-        label="g00_profile_perturbation", chart_name="cartesian",
-        theta0=float(theta0), eval_fn=ev, deriv_fn=dv,
-        sample_box=np.array([[-2.0, 2.0]] * 4),
+        label=label, chart_name=label, theta0=m0,
+        eval_fn=ev, deriv_fn=dv, domain=dom,
+        sample_box=np.array([[-1.0, 1.0], [r_min, r_min + 6.0], [0.4, math.pi - 0.4],
+                             [0.0, 2.0 * math.pi]]),
     )
 
 
@@ -273,18 +266,8 @@ def schwarzschild(theta0: float = 0.0) -> MetricFamily:
         d[..., 1, 1] = 2.0 / (r * f ** 2)
         return d
 
-    dom = ChartDomain(
-        box=((-math.inf, math.inf), (max(0.0, 2.5 * m0), math.inf), (0.0, math.pi),
-             (-math.inf, math.inf)),
-        closed_axes=(2,),
-        note="Schwarzschild chart: r > max(0, 2.5 m)",
-    )
-    rmin = max(0.5, 3.0 * m0)
-    return MetricFamily(
-        label="schwarzschild", chart_name="schwarzschild", theta0=m0,
-        eval_fn=ev, deriv_fn=dv, domain=dom,
-        sample_box=np.array([[-1.0, 1.0], [rmin, rmin + 6.0], [0.4, math.pi - 0.4], [0.0, 2.0 * math.pi]]),
-    )
+    return _spherical("schwarzschild", m0, ev, dv, max(0.0, 2.5 * m0), max(0.5, 3.0 * m0),
+                      "Schwarzschild chart: r > max(0, 2.5 m)")
 
 
 def isotropic(theta0: float = 0.0) -> MetricFamily:
@@ -318,17 +301,43 @@ def isotropic(theta0: float = 0.0) -> MetricFamily:
         d[..., 3, 3] = dpsi4 * (rho * np.sin(th)) ** 2
         return d
 
+    return _spherical("isotropic", m0, ev, dv, max(0.0, 1.25 * m0), max(0.5, 2.0 * m0),
+                      "isotropic chart: rho > max(0, 1.25 m)")
+
+
+def _closed_conformal(label: str, chart_name: str, theta0: float, scale, d_scale: float,
+                      factor, eta_box: tuple, eta_sample: list, note: str) -> MetricFamily:
+    """g = scale(theta) Omega(eta)^2 times the closed static metric
+    -deta^2 + dchi^2 + sin^2 chi (dtheta^2 + sin^2 theta dphi^2) on the
+    chart (eta, chi, theta, phi), Omega^2 = factor(eta); d_scale is
+    d scale / d theta at theta0, so dg/dtheta = d_scale Omega^2 (...)."""
+
+    def shape(x):
+        eta = x[..., 0]
+        chi = x[..., 1]
+        th = x[..., 2]
+        g = _sym_zeros(x)
+        pref = factor(eta)
+        g[..., 0, 0] = -pref
+        g[..., 1, 1] = pref
+        g[..., 2, 2] = pref * np.sin(chi) ** 2
+        g[..., 3, 3] = pref * (np.sin(chi) * np.sin(th)) ** 2
+        return g
+
+    def ev(theta, x):
+        return scale(np.asarray(theta, dtype=float))[..., None, None] * shape(x)
+
+    def dv(x):
+        return d_scale * shape(x)
+
     dom = ChartDomain(
-        box=((-math.inf, math.inf), (max(0.0, 1.25 * m0), math.inf), (0.0, math.pi),
-             (-math.inf, math.inf)),
-        closed_axes=(2,),
-        note="isotropic chart: rho > max(0, 1.25 m)",
+        box=(eta_box, (0.0, math.pi), (0.0, math.pi), (-math.inf, math.inf)),
+        closed_axes=(1, 2), note=note,
     )
-    rmin = max(0.5, 2.0 * m0)
     return MetricFamily(
-        label="isotropic", chart_name="isotropic", theta0=m0,
+        label=label, chart_name=chart_name, theta0=theta0,
         eval_fn=ev, deriv_fn=dv, domain=dom,
-        sample_box=np.array([[-1.0, 1.0], [rmin, rmin + 6.0], [0.4, math.pi - 0.4], [0.0, 2.0 * math.pi]]),
+        sample_box=np.array([eta_sample, [0.3, 1.3], [0.5, math.pi - 0.5], [0.0, 2.0]]),
     )
 
 
@@ -345,37 +354,10 @@ def flrw_closed(theta0: float = 1.0) -> MetricFamily:
     a0 = float(theta0)
     if a0 <= 0:
         raise ValueError("a_max must be positive")
-
-    def shape(x):
-        eta = x[..., 0]
-        chi = x[..., 1]
-        th = x[..., 2]
-        g = _sym_zeros(x)
-        pref = 0.25 * (1.0 - np.cos(eta)) ** 2
-        g[..., 0, 0] = -pref
-        g[..., 1, 1] = pref
-        g[..., 2, 2] = pref * np.sin(chi) ** 2
-        g[..., 3, 3] = pref * (np.sin(chi) * np.sin(th)) ** 2
-        return g
-
-    def ev(theta, x):
-        t = np.asarray(theta, dtype=float)
-        pref = t ** 2 if t.ndim == 0 else (t ** 2)[..., None, None]
-        return pref * shape(x)
-
-    def dv(x):
-        return 2.0 * a0 * shape(x)
-
-    dom = ChartDomain(
-        box=((0.0, 2.0 * math.pi), (0.0, math.pi), (0.0, math.pi), (-math.inf, math.inf)),
-        closed_axes=(1, 2),
-        note="conformal FLRW chart: 0 < eta < 2 pi",
-    )
-    return MetricFamily(
-        label="flrw_closed", chart_name="conformal-flrw", theta0=a0,
-        eval_fn=ev, deriv_fn=dv, domain=dom,
-        sample_box=np.array([[0.6, 2.6], [0.3, 1.3], [0.5, math.pi - 0.5], [0.0, 2.0]]),
-    )
+    return _closed_conformal(
+        "flrw_closed", "conformal-flrw", a0, lambda t: t ** 2, 2.0 * a0,
+        lambda eta: 0.25 * (1.0 - np.cos(eta)) ** 2, (0.0, 2.0 * math.pi), [0.6, 2.6],
+        "conformal FLRW chart: 0 < eta < 2 pi")
 
 
 def de_sitter(theta0: float = 1.0) -> MetricFamily:
@@ -391,37 +373,10 @@ def de_sitter(theta0: float = 1.0) -> MetricFamily:
     lam0 = float(theta0)
     if lam0 <= 0:
         raise ValueError("Lambda must be positive")
-
-    def shape(x):
-        eta = x[..., 0]
-        chi = x[..., 1]
-        th = x[..., 2]
-        g = _sym_zeros(x)
-        pref = 1.0 / np.cos(eta) ** 2
-        g[..., 0, 0] = -pref
-        g[..., 1, 1] = pref
-        g[..., 2, 2] = pref * np.sin(chi) ** 2
-        g[..., 3, 3] = pref * (np.sin(chi) * np.sin(th)) ** 2
-        return g
-
-    def ev(theta, x):
-        t = np.asarray(theta, dtype=float)
-        pref = 3.0 / t if t.ndim == 0 else (3.0 / t)[..., None, None]
-        return pref * shape(x)
-
-    def dv(x):
-        return (-3.0 / lam0 ** 2) * shape(x)
-
-    dom = ChartDomain(
-        box=((-0.5 * math.pi, 0.5 * math.pi), (0.0, math.pi), (0.0, math.pi), (-math.inf, math.inf)),
-        closed_axes=(1, 2),
-        note="conformal de Sitter chart: |eta| < pi/2",
-    )
-    return MetricFamily(
-        label="de_sitter", chart_name="conformal-desitter", theta0=lam0,
-        eval_fn=ev, deriv_fn=dv, domain=dom,
-        sample_box=np.array([[-1.0, 1.0], [0.3, 1.3], [0.5, math.pi - 0.5], [0.0, 2.0]]),
-    )
+    return _closed_conformal(
+        "de_sitter", "conformal-desitter", lam0, lambda t: 3.0 / t, -3.0 / lam0 ** 2,
+        lambda eta: 1.0 / np.cos(eta) ** 2, (-0.5 * math.pi, 0.5 * math.pi), [-1.0, 1.0],
+        "conformal de Sitter chart: |eta| < pi/2")
 
 
 BUILTIN_FAMILIES = {
