@@ -9,6 +9,10 @@ Conventions
 * a family is a one-parameter set of metrics theta -> g_munu(theta, x)
   with a declared fiducial value theta0 and its analytic derivative there
 
+The built-ins take three shapes, one builder each: flat space plus theta
+times a fixed tensor, a mass on a spherical chart, and a scale parameter
+on a closed conformal chart.
+
 A family with a bump replaces the global parameter dependence by
 theta0 + (theta - theta0) * chi(x) with chi a smooth bump that equals 1
 on a plateau box and 0 outside a support box, so that the perturbation
@@ -146,9 +150,9 @@ class MetricFamily:
 
 def finite_difference_derivative(family: MetricFamily, x: np.ndarray) -> np.ndarray:
     """d g_munu / d theta at theta0 by central finite differences with one
-    Richardson extrapolation pass: the reference the analytic derivatives
-    are checked against.  The step is 1e-6 |theta0|, floored at 1e-8 to
-    stay sane at theta0 = 0."""
+    Richardson extrapolation pass: the reference the tests and verify
+    check the analytic derivatives against.  The step is 1e-6 |theta0|,
+    floored at 1e-8 to stay sane at theta0 = 0."""
     x = np.asarray(x, dtype=float)
     t0 = family.theta0
     h = max(1e-6 * abs(t0), 1e-8)
@@ -176,9 +180,8 @@ def _constant(e: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 def _flat_plus(label: str, direction: Callable[[np.ndarray], np.ndarray],
                theta0: float) -> MetricFamily:
-    """g = eta + theta e(x) on the Cartesian chart, so dg/dtheta = e(x).
-    direction(x) must return a fresh (..., 4, 4) array: eval scales it in
-    place."""
+    """g = eta + theta e(x) on the Cartesian chart, so dg/dtheta = e(x);
+    eval scales in place the fresh (..., 4, 4) array direction(x) returns."""
 
     def ev(theta, x):
         g = direction(x)
@@ -307,17 +310,15 @@ def isotropic(theta0: float = 0.0) -> MetricFamily:
 
 def _closed_conformal(label: str, chart_name: str, theta0: float, scale, d_scale: float,
                       factor, eta_box: tuple, eta_sample: list, note: str) -> MetricFamily:
-    """g = scale(theta) Omega(eta)^2 times the closed static metric
-    -deta^2 + dchi^2 + sin^2 chi (dtheta^2 + sin^2 theta dphi^2) on the
-    chart (eta, chi, theta, phi), Omega^2 = factor(eta); d_scale is
-    d scale / d theta at theta0, so dg/dtheta = d_scale Omega^2 (...)."""
+    """g = scale(theta) factor(eta) [-deta^2 + dchi^2 + sin^2 chi (dtheta^2
+    + sin^2 theta dphi^2)] on the chart (eta, chi, theta, phi); d_scale is
+    d scale / d theta at theta0, so dg/dtheta = d_scale factor(eta) [...]."""
 
     def shape(x):
-        eta = x[..., 0]
         chi = x[..., 1]
         th = x[..., 2]
         g = _sym_zeros(x)
-        pref = factor(eta)
+        pref = factor(x[..., 0])
         g[..., 0, 0] = -pref
         g[..., 1, 1] = pref
         g[..., 2, 2] = pref * np.sin(chi) ** 2
@@ -330,10 +331,8 @@ def _closed_conformal(label: str, chart_name: str, theta0: float, scale, d_scale
     def dv(x):
         return d_scale * shape(x)
 
-    dom = ChartDomain(
-        box=(eta_box, (0.0, math.pi), (0.0, math.pi), (-math.inf, math.inf)),
-        closed_axes=(1, 2), note=note,
-    )
+    dom = ChartDomain(box=(eta_box, (0.0, math.pi), (0.0, math.pi), (-math.inf, math.inf)),
+                      closed_axes=(1, 2), note=note)
     return MetricFamily(
         label=label, chart_name=chart_name, theta0=theta0,
         eval_fn=ev, deriv_fn=dv, domain=dom,

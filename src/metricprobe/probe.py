@@ -44,6 +44,8 @@ class ModeLattice:
         k = np.atleast_2d(np.asarray(self.k, dtype=float))
         if k.ndim != 2 or k.shape[1] != 3 or k.shape[0] == 0:
             raise ValueError("k must have shape (N, 3) with N >= 1")
+        if not np.all(np.isfinite(k)):
+            raise ValueError("k must be finite")
         if np.any(np.linalg.norm(k, axis=1) <= 0):
             raise ValueError("every mode needs omega = |k| > 0")
         object.__setattr__(self, "k", k)
@@ -90,11 +92,6 @@ class ModeSpectrum:
     @property
     def n_dc_excluded(self) -> int:
         return int(np.sum(~self.active))
-
-    @property
-    def nbar(self) -> float:
-        a = np.where(self.active, np.abs(self.alpha) ** 2, 0.0)
-        return float(np.sum(np.real(a)))
 
     def conjugate(self) -> "ModeSpectrum":
         """The pi/2-rotated spectrum i alpha defining the conjugate

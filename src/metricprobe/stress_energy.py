@@ -154,10 +154,12 @@ class TensorGrid:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 6 or v.shape[-2:] != (4, 4):
             raise ValueError("values must have shape (n0, n1, n2, n3, 4, 4)")
-        if not np.allclose(v, np.swapaxes(v, -1, -2), rtol=0, atol=0):
-            raise ValueError("grid components must be symmetric")
         o = np.asarray(self.origin, dtype=float).reshape(4)
         s = np.asarray(self.spacing, dtype=float).reshape(4)
+        if not all(np.all(np.isfinite(a)) for a in (v, o, s)):
+            raise ValueError("grid values, origin and spacing must be finite")
+        if not np.allclose(v, np.swapaxes(v, -1, -2), rtol=0, atol=0):
+            raise ValueError("grid components must be symmetric")
         if np.any(s <= 0):
             raise ValueError("grid spacing must be positive")
         object.__setattr__(self, "values", v)

@@ -57,9 +57,7 @@ def _representative_families() -> list:
 
 def _derivative_residual(fam) -> float:
     pts = geo.box_grid(fam.sample_box, 4)
-    step = 1e-5 * max(1.0, abs(fam.theta0))
-    fd = (fam.eval(fam.theta0 + step, pts) - fam.eval(fam.theta0 - step, pts))
-    fd /= 2.0 * step
+    fd = geo.finite_difference_derivative(fam, pts)
     an = fam.deriv(pts)
     scale = max(1.0, float(np.max(np.abs(an))))
     return float(np.max(np.abs(fd - an))) / scale

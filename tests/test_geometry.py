@@ -135,6 +135,41 @@ def test_analytic_derivative_matches_finite_differences():
         assert np.max(np.abs(fd - an)) <= 1e-6 * scale, fam.label
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("fam", representative_families(), ids=lambda f: f.label)
+def test_eval_fn_of_a_per_point_theta_is_the_pointwise_eval_bit_for_bit(fam):
+    # a bump passes theta0 + (theta - theta0) chi(x), one theta per point;
+    # each point goes in as a batch of one, since numpy's 0-d scalars
+    # round x ** 2 through pow
+    rng = np.random.default_rng(8)
+    pts = sample_points(fam, 30, rng)
+    thetas = fam.theta0 + 0.1 * max(1.0, abs(fam.theta0)) * (rng.random(30) - 0.5)
+    pointwise = np.concatenate([fam.eval_fn(float(t), pts[i:i + 1])
+                                for i, t in enumerate(thetas)])
+    assert np.array_equal(_bits(fam.eval_fn(thetas, pts)), _bits(pointwise))
+
+
+@pytest.mark.parametrize("fam", representative_families(), ids=lambda f: f.label)
+def test_eval_fn_and_deriv_fn_return_fresh_arrays(fam):
+    # the flat families scale their direction in place, so a shared
+    # array would carry one call's theta into the next
+    pts = sample_points(fam, 5, np.random.default_rng(9))
+    outs = [fam.eval_fn(fam.theta0, pts), fam.eval_fn(fam.theta0 + 0.1, pts),
+            fam.deriv_fn(pts), fam.deriv_fn(pts)]
+    for i, a in enumerate(outs):
+        for b in outs[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_representative_families_cover_every_builtin():
+    labels = {fam.label for fam in representative_families()}
+    assert {name for name in BUILTIN_FAMILIES
+            if not any(label.startswith(name) for label in labels)} == set()
+
+
 @pytest.mark.parametrize("missing", ["deriv_fn", "sample_box"])
 def test_family_requires_derivative_and_sample_box(missing):
     fam = gw_plane_wave()

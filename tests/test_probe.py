@@ -56,7 +56,8 @@ def test_dc_cutoff_masks_slow_modes():
     spec = ModeSpectrum(lattice=lat, alpha=np.array([5.0, math.sqrt(3.0), math.sqrt(2.0)],
                                                     dtype=complex), tau=1.0)
     assert spec.n_dc_excluded == 1
-    assert math.isclose(spec.nbar, 5.0, rel_tol=1e-14)
+    assert math.isclose(float(np.sum(np.abs(spec.alpha[spec.active]) ** 2)), 5.0,
+                        rel_tol=1e-14)
     # the omega = 1 mode contributes nothing to C
     assert math.isclose(effective_constant_C(spec), 154.5, rel_tol=1e-14)
 
@@ -149,7 +150,8 @@ def test_band_constant_matches_direct_mode_sum():
     direct = 0.5 * float(np.sum((spec.lattice.omega * spec.tau) ** 2
                                 * np.abs(spec.alpha) ** 2))
     assert math.isclose(effective_constant_C(spec), direct, rel_tol=1e-14)
-    assert math.isclose(spec.nbar, NBAR, rel_tol=1e-12)
+    assert math.isclose(float(np.sum(np.abs(spec.alpha[spec.active]) ** 2)), NBAR,
+                        rel_tol=1e-12)
     # finite width spreads weight to higher omega^2, beating the carrier
     rep = crlb_amplitude(GaussianProbeState(spectrum=spec))
     assert rep.crlb < MONO_SHOT
@@ -158,7 +160,8 @@ def test_band_constant_matches_direct_mode_sum():
 def test_flat_band_spectrum_weights():
     spec = flat_band_spectrum(7.0, 14.0, 10.0, tau=1.0, n_modes=8)
     assert len(spec.lattice) == 8
-    assert math.isclose(spec.nbar, 10.0, rel_tol=1e-14)
+    assert math.isclose(float(np.sum(np.abs(spec.alpha[spec.active]) ** 2)), 10.0,
+                        rel_tol=1e-14)
     assert np.allclose(np.abs(spec.alpha) ** 2, 10.0 / 8.0, rtol=1e-14)
 
 
@@ -253,6 +256,10 @@ def test_validation_errors():
         ModeLattice(k=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ModeLattice(k=np.array([[0.0, 0.0, 0.0]]))
+    for bad in (math.nan, math.inf):
+        # a NaN |k| fails no comparison, so the mode would drop out as DC
+        with pytest.raises(ValueError, match="k must be finite"):
+            ModeLattice(k=np.array([[bad, 0.0, 0.0], [8.0, 0.0, 0.0]]))
     lat = ModeLattice(k=np.array([[8.0, 0, 0]]))
     with pytest.raises(ValueError):
         ModeSpectrum(lattice=lat, alpha=np.array([1.0, 2.0], dtype=complex), tau=1.0)

@@ -899,6 +899,54 @@ def test_cli_exits_2_before_any_quadrature(tmp_path, capsys, monkeypatch, comman
     assert f"error: scenario key '{path}':" in capsys.readouterr().err
 
 
+def _first_row_field_set(path, column, value):
+    lines = path.read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    fields = lines[row].split()
+    fields[column] = value
+    lines[row] = " ".join(fields) + "\n"
+    path.write_text("".join(lines))
+
+
+def _grid_with_t00(value):
+    def make(tmp_path):
+        doc = _grid_doc(tmp_path)
+        # the first node's T^00, after its 4 coordinates
+        _first_row_field_set(tmp_path / "grid.txt", 4, value)
+        return doc
+    return make
+
+
+def _table_with_kx(value):
+    def make(tmp_path):
+        path = tmp_path / "table.txt"
+        save_spectrum_table(path, flat_band_spectrum(60.0, 65.0, n_photons=1.0e4, tau=1.0,
+                                                     n_modes=5))
+        _first_row_field_set(path, 0, value)
+        doc = _tiny_doc()
+        doc["probe"]["spectrum"] = {"family": "table", "path": str(path), "tau": 1.0}
+        return doc
+    return make
+
+
+# non-finite numbers in a data file: an inf grid component ran to a NaN
+# bound, a NaN one was refused as asymmetric, a NaN kx dropped its mode as
+# a DC one and an inf kx overflowed the mode sum
+@pytest.mark.parametrize("make_doc,path", [
+    (_grid_with_t00("inf"), "stress_energy.grid.path"),
+    (_grid_with_t00("nan"), "stress_energy.grid.path"),
+    (_table_with_kx("nan"), "probe.spectrum"),
+    (_table_with_kx("inf"), "probe.spectrum"),
+], ids=["grid-inf", "grid-nan", "table-nan-kx", "table-inf-kx"])
+def test_cli_non_finite_data_file_exits_2(tmp_path, capsys, monkeypatch, make_doc, path):
+    monkeypatch.setattr(generator, "integrate", _no_quadrature)
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(make_doc(tmp_path)))
+    assert main(["bound", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario key '{path}':") and "must be finite" in err, err
+
+
 @pytest.mark.parametrize("command,option,value", [
     (command, "--resolution", value) for command in ("bound", "simulate")
     for value in ("0", "-1", "nan", "inf", "abc")

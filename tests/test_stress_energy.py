@@ -182,6 +182,17 @@ def test_grid_interpolation_is_exact_on_multilinear_fields():
     np.testing.assert_allclose(field.tensor(pts), fn(pts), rtol=1e-14)
 
 
+@pytest.mark.parametrize("field", ["values", "origin", "spacing"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_grid_refuses_non_finite_numbers(field, bad):
+    # checked before symmetry, which a NaN component would fail instead
+    args = {"values": np.zeros((2, 2, 2, 2, 4, 4)), "origin": np.zeros(4),
+            "spacing": np.ones(4)}
+    args[field].flat[0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        TensorGrid(**args)
+
+
 def test_each_grid_interpolates_its_own_values():
     # grids made and dropped in turn reuse memory, and so ids; an
     # interpolator kept past its grid would answer for the next one

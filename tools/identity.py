@@ -17,7 +17,7 @@ of it (of its header, for a compound statement) is; ``global`` and
 ``nonlocal`` statements, which run no code, and docstrings are left out.
 It takes about 20 s on a 2-core host.
 
-The corpus (114 files), the same in both modes:
+The corpus (120 files), the same in both modes:
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
@@ -38,7 +38,12 @@ The corpus (114 files), the same in both modes:
   gw-monochromatic-coherent and ``verify --suite reductions``, each with
   ``--out``, ``list-scenarios``, and ``bound --resolution 0.5`` of every
   bundled scenario; each run's stdout is a corpus file (``*.stdout``),
-  next to the report it wrote if any.
+  next to the report it wrote if any;
+* ``cli.main`` ``bound`` of a scenario file in a subdirectory that names
+  its grid and its spectrum table relative to itself;
+* ``cli.main`` ``bound`` of four ``CLI_ERRORS`` scenario files, one per
+  family of input error, each of which must exit 2; its stderr is a
+  corpus file (``*.stderr``).
 
 The workload inputs come from this tree's ``bench/workloads.py`` for both
 trees, so both libraries see the same scenario dicts.  The script prints
@@ -109,6 +114,21 @@ CLI_RUNS = {
                      "--out", "cli_simulate.json"],
     "cli_verify": ["verify", "--suite", "reductions", "--out", "cli_verify.json"],
     "cli_list-scenarios": ["list-scenarios"],
+    "cli_bound_relative-paths": ["bound", "--config", "scenario/relative-paths.yaml",
+                                 "--out", "cli_bound_relative-paths.json"],
+}
+#: scenario files that cli.main must refuse with exit 2: name ->
+#: (bundled scenario, {dotted key: new value}), written as name.yaml
+CLI_ERRORS = {
+    "unknown-key": ("gw-monochromatic-coherent", {"notes": "a key no reader takes"}),
+    "region-outside-the-chart": ("flrw-em-probe", {
+        "region.box": [[-1.0, 2.5], [0.5, 1.5], [0.8, 2.2], [-0.5, 0.5]]}),
+    "ragged-region-box": ("gw-monochromatic-coherent", {
+        "region.box": [[0.0, 1.0], [0.0, 1.0], [0.0, 0.25], [0.0]]}),
+    # squeeze_r stays at the scenario's 0.0, so the squeezed-vacuum
+    # refusal first runs the probe reader's unknown-key check
+    "misspelt-squeeze_r": ("gw-monochromatic-coherent", {
+        "probe.reference": "squeezed-vacuum", "probe.squeez_r": 0.5}),
 }
 
 
@@ -124,12 +144,26 @@ def _grid_values(shape, spacing) -> np.ndarray:
     return values
 
 
+def _edited(scenarios, name: str, base: str, changes: dict) -> dict:
+    """The bundled scenario base named name, with each dotted key set."""
+    doc = copy.deepcopy(scenarios.load_bundled(base).raw)
+    doc["name"] = name
+    for dotted, value in changes.items():
+        *sections, key = dotted.split(".")
+        node = doc
+        for section in sections:
+            node = node[section]
+        node[key] = value
+    return doc
+
+
 def write_corpus(out_dir: str) -> None:
     """Write every corpus report as one file under out_dir (child side)."""
     from metricprobe import cli, reports, scenarios, verify
     from metricprobe.probe import flat_band_spectrum, save_spectrum_table
     from metricprobe.stress_energy import TensorGrid, save_grid
     import workloads
+    import yaml
 
     def put(name: str, text: str) -> None:
         (Path(out_dir) / f"{name}.json").write_text(text)
@@ -158,21 +192,22 @@ def write_corpus(out_dir: str) -> None:
     put("bound@0.5_face-cutting-box", reports.dumps_report(report))
 
     shape, spacing = (9, 9, 3, 3), np.full(4, 0.125)
-    save_grid(GRID_FILE, TensorGrid(values=_grid_values(shape, spacing),
-                                    origin=np.zeros(4), spacing=spacing))
-    save_spectrum_table(SPECTRUM_FILE, flat_band_spectrum(60.0, 65.0, n_photons=1.0e4,
-                                                          tau=1.0, n_modes=5))
+    grid = TensorGrid(values=_grid_values(shape, spacing), origin=np.zeros(4), spacing=spacing)
+    spectrum = flat_band_spectrum(60.0, 65.0, n_photons=1.0e4, tau=1.0, n_modes=5)
+    for directory in (".", "scenario"):
+        os.makedirs(directory, exist_ok=True)
+        save_grid(os.path.join(directory, GRID_FILE), grid)
+        save_spectrum_table(os.path.join(directory, SPECTRUM_FILE), spectrum)
     for variant, (base, changes) in VARIANTS.items():
-        doc = copy.deepcopy(scenarios.load_bundled(base).raw)
-        doc["name"] = variant
-        for dotted, value in changes.items():
-            *sections, key = dotted.split(".")
-            node = doc
-            for section in sections:
-                node = node[section]
-            node[key] = value
+        doc = _edited(scenarios, variant, base, changes)
         report = scenarios.run_bound(scenarios.parse_scenario(doc))
         put(f"bound_{variant}", reports.dumps_report(report))
+    # the two files named relative to the scenario file, not to the
+    # working directory
+    Path("scenario/relative-paths.yaml").write_text(yaml.safe_dump(_edited(
+        scenarios, "relative-paths", "gw-monochromatic-coherent",
+        {"stress_energy": {"grid": {"path": GRID_FILE}},
+         "probe.spectrum": {"family": "table", "path": SPECTRUM_FILE, "tau": 1.0}})))
 
     cli_runs = dict(CLI_RUNS, **{
         f"cli_bound@0.5_{name}": ["bound", "--config", name, "--resolution", "0.5"]
@@ -182,6 +217,12 @@ def write_corpus(out_dir: str) -> None:
             if cli.main(argv) != 0:
                 raise SystemExit(f"metricprobe {' '.join(argv)} failed")
         (Path(out_dir) / f"{name}.stdout").write_text(stdout.getvalue())
+    for name, (base, changes) in CLI_ERRORS.items():
+        Path(f"{name}.yaml").write_text(yaml.safe_dump(_edited(scenarios, name, base, changes)))
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            if cli.main(["bound", "--config", f"{name}.yaml"]) != 2:
+                raise SystemExit(f"metricprobe bound --config {name}.yaml did not exit 2")
+        (Path(out_dir) / f"cli_error_{name}.stderr").write_text(stderr.getvalue())
 
 
 def traced_corpus(out_dir: str, lines_path: str) -> None:
@@ -283,7 +324,7 @@ def _first_difference(a, b, path: str = ""):
 
 def compare(dir_a: Path, dir_b: Path) -> tuple:
     """(number identical, total, text describing the first difference)."""
-    names = sorted({p.name for d in (dir_a, dir_b) for suffix in ("json", "stdout")
+    names = sorted({p.name for d in (dir_a, dir_b) for suffix in ("json", "stdout", "stderr")
                     for p in d.glob(f"*.{suffix}")})
     same, first = 0, ""
     for name in names:
@@ -296,7 +337,7 @@ def compare(dir_a: Path, dir_b: Path) -> tuple:
         if not (pa.exists() and pb.exists()):
             first = f"{name}: written by only one tree"
             continue
-        if pa.suffix == ".stdout":
+        if pa.suffix in (".stdout", ".stderr"):
             la, lb = pa.read_text().splitlines(), pb.read_text().splitlines()
             i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
             first = f"{name}: line {i + 1}: {la[i:i + 1]!r} != {lb[i:i + 1]!r}"
