@@ -164,12 +164,6 @@ def test_eval_fn_and_deriv_fn_return_fresh_arrays(fam):
             assert not np.shares_memory(a, b)
 
 
-def test_representative_families_cover_every_builtin():
-    labels = {fam.label for fam in representative_families()}
-    assert {name for name in BUILTIN_FAMILIES
-            if not any(label.startswith(name) for label in labels)} == set()
-
-
 @pytest.mark.parametrize("missing", ["deriv_fn", "sample_box"])
 def test_family_requires_derivative_and_sample_box(missing):
     fam = gw_plane_wave()
