@@ -21,16 +21,16 @@ import numpy as np
 
 from .geometry import BumpProfile, _per_distinct, box_grid, localize, schwarzschild, isotropic
 from .quadrature import RegionSpec, face_integral, integrate
-from .stress_energy import StressEnergyField, covariant_divergence, divergence_residual
+from .stress_energy import (StressEnergyField, _stencil_reach, covariant_divergence,
+                            divergence_residual)
 
 _PLATEAU_EPS = 1e-12
 # finite-difference step of the coordinate check's covariant divergence,
 # and the divergence residual below which its source counts as conserved
 _FD_STEP = 1e-3
 DIVERGENCE_TOL = 1e-6
-# how far outside a source's support its order-4 divergence stencil can
-# see the source: two steps, with a margin against rounding
-_STENCIL_REACH = 2.0 * _FD_STEP * 1.01
+# how far outside a source's support its divergence stencil can see it
+_STENCIL_REACH = _stencil_reach(_FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,8 @@ def boundary_term(T: StressEnergyField, region: RegionSpec) -> float:
     r = rho (1 + m / 2 rho)^2 at m = 0, X^r = 1 and its other components
     0, so X_nu = g_{nu r}.  This is the coordinate form of the surface
     element, which is what makes the discrete divergence identity close.
-    Each face is a face_integral, upper side before lower, axis by axis.
+    Each face is a face_integral, upper side before lower, axis by axis,
+    evaluated only inside T's declared support, if it has one.
     """
     flat, box = schwarzschild(0.0), region.box
     total = 0.0
@@ -160,7 +161,8 @@ def boundary_term(T: StressEnergyField, region: RegionSpec) -> float:
             return vol * np.einsum("...j,...j->...", T.tensor(pts)[..., axis, :], g[..., :, 1])
 
         for side, sign in ((1, 1.0), (0, -1.0)):
-            total += sign * face_integral(flux_density, region, axis, box[axis, side])
+            total += sign * face_integral(flux_density, region, axis, box[axis, side],
+                                          T.support)
     return total
 
 
@@ -216,9 +218,9 @@ def coordinate_independence_check(testT: StressEnergyField,
     a nonzero value within quadrature error.  The source counts as
     conserved when its divergence residual is at most 1e-6.
 
-    When testT declares a support, the volume integrals evaluate only
-    inside it, the divergence within the stencil's reach of it; the
-    boundary flux and the residual sample always run in full.
+    When testT declares a support, the volume integrals and the boundary
+    flux evaluate only inside it, and the divergence, in its integral and
+    in the residual sample, only within the stencil's reach of it.
     """
     flat, chi = schwarzschild(0.0), bundled_coordinate_bump()
     fam_s, fam_i = localize(flat, chi), localize(isotropic(0.0), chi)

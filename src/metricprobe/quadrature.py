@@ -76,15 +76,32 @@ def region_rules(region: RegionSpec):
 
 
 def face_integral(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
-                  axis: int, value: float) -> float:
+                  axis: int, value: float, support=None) -> float:
     """Integral of fn over the face of the region's box where coordinate
     axis is value: one weighted sum over the region's trapezoid rules on
-    the three free axes.  fn maps points (na, nb, nc, 4) to (na, nb, nc)."""
+    the three free axes.  fn maps points (na, nb, nc, 4) to (na, nb, nc).
+
+    support, a closed (4, 2) box outside which fn is exactly 0, works as
+    in integrate: a face that holds no node of the box (its value lies
+    outside the box's interval on axis, or no face node is inside the
+    box) is 0.0 and fn is not called; otherwise fn is evaluated only on
+    the face nodes inside the box, written into a zeroed full face and
+    summed in the same order, so the result has the same bits as
+    without support."""
+    free = [a for a in range(4) if a != axis]
     (xa, wa), (xb, wb), (xc, wc) = (axis_rule(*region.box[a], region.resolution[a])
-                                    for a in range(4) if a != axis)
-    mesh = np.stack(np.meshgrid(xa, xb, xc, indexing="ij"), axis=-1)
+                                    for a in free)
     w3 = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
-    return float(np.sum(fn(np.insert(mesh, axis, value, axis=-1)) * w3))
+    face = (slice(None),) * 3
+    if support is not None:
+        box = np.asarray(support, dtype=float)
+        face = tuple(_nodes_inside(x, *box[a]) for x, a in zip((xa, xb, xc), free))
+        if not box[axis, 0] <= value <= box[axis, 1] or any(s.start >= s.stop for s in face):
+            return 0.0
+    mesh = np.stack(np.meshgrid(xa[face[0]], xb[face[1]], xc[face[2]], indexing="ij"), axis=-1)
+    vals = np.zeros(w3.shape)
+    vals[face] = fn(np.insert(mesh, axis, value, axis=-1))
+    return float(np.sum(vals * w3))
 
 
 def _nodes_inside(x: np.ndarray, lo: float, hi: float) -> slice:

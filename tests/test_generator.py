@@ -22,8 +22,9 @@ from metricprobe.stress_energy import (StressEnergyField, em_plane_wave, em_unif
                                        in_orthonormal_frame)
 
 FOURPI = 4.0 * math.pi
-#: the bundled chart audit's region box
-AUDIT_BOX = load_bundled("schwarzschild-coordinate-check").region.box
+#: the bundled chart audit's region and its box
+AUDIT_REGION = load_bundled("schwarzschild-coordinate-check").region
+AUDIT_BOX = AUDIT_REGION.box
 
 
 def _plane_wave_field(amplitude=1.0, omega=2.0 * math.pi * 10.0, phase=0.0):
@@ -279,8 +280,36 @@ def test_gw_density_vanishes_nowhere_special():
 # boundary flux
 # ---------------------------------------------------------------------------
 
+#: the identity corpus's box whose faces cut both bundled sources
+#: (tools/identity.py FACE_CUTTING_BOX)
+FACE_CUTTING_BOX = np.array([[-0.5, 0.5], [1.6, 3.5], [0.94, 2.21], [-0.61, 0.61]])
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
 def test_boundary_term_zero_for_compact_source():
-    assert boundary_term(conserved_test_tensor(), _check_region(9)) == 0.0
+    # the support reaches no face, so none is evaluated; without it every
+    # face is evaluated and sums to the same exact 0
+    T = conserved_test_tensor()
+
+    def never(pts):
+        raise AssertionError("T evaluated on a face its support does not reach")
+
+    assert _bits(boundary_term(StressEnergyField(never, T.support), _check_region(9))) \
+        == _bits(boundary_term(StressEnergyField(T.fn), _check_region(9))) == _bits(0.0)
+
+
+@pytest.mark.parametrize("source", [conserved_test_tensor, nonconserved_test_tensor],
+                         ids=["conserved", "nonconserved"])
+@pytest.mark.parametrize("box", [AUDIT_BOX, FACE_CUTTING_BOX], ids=["audit", "face-cutting"])
+def test_boundary_term_keeps_every_bit_with_the_support(source, box):
+    T = source()
+    region = RegionSpec(box=box, resolution=AUDIT_REGION.resolution)
+    got = boundary_term(T, region)
+    assert _bits(got) == _bits(boundary_term(StressEnergyField(T.fn), region))
+    assert (got != 0.0) == (box is FACE_CUTTING_BOX)
 
 
 def test_boundary_term_radial_shell_oracle():

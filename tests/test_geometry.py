@@ -164,6 +164,27 @@ def test_eval_fn_and_deriv_fn_return_fresh_arrays(fam):
             assert not np.shares_memory(a, b)
 
 
+def test_representative_families_cover_every_builtin():
+    labels = {fam.label for fam in representative_families()}
+    assert {name for name in BUILTIN_FAMILIES
+            if not any(label.startswith(name) for label in labels)} == set()
+
+
+@pytest.mark.parametrize("fam, axis", [(schwarzschild(1.0), 2), (isotropic(1.0), 2),
+                                       (flrw_closed(1.0), 1), (de_sitter(1.0), 2)],
+                         ids=["schwarzschild-theta", "isotropic-theta", "flrw-chi",
+                              "de-sitter-theta"])
+def test_closed_axis_takes_its_bounds_and_nothing_beyond(fam, axis):
+    assert axis in fam.domain.closed_axes
+    x = fam.sample_box.mean(axis=1)
+    for edge, beyond in zip(fam.domain.box[axis], (-np.inf, np.inf)):
+        x[axis] = edge
+        fam.domain.require(x)
+        x[axis] = np.nextafter(edge, beyond)
+        with pytest.raises(ChartDomainError):
+            fam.domain.require(x)
+
+
 @pytest.mark.parametrize("missing", ["deriv_fn", "sample_box"])
 def test_family_requires_derivative_and_sample_box(missing):
     fam = gw_plane_wave()

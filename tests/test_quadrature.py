@@ -200,6 +200,62 @@ def test_support_evaluates_only_inside_and_keeps_every_bit(box, stacked):
         assert np.all(np.asarray(pruned) == 0.0)
 
 
+@pytest.mark.parametrize("axis, box", [
+    (0, [[0.6, 0.9], [0.4, 1.5], [0.45, 0.9], [-0.5, 0.3]]),   # beyond both axis-0 faces
+    (1, [[-0.6, 0.2], [0.4, 1.5], [0.45, 0.9], [-0.5, 0.3]]),  # between the axis-1 faces
+    (3, [[-0.6, 0.2], [0.4, 1.5], [1.2, 1.5], [-0.8, 0.8]]),   # no face node on axis 2
+], ids=["axis0-beyond", "axis1-between", "axis3-off-grid"])
+def test_face_support_that_misses_the_face_skips_it(axis, box):
+    def never(pts):
+        raise AssertionError("fn called on a face the support misses")
+
+    for side in (0, 1):
+        value = _SUPPORT_REGION.box[axis, side]
+        got = face_integral(never, _SUPPORT_REGION, axis, value, support=box)
+        assert type(got) is float and got == 0.0
+        assert face_integral(_vanishing_outside(box), _SUPPORT_REGION, axis, value) == 0.0
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, 3])
+def test_face_support_that_cuts_the_face_keeps_every_bit(axis):
+    box = np.array([[-1.2, 0.2], [0.4, 2.5], [0.2, 0.9], [-0.5, 0.8]])
+    value = 0.5 * (box[axis, 0] + box[axis, 1])
+    f = _vanishing_outside(box)
+    seen = []
+
+    def counted(pts):
+        seen.append(pts.reshape(-1, 4))
+        return f(pts)
+
+    full = face_integral(f, _SUPPORT_REGION, axis, value)
+    cut = face_integral(counted, _SUPPORT_REGION, axis, value, support=box)
+    assert full != 0.0
+    assert np.float64(cut).tobytes() == np.float64(full).tobytes()
+    pts = np.concatenate(seen)
+    assert np.all((pts >= box[:, 0]) & (pts <= box[:, 1]))
+    assert len(pts) == np.prod([np.count_nonzero((x >= lo) & (x <= hi))
+                                for a, ((x, _), (lo, hi)) in enumerate(zip(
+                                    region_rules(_SUPPORT_REGION), box)) if a != axis])
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("axis", [0, 2])
+def test_face_on_the_support_edge_is_evaluated(axis, side):
+    # the support is closed: a face lying exactly on its edge, where fn
+    # is not 0, is evaluated
+    box = np.array([[-1.0, 0.5], [0.0, 2.0], [0.3, 1.0], [-0.7, 0.7]])
+    value = _SUPPORT_REGION.box[axis, side]
+    box[axis] = (value, value + 0.4) if side == 0 else (value - 0.4, value)
+
+    def fn(pts):
+        inside = np.all((pts >= box[:, 0]) & (pts <= box[:, 1]), axis=-1)
+        return np.where(inside, 1.0 + pts[..., 1] * pts[..., 3], 0.0)
+
+    full = face_integral(fn, _SUPPORT_REGION, axis, value)
+    assert full != 0.0
+    assert face_integral(fn, _SUPPORT_REGION, axis, value, support=box) == full
+
+
 def test_estimate_passes_support_through():
     box = [[-0.6, 0.2], [0.4, 1.5], [0.45, 0.9], [-0.5, 0.3]]
     fn = _vanishing_outside(box)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from metricprobe.geometry import flrw_closed
+from metricprobe.generator import conserved_test_tensor, nonconserved_test_tensor
+from metricprobe.geometry import box_grid, flrw_closed, schwarzschild
+from metricprobe.scenarios import load_bundled
 from metricprobe.stress_energy import (StressEnergyField, TensorGrid,
                                        covariant_divergence, divergence_residual,
                                        em_plane_wave, em_stress_tensor, em_uniform,
@@ -143,6 +145,61 @@ def test_divergence_residual_converges_at_stencil_order():
     r1 = np.max(np.abs(covariant_divergence(field, flat_metric, pts, h=0.08)))
     r2 = np.max(np.abs(covariant_divergence(field, flat_metric, pts, h=0.04)))
     assert 12.0 <= r1 / r2 <= 20.0
+
+
+def _straddling_box(support):
+    """A box around the middle of the support whose r range runs from
+    0.3 below the support's lower r edge to 0.3 above it."""
+    mid = 0.5 * (support[:, 0] + support[:, 1])
+    box = np.stack([mid - 0.1, mid + 0.1], axis=-1)
+    box[1] = support[1, 0] - 0.3, support[1, 0] + 0.3
+    return box
+
+
+@pytest.mark.parametrize("h", [1e-3, (1e-3, 2e-3, 1e-3, 5e-4)], ids=["scalar-h", "per-axis-h"])
+@pytest.mark.parametrize("sample", ["audit", "straddling"])
+@pytest.mark.parametrize("source", [conserved_test_tensor, nonconserved_test_tensor],
+                         ids=["conserved", "nonconserved"])
+def test_divergence_residual_keeps_every_bit_with_the_support(source, sample, h):
+    T = source()
+    if sample == "audit":
+        # the chart audit's conservation sample
+        box = load_bundled("schwarzschild-coordinate-check").region.box
+        pts = box_grid(box, 7)[1:-1, 1:-1, 1:-1, 1:-1]
+    else:
+        pts = box_grid(_straddling_box(T.support), 9)
+    metric = lambda x: schwarzschild(0.0).eval(0.0, x)
+    counts = []
+
+    def counted(x):
+        counts.append(x[..., 0].size)
+        return T.fn(x)
+
+    full = divergence_residual(StressEnergyField(T.fn), metric, pts, h=h)
+    pruned = divergence_residual(StressEnergyField(counted, T.support), metric, pts, h=h)
+    assert full > 0.0
+    assert np.float64(pruned).tobytes() == np.float64(full).tobytes()
+    # T once on the whole sample, then the divergence on fewer points
+    assert counts[0] == pts[..., 0].size
+    assert 0 < sum(counts[1:]) < 17 * pts[..., 0].size
+
+
+def test_divergence_residual_sees_the_support_from_two_steps_out():
+    # T jumps at the closed support's edge, so a point 1.9 steps outside
+    # it sees it through its outer stencil point, and one 2.5 steps out
+    # does not; at the centre T is constant and its divergence is 0
+    box = np.array([[-1.0, 1.0]] * 4)
+
+    def step(x):
+        T = np.zeros(x.shape[:-1] + (4, 4))
+        T[..., 1, 1] = np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=-1)
+        return T
+
+    h = 1e-3
+    pts = np.array([[0.0, -1.0 - d * h, 0.0, 0.0] for d in (2.5, 1.9)] + [[0.0] * 4])
+    full = divergence_residual(StressEnergyField(step), flat_metric, pts, h=h)
+    assert full > 0.0
+    assert divergence_residual(StressEnergyField(step, box), flat_metric, pts, h=h) == full
 
 
 def _sampled_grid(fn, shape):
