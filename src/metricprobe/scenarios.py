@@ -22,23 +22,19 @@ import yaml
 
 from . import geometry as geo
 from . import stress_energy as se
-from .generator import (GeneratorResult, conserved_test_tensor, coordinate_independence_check,
+from .generator import (conserved_test_tensor, coordinate_independence_check,
                         integrate_generator, nonconserved_test_tensor, trace_null_residual)
-from .probe import (CrlbReport, GaussianProbeState, crlb_amplitude,
-                    effective_constant_C, flat_band_spectrum,
-                    gaussian_band_spectrum, hamiltonian_variance,
+from .probe import (GaussianProbeState, crlb_amplitude, effective_constant_C,
+                    flat_band_spectrum, gaussian_band_spectrum, hamiltonian_variance,
                     load_spectrum_table, monochromatic_spectrum)
 from .quadrature import RegionSpec, face_integral
 from .simulate import (SEEDS, crb_saturation_check, histogram_fisher, linear_estimator,
                        model_from_state, classical_fisher, simulate_readout)
 
-KINDS = ("generator-crlb", "coordinate-check", "unruh-product", "proper-time")
 _SOURCE = ("family", "stress_energy", "region")
-#: sections parse_scenario requires: those a kind reads, or a section is built with
-_NEEDS = {"generator-crlb": _SOURCE, "coordinate-check": ("region",),
-          "unruh-product": _SOURCE + ("probe",),
-          "proper-time": _SOURCE + ("probe",), "bump": ("family",),
-          "stress_energy": ("family", "region")}
+#: sections parse_scenario requires of a section, which is built with them;
+#: those of a kind, which it reads, are in the kind table _KINDS
+_NEEDS = {"bump": ("family",), "stress_energy": ("family", "region")}
 _SECTIONS = ("family", "bump", "stress_energy", "region", "probe", "simulation")
 #: largest trace-null residual at which a source counts as traceless
 TRACE_NULL_TOL = 1e-12
@@ -193,8 +189,8 @@ def parse_scenario(doc) -> Scenario:
     if kind not in KINDS:
         raise ScenarioError("kind", f"must be one of {', '.join(KINDS)}; got {kind!r}")
     present = [key for key in _SECTIONS if root.get(key) is not None]
-    for need in [kind] + present:
-        for key in _NEEDS.get(need, ()):
+    for need, keys in [(kind, _KINDS[kind][0])] + [(k, _NEEDS.get(k, ())) for k in present]:
+        for key in keys:
             if key not in present:
                 raise ScenarioError(key, f"section is required by {need!r}")
     family = build_family(root) if "family" in present else None
@@ -399,33 +395,144 @@ def build_sim_params(doc: _Reader) -> dict:
 # runners (plain dict reports; serialization lives in reports.py)
 # ---------------------------------------------------------------------------
 
-def _q(value, units: str) -> dict:
-    return {"value": value, "units": units}
+_GEOM = "geometric (G=c=1)"
+#: units of each report block's entries, in report order; None copies an
+#: entry (a bool, warnings, flags or a nested block) as is
+_GENERATOR = {"P_total": _GEOM, "P_plateau": _GEOM, "P_shell": _GEOM, "error_estimate": _GEOM,
+              "warnings": None}
+_TRACE_NULL = {"residual": "dimensionless", "traceless_coupling": None}
+_CRLB = {"C": "hbar/amplitude^2", "var_X1": "hbar^2/amplitude^2",
+         "var_X2": "hbar^2/amplitude^2", "crlb": "amplitude^2", "shot_noise": "amplitude^2",
+         "remainder_ratio": "dimensionless", "n_dc_excluded": "count",
+         "commutator_residual": "dimensionless", "counter_rotating_scale": "dimensionless",
+         "flags": None}
+_COORDINATE_CHECK = {"P_schwarzschild": _GEOM, "P_isotropic": _GEOM, "difference": _GEOM,
+                     "angular_integral": _GEOM, "flux_minus_divergence": _GEOM,
+                     "error_estimate": _GEOM, "divergence_residual": "dimensionless",
+                     "conserved": None, "consistent": None}
+_UNRUH = {"mean_int_T": _GEOM, "var_int_T": "hbar^2", "product": "hbar^2", "rhs": "hbar^2",
+          "product_residual": "dimensionless"}
+_PROPER_TIME = {"H_bar": _GEOM, "H_spread": _GEOM, "tau_window": "length", "kappa": "length",
+                "kappa_over_half_window": "dimensionless", "mean_residual": "dimensionless",
+                "var_H": "hbar^2/length^2", "crlb_proper_time": "length^2",
+                "time_energy_rhs": "length^2", "reduction_residual": "dimensionless"}
+_SIMULATION = {"n_samples": "count", "seed": "count", "mean_estimate": "amplitude",
+               "a_true": "amplitude", "empirical_variance": "amplitude^2",
+               "analytic_variance": "amplitude^2", "crlb": "amplitude^2",
+               "variance_relative_error": "dimensionless", "sampling_rel_std": "dimensionless",
+               "classical_fisher": "amplitude^-2", "histogram_fisher": "amplitude^-2",
+               "saturation": None}
+_SATURATION = {"quantum_bound": "amplitude^2", "classical_fisher_inverse": "amplitude^2",
+               "relative_gap": "dimensionless", "saturated": None}
 
 
-def _generator_block(res: GeneratorResult) -> dict:
-    return {
-        "P_total": _q(res.P_total, "geometric (G=c=1)"),
-        "P_plateau": _q(res.P_plateau, "geometric (G=c=1)"),
-        "P_shell": _q(res.P_shell, "geometric (G=c=1)"),
-        "error_estimate": _q(res.error_estimate, "geometric (G=c=1)"),
-        "warnings": list(res.warnings),
-    }
+def _block(values, units: dict) -> dict:
+    """The report block of units' keys, in its order: each entry of
+    values as a {value, units} leaf, or as is where its units are None."""
+    return {key: values[key] if u is None else {"value": values[key], "units": u}
+            for key, u in units.items()}
 
 
-def _crlb_block(rep) -> dict:
-    return {
-        "C": _q(rep.C, "hbar/amplitude^2"),
-        "var_X1": _q(rep.var_X1, "hbar^2/amplitude^2"),
-        "var_X2": _q(rep.var_X2, "hbar^2/amplitude^2"),
-        "crlb": _q(rep.crlb, "amplitude^2"),
-        "shot_noise": _q(rep.shot_noise, "amplitude^2"),
-        "remainder_ratio": _q(rep.remainder_ratio, "dimensionless"),
-        "n_dc_excluded": _q(rep.n_dc_excluded, "count"),
-        "commutator_residual": _q(rep.commutator_residual, "dimensionless"),
-        "counter_rotating_scale": _q(rep.counter_rotating_scale, "dimensionless"),
-        "flags": list(rep.flags),
-    }
+def _run_generator_crlb(sc: Scenario, region: RegionSpec, report: dict):
+    """Generator -> trace-null -> bound chain: adds the generator block,
+    then trace_null for a closed conformal family and crlb for a probe or
+    a traceless source; returns the generator result and the bound, None
+    without a probe."""
+    fam, field = sc.family, sc.field
+    res = integrate_generator(field, fam, region)
+    report["generator"] = _block(vars(res), _GENERATOR)
+
+    if fam.label in ("flrw_closed", "de_sitter"):
+        resid = trace_null_residual(field, fam, region)
+        report["trace_null"] = _block({"residual": resid,
+                                       "traceless_coupling": bool(resid <= TRACE_NULL_TOL)},
+                                      _TRACE_NULL)
+
+    rep = None if sc.state is None else crlb_amplitude(sc.state)
+    if rep is not None:
+        report["crlb"] = _block(vars(rep), _CRLB)
+    elif "trace_null" in report:
+        # conformally coupled probe: no mean-field information at all
+        report["crlb"] = {
+            "crlb": {"value": math.inf, "units": _CRLB["crlb"]},
+            "flags": ["traceless probe: generator vanishes pointwise; "
+                      "the scale parameter is invisible at this order"],
+        }
+    return res, rep
+
+
+def _run_coordinate_check(sc: Scenario, region: RegionSpec, report: dict) -> None:
+    out = {}
+    for label, tensor in (("conserved", conserved_test_tensor()),
+                          ("nonconserved", nonconserved_test_tensor())):
+        try:
+            rep = coordinate_independence_check(tensor, region)
+        except geo.ChartDomainError as exc:
+            # raised by the region check that precedes any quadrature
+            raise ScenarioError("region.box", str(exc)) from exc
+        dP = rep.P_isotropic - rep.P_schwarzschild
+        consistent = bool(abs(dP - rep.angular_integral) <= rep.error_estimate
+                          and abs(dP - rep.flux_minus_divergence) <= rep.error_estimate)
+        out[label] = _block({**vars(rep), "difference": dP, "consistent": consistent},
+                            _COORDINATE_CHECK)
+    # both sources share the region and bump, so they share these warnings
+    out["warnings"] = list(rep.warnings)
+    report["coordinate_check"] = out
+
+
+def _run_unruh(sc: Scenario, region: RegionSpec, report: dict) -> None:
+    """Product of the component-estimation bound with the variance of
+    the windowed component integral; 2 P_total is the mean of that
+    integral, and for the bundled null probe the integral itself is
+    tau times the field Hamiltonian."""
+    res, rep = _run_generator_crlb(sc, region, report)
+    state = sc.state
+    var_int_T = state.spectrum.tau ** 2 * hamiltonian_variance(state)
+    product = rep.crlb * var_int_T
+    rhs = state.hbar ** 2
+    report["unruh"] = _block({"mean_int_T": 2.0 * res.P_total, "var_int_T": var_int_T,
+                              "product": product, "rhs": rhs,
+                              "product_residual": abs(product - rhs) / rhs}, _UNRUH)
+
+
+def _run_proper_time(sc: Scenario, region: RegionSpec, report: dict) -> None:
+    """Time-energy reduction for a uniform lapse perturbation.
+
+    Classical side: the generator integral must equal half the window
+    length times the (constant) field energy; the energy route takes the
+    region's spatial rule at five fixed times, independent of the 4D
+    quadrature.  Quantum side: the amplitude bound pulled back to proper
+    time through d tau / d theta = -tau_w / 2 must land on
+    hbar^2 / (4 var H).
+    """
+    res, rep = _run_generator_crlb(sc, region, report)
+    state, field, box = sc.state, sc.field, region.box
+    tau_window = box[0, 1] - box[0, 0]
+    energies = np.array([face_integral(lambda pts: field.tensor(pts)[..., 0, 0], region, 0, t)
+                         for t in np.linspace(box[0, 0], box[0, 1], 5)])
+    H_bar = float(np.mean(energies))
+    if H_bar == 0.0:
+        raise ScenarioError("stress_energy", "proper-time needs a source of nonzero energy")
+    kappa = res.P_total / H_bar
+    mean_ratio = kappa / (0.5 * tau_window)
+
+    crlb_tau = (0.5 * tau_window) ** 2 * rep.crlb
+    var_H = hamiltonian_variance(state)
+    rhs = state.hbar ** 2 / (4.0 * var_H)
+    report["proper_time"] = _block({
+        "H_bar": H_bar, "H_spread": float(np.ptp(energies)), "tau_window": tau_window,
+        "kappa": kappa, "kappa_over_half_window": mean_ratio,
+        "mean_residual": abs(mean_ratio - 1.0), "var_H": var_H, "crlb_proper_time": crlb_tau,
+        "time_energy_rhs": rhs, "reduction_residual": abs(crlb_tau - rhs) / rhs}, _PROPER_TIME)
+
+
+#: each kind: the sections parse_scenario requires of it, and the runner
+#: that adds its blocks to run_bound's report
+_KINDS = {"generator-crlb": (_SOURCE, _run_generator_crlb),
+          "coordinate-check": (("region",), _run_coordinate_check),
+          "unruh-product": (_SOURCE + ("probe",), _run_unruh),
+          "proper-time": (_SOURCE + ("probe",), _run_proper_time)}
+KINDS = tuple(_KINDS)
 
 
 def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
@@ -437,124 +544,8 @@ def run_bound(sc: Scenario, resolution_mult: float = 1.0) -> dict:
     # a factor that is not positive and finite, or gives over MAX_NODES nodes
     with _keyed("--resolution"):
         region = sc.region.scaled(resolution_mult)
-    if sc.kind == "coordinate-check":
-        report["coordinate_check"] = _run_coordinate_check(region)
-        return report
-
-    fam, field, state = sc.family, sc.field, sc.state
-    res = integrate_generator(field, fam, region)
-    report["generator"] = _generator_block(res)
-
-    if fam.label in ("flrw_closed", "de_sitter"):
-        resid = trace_null_residual(field, fam, region)
-        report["trace_null"] = {
-            "residual": _q(resid, "dimensionless"),
-            "traceless_coupling": bool(resid <= TRACE_NULL_TOL),
-        }
-
-    if state is not None:
-        rep = crlb_amplitude(state)
-        report["crlb"] = _crlb_block(rep)
-    elif "trace_null" in report:
-        # conformally coupled probe: no mean-field information at all
-        report["crlb"] = {
-            "crlb": _q(math.inf, "amplitude^2"),
-            "flags": ["traceless probe: generator vanishes pointwise; "
-                      "the scale parameter is invisible at this order"],
-        }
-
-    if sc.kind == "unruh-product":
-        report["unruh"] = _run_unruh(state, rep, res)
-    elif sc.kind == "proper-time":
-        report["proper_time"] = _run_proper_time(state, rep, field, region, res)
+    _KINDS[sc.kind][1](sc, region, report)
     return report
-
-
-def _run_coordinate_check(region: RegionSpec) -> dict:
-    out = {}
-    for label, tensor in (("conserved", conserved_test_tensor()),
-                          ("nonconserved", nonconserved_test_tensor())):
-        try:
-            rep = coordinate_independence_check(tensor, region)
-        except geo.ChartDomainError as exc:
-            # raised by the region check that precedes any quadrature
-            raise ScenarioError("region.box", str(exc)) from exc
-        dP = rep.P_isotropic - rep.P_schwarzschild
-        out[label] = {
-            "P_schwarzschild": _q(rep.P_schwarzschild, "geometric (G=c=1)"),
-            "P_isotropic": _q(rep.P_isotropic, "geometric (G=c=1)"),
-            "difference": _q(dP, "geometric (G=c=1)"),
-            "angular_integral": _q(rep.angular_integral, "geometric (G=c=1)"),
-            "flux_minus_divergence": _q(rep.flux_minus_divergence,
-                                        "geometric (G=c=1)"),
-            "error_estimate": _q(rep.error_estimate, "geometric (G=c=1)"),
-            "divergence_residual": _q(rep.divergence_residual, "dimensionless"),
-            "conserved": rep.conserved,
-            "consistent": bool(abs(dP - rep.angular_integral) <= rep.error_estimate
-                               and abs(dP - rep.flux_minus_divergence)
-                               <= rep.error_estimate),
-        }
-    # both sources share the region and bump, so they share these warnings
-    out["warnings"] = list(rep.warnings)
-    return out
-
-
-def _run_unruh(state: GaussianProbeState, rep: CrlbReport, res: GeneratorResult) -> dict:
-    """Product of the component-estimation bound with the variance of
-    the windowed component integral; 2 P_total is the mean of that
-    integral, and for the bundled null probe the integral itself is
-    tau times the field Hamiltonian."""
-    tau = state.spectrum.tau
-    var_int_T = tau ** 2 * hamiltonian_variance(state)
-    product = rep.crlb * var_int_T
-    rhs = state.hbar ** 2
-    return {
-        "mean_int_T": _q(2.0 * res.P_total, "geometric (G=c=1)"),
-        "var_int_T": _q(var_int_T, "hbar^2"),
-        "product": _q(product, "hbar^2"),
-        "rhs": _q(rhs, "hbar^2"),
-        "product_residual": _q(abs(product - rhs) / rhs, "dimensionless"),
-    }
-
-
-def _run_proper_time(state: GaussianProbeState, rep: CrlbReport,
-                     field: se.StressEnergyField, region: RegionSpec,
-                     res: GeneratorResult) -> dict:
-    """Time-energy reduction for a uniform lapse perturbation.
-
-    Classical side: the generator integral must equal half the window
-    length times the (constant) field energy; the energy route takes the
-    region's spatial rule at five fixed times, independent of the 4D
-    quadrature.  Quantum side: the amplitude bound pulled back to proper
-    time through d tau / d theta = -tau_w / 2 must land on
-    hbar^2 / (4 var H).
-    """
-    box = region.box
-    tau_window = box[0, 1] - box[0, 0]
-    energies = np.array([face_integral(lambda pts: field.tensor(pts)[..., 0, 0], region, 0, t)
-                         for t in np.linspace(box[0, 0], box[0, 1], 5)])
-    H_bar = float(np.mean(energies))
-    if H_bar == 0.0:
-        raise ScenarioError("stress_energy", "proper-time needs a source of nonzero energy")
-    H_spread = float(np.ptp(energies))
-    kappa = res.P_total / H_bar
-    mean_ratio = kappa / (0.5 * tau_window)
-
-    crlb_tau = (0.5 * tau_window) ** 2 * rep.crlb
-    var_H = hamiltonian_variance(state)
-    rhs = state.hbar ** 2 / (4.0 * var_H)
-    return {
-        "H_bar": _q(H_bar, "geometric (G=c=1)"),
-        "H_spread": _q(H_spread, "geometric (G=c=1)"),
-        "tau_window": _q(tau_window, "length"),
-        "kappa": _q(kappa, "length"),
-        "kappa_over_half_window": _q(mean_ratio, "dimensionless"),
-        "mean_residual": _q(abs(mean_ratio - 1.0), "dimensionless"),
-        "var_H": _q(var_H, "hbar^2/length^2"),
-        "crlb_proper_time": _q(crlb_tau, "length^2"),
-        "time_energy_rhs": _q(rhs, "length^2"),
-        "reduction_residual": _q(abs(crlb_tau - rhs) / rhs, "dimensionless"),
-    }
 
 
 def run_simulate(sc: Scenario, seed: Optional[int] = None,
@@ -577,29 +568,11 @@ def run_simulate(sc: Scenario, seed: Optional[int] = None,
                             f"{model.mean!r} hides its noise sigma = {sigma!r}")
     samples = simulate_readout(model, params["n_samples"], seed)
     run = linear_estimator(samples, model, bound["crlb"]["value"])
-    fisher = classical_fisher(model)
-    fisher_hist = histogram_fisher(samples, model)
-    sat = crb_saturation_check(sc.state)
-    report["simulation"] = {
-        "n_samples": _q(run.n_samples, "count"),
-        "seed": _q(seed, "count"),
-        "mean_estimate": _q(run.mean_estimate, "amplitude"),
-        "a_true": _q(params["a_true"], "amplitude"),
-        "empirical_variance": _q(run.empirical_variance, "amplitude^2"),
-        "analytic_variance": _q(run.analytic_variance, "amplitude^2"),
-        "crlb": _q(run.crlb, "amplitude^2"),
-        "variance_relative_error": _q(run.variance_relative_error, "dimensionless"),
-        "sampling_rel_std": _q(run.sampling_rel_std, "dimensionless"),
-        "classical_fisher": _q(fisher, "amplitude^-2"),
-        "histogram_fisher": _q(fisher_hist, "amplitude^-2"),
-        "saturation": {
-            "quantum_bound": _q(sat["quantum_bound"], "amplitude^2"),
-            "classical_fisher_inverse": _q(sat["classical_fisher_inverse"],
-                                           "amplitude^2"),
-            "relative_gap": _q(sat["relative_gap"], "dimensionless"),
-            "saturated": sat["saturated"],
-        },
-    }
+    report["simulation"] = _block({
+        **vars(run), "seed": seed, "a_true": params["a_true"],
+        "classical_fisher": classical_fisher(model),
+        "histogram_fisher": histogram_fisher(samples, model),
+        "saturation": _block(crb_saturation_check(sc.state), _SATURATION)}, _SIMULATION)
     return report
 
 
