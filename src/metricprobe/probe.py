@@ -343,6 +343,9 @@ def gaussian_band_spectrum(omega0: float, fractional_width: float, n_photons: fl
     amplitudes normalized to sum |alpha|^2 = n_photons."""
     if n_modes < 3:
         raise ValueError("need at least 3 modes to resolve the band")
+    if omega0 <= 0 or fractional_width <= 0 or n_photons < 0:
+        raise ValueError("omega0 and fractional_width must be positive and n_photons "
+                         "nonnegative")
     sigma = fractional_width * omega0
     lo = max(omega0 - 4.0 * sigma, 1e-6 * omega0)
     om = np.linspace(lo, omega0 + 4.0 * sigma, n_modes)
@@ -358,6 +361,8 @@ def flat_band_spectrum(omega_lo: float, omega_hi: float, n_photons: float, tau: 
     """Top-hat band on [omega_lo, omega_hi] with equal per-mode weight."""
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")
+    if n_modes < 1 or n_photons < 0:
+        raise ValueError("n_modes must be at least 1 and n_photons nonnegative")
     om = np.linspace(omega_lo, omega_hi, n_modes)
     a2 = np.full(n_modes, n_photons / n_modes)
     return ModeSpectrum(lattice=_axis_lattice(om), alpha=np.sqrt(a2).astype(complex),

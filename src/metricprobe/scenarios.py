@@ -553,6 +553,8 @@ def run_simulate(sc: Scenario, seed: Optional[int] = None,
     """Monte Carlo readout run with CRB comparison embedded."""
     if sc.state is None:
         raise ScenarioError("probe", "simulate needs a probe section")
+    if sc.kind == "coordinate-check":
+        raise ScenarioError("kind", "coordinate-check has no bound for simulate to read out")
     report = run_bound(sc, resolution_mult=resolution_mult)
     bound = report["crlb"]
     if bound["C"]["value"] <= 0.0:

@@ -276,8 +276,16 @@ def test_validation_errors():
         monochromatic_spectrum(-1.0, 1.0, tau=1.0)
     with pytest.raises(ValueError):
         gaussian_band_spectrum(10.0, 0.1, 1.0, tau=1.0, n_modes=2)
+    # a negative width or carrier would mirror the band, or point it along -x
+    for omega0, width, n_photons in ((10.0, -0.1, 1.0), (10.0, 0.0, 1.0),
+                                     (-10.0, 0.1, 1.0), (10.0, 0.1, -1.0)):
+        with pytest.raises(ValueError):
+            gaussian_band_spectrum(omega0, width, n_photons, tau=1.0)
     with pytest.raises(ValueError):
         flat_band_spectrum(10.0, 5.0, 1.0, tau=1.0)
+    for n_modes, n_photons in ((0, 1.0), (-1, 1.0), (4, -1.0)):
+        with pytest.raises(ValueError):
+            flat_band_spectrum(5.0, 10.0, n_photons, tau=1.0, n_modes=n_modes)
 
 
 def test_paraxial_warning_for_off_axis_modes():

@@ -102,12 +102,6 @@ def test_missing_section_names_the_key():
     with pytest.raises(ScenarioError) as exc:
         parse_scenario({"name": "x", "kind": "generator-crlb"})
     assert exc.value.key == "family"
-    for kind in ("unruh-product", "proper-time"):
-        doc = dict(_tiny_doc(), kind=kind)
-        del doc["probe"]
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario(doc)
-        assert exc.value.key == "probe"
     # a source and a bump are built with the family, whatever the kind;
     # the audit itself reads only its region
     for section in ("stress_energy", "bump"):
@@ -121,6 +115,28 @@ def test_missing_section_names_the_key():
             parse_scenario(doc)
         assert exc.value.key == "family"
         assert f"required by '{section}'" in str(exc.value)
+
+
+# the sections each kind requires, as README's "Scenario files" states them
+KIND_SECTIONS = {
+    "generator-crlb": ("family", "stress_energy", "region"),
+    "coordinate-check": ("region",),
+    "unruh-product": ("family", "stress_energy", "region", "probe"),
+    "proper-time": ("family", "stress_energy", "region", "probe"),
+}
+
+
+@pytest.mark.parametrize("kind,section", [
+    (kind, section) for kind, sections in KIND_SECTIONS.items() for section in sections])
+def test_each_kind_requires_its_sections(kind, section):
+    assert set(KIND_SECTIONS) == set(KINDS)
+    doc = dict(_tiny_doc(), kind=kind)
+    parse_scenario({key: doc[key] for key in ("name", "kind") + KIND_SECTIONS[kind]})
+    del doc[section]
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(doc)
+    assert exc.value.key == section
+    assert f"required by {kind!r}" in str(exc.value)
 
 
 def test_section_must_be_mapping():
@@ -635,6 +651,8 @@ _BUMP = {"plateau": [[0.3, 0.7], [0.3, 0.7], [0.1, 0.15], [0.1, 0.15]],
          "support": [[0.1, 0.9], [0.1, 0.9], [0.05, 0.2], [0.05, 0.2]]}
 _FLAT_BAND = {"family": "flat-band", "omega_lo": 60.0, "omega_hi": 65.0,
               "n_photons": 1.0e4, "tau": 1.0}
+_GAUSSIAN_BAND = {"family": "gaussian-band", "omega": 60.0, "fractional_width": 0.1,
+                  "n_photons": 1.0e4, "tau": 1.0}
 
 
 # section is a dotted path into the tiny scenario, "" for its root
@@ -688,6 +706,10 @@ _FLAT_BAND = {"family": "flat-band", "omega_lo": 60.0, "omega_hi": 65.0,
     # numpy would read a list of strings as the table's lines
     ("probe", "spectrum", {"family": "table", "path": [1, 2], "tau": 1.0},
      "probe.spectrum.path"),
+    # band spectra: no modes to share the photons, a mirrored band, a band along -x
+    ("probe", "spectrum", dict(_FLAT_BAND, n_modes=0), "probe.spectrum"),
+    ("probe", "spectrum", dict(_GAUSSIAN_BAND, fractional_width=-0.1), "probe.spectrum"),
+    ("probe", "spectrum", dict(_GAUSSIAN_BAND, omega=-60.0), "probe.spectrum"),
     # names that are not one of the allowed strings
     ("family", "name", {"a": 1}, "family.name"),
     ("probe", "reference", "thermal", "probe.reference"),
@@ -852,6 +874,12 @@ def _coordinate_check(tmp_path):
     return _bundled_doc("schwarzschild-coordinate-check")
 
 
+def _coordinate_check_with_a_probe(tmp_path):
+    doc = _bundled_doc("schwarzschild-coordinate-check")
+    doc["probe"] = _bundled_doc("gw-monochromatic-coherent")["probe"]
+    return doc
+
+
 def _missing_spectrum_table(tmp_path):
     doc = _tiny_doc()
     doc["probe"]["spectrum"] = {"family": "table", "path": str(tmp_path / "none.txt"),
@@ -886,6 +914,8 @@ def _region_above_the_node_ceiling(tmp_path):
     ("bound", _region_above_the_node_ceiling, "region.resolution"),
     # the audit has no probe to read out
     ("simulate", _coordinate_check, "probe"),
+    # nor, given one, a bound to read it out against
+    ("simulate", _coordinate_check_with_a_probe, "kind"),
 ])
 def test_cli_exits_2_before_any_quadrature(tmp_path, capsys, monkeypatch, command,
                                            make_doc, path):
