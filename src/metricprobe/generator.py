@@ -276,28 +276,28 @@ def coordinate_independence_check(testT: StressEnergyField,
 # bundled test tensors for the coordinate check
 # ---------------------------------------------------------------------------
 
-def _poly_bump(u: np.ndarray, p: int = 6) -> np.ndarray:
+#: exponent p of the bundled sources' polynomial bumps (1 - u^2)^p
+_POLY_P = 6
+
+
+def _poly_bump(u: np.ndarray) -> np.ndarray:
     """(1 - u^2)^p on |u| < 1, else 0; C^(p-1) at the edges."""
     inside = np.abs(u) < 1.0
     out = np.zeros_like(u)
-    out[inside] = (1.0 - u[inside] ** 2) ** p
+    out[inside] = (1.0 - u[inside] ** 2) ** _POLY_P
     return out
 
 
-def _poly_bump_d1(u: np.ndarray, p: int = 6) -> np.ndarray:
-    inside = np.abs(u) < 1.0
-    out = np.zeros_like(u)
+def _poly_bump_derivs(u: np.ndarray) -> np.ndarray:
+    """_poly_bump(u) and its first and second u-derivatives, stacked."""
+    p, inside = _POLY_P, np.abs(u) < 1.0
     ui = u[inside]
-    out[inside] = -2.0 * p * ui * (1.0 - ui ** 2) ** (p - 1)
-    return out
-
-
-def _poly_bump_d2(u: np.ndarray, p: int = 6) -> np.ndarray:
-    inside = np.abs(u) < 1.0
-    out = np.zeros_like(u)
-    ui = u[inside]
-    out[inside] = (-2.0 * p * (1.0 - ui ** 2) ** (p - 1)
-                   + 4.0 * p * (p - 1) * ui ** 2 * (1.0 - ui ** 2) ** (p - 2))
+    q = 1.0 - ui ** 2
+    qp1 = q ** (p - 1)
+    out = np.zeros((3,) + u.shape)
+    out[0][inside] = q ** p
+    out[1][inside] = -2.0 * p * ui * qp1
+    out[2][inside] = -2.0 * p * qp1 + 4.0 * p * (p - 1) * ui ** 2 * q ** (p - 2)
     return out
 
 
@@ -332,14 +332,12 @@ def conserved_test_tensor() -> StressEnergyField:
 
     def cart_tensor(t, xc, yc, zc):
         u = [(t - c[0]) / w[0], (xc - c[1]) / w[1], (yc - c[2]) / w[2], (zc - c[3]) / w[3]]
-        b = [_poly_bump(ui) for ui in u]
-        d1x = _poly_bump_d1(u[1]) / w[1]
-        d2x = _poly_bump_d2(u[1]) / w[1] ** 2
-        d1y = _poly_bump_d1(u[2]) / w[2]
-        d2y = _poly_bump_d2(u[2]) / w[2] ** 2
-        Txx = A * b[0] * b[1] * d2y * b[3]
-        Tyy = A * b[0] * d2x * b[2] * b[3]
-        Txy = -A * b[0] * d1x * d1y * b[3]
+        bt, bz = _poly_bump(u[0]), _poly_bump(u[3])
+        bx, d1x, d2x = _poly_bump_derivs(u[1])
+        by, d1y, d2y = _poly_bump_derivs(u[2])
+        Txx = A * bt * bx * (d2y / w[2] ** 2) * bz
+        Tyy = A * bt * (d2x / w[1] ** 2) * by * bz
+        Txy = -A * bt * (d1x / w[1]) * (d1y / w[2]) * bz
         return Txx, Tyy, Txy
 
     def fn(pts):

@@ -393,20 +393,20 @@ BUILTIN_FAMILIES = {
 # bump profiles and localization
 # ---------------------------------------------------------------------------
 
-def _smoothstep_coeffs(order: int) -> np.ndarray:
-    """Coefficients (ascending powers) of the order-k polynomial smoothstep
-    S_k on [0, 1]: the unique degree 2k+1 polynomial with S(0)=0, S(1)=1
-    and k vanishing derivatives at both ends."""
-    k = int(order)
-    coeffs = np.zeros(2 * k + 2)
-    for n in range(k + 1):
-        c = math.comb(k + n, n) * math.comb(2 * k + 1, k - n) * (-1.0) ** n
-        coeffs[k + 1 + n] = c
-    return coeffs
+#: The highest accepted order: the largest whose S_k, as _smoothstep
+#: evaluates it, stays within 1e-12 of [0, 1] and of monotone (3.1e-13 at
+#: 5, 2.3e-12 at 6, 5e-9 at 10).  BumpProfile needs S(0) = 0 and S(1) = 1.
+MAX_SMOOTHSTEP_ORDER = 5
 
 
 def _smoothstep(u: np.ndarray, order: int) -> np.ndarray:
-    coeffs = _smoothstep_coeffs(order)
+    """The order-k polynomial smoothstep S_k of u clipped to [0, 1]: the
+    unique degree 2k+1 polynomial with S(0)=0, S(1)=1 and k vanishing
+    derivatives at both ends, by Horner's rule on its ascending powers."""
+    k = int(order)
+    coeffs = np.zeros(2 * k + 2)
+    for n in range(k + 1):
+        coeffs[k + 1 + n] = math.comb(k + n, n) * math.comb(2 * k + 1, k - n) * (-1.0) ** n
     u = np.clip(u, 0.0, 1.0)
     out = np.zeros_like(u)
     for c in coeffs[::-1]:
@@ -433,8 +433,9 @@ class BumpProfile:
         s = _checked_box(self.support, "support")
         if np.any(p[:, 0] <= s[:, 0]) or np.any(p[:, 1] >= s[:, 1]):
             raise ValueError("plateau must lie strictly inside support on every axis")
-        if self.order < 1:
-            raise ValueError("smoothstep order must be >= 1")
+        if not 1 <= self.order <= MAX_SMOOTHSTEP_ORDER:
+            raise ValueError(f"smoothstep order must be from 1 to {MAX_SMOOTHSTEP_ORDER} (higher "
+                             f"orders leave [0, 1] in floating point), got {self.order!r}")
         object.__setattr__(self, "plateau", p)
         object.__setattr__(self, "support", s)
 
@@ -445,11 +446,10 @@ class BumpProfile:
             s0, s1 = self.support[ax]
             p0, p1 = self.plateau[ax]
             c = x[..., ax]
-            lo = _smoothstep((c - s0) / (p0 - s0), self.order)
-            hi = _smoothstep((s1 - c) / (s1 - p1), self.order)
-            prof = np.where(c < p0, lo, np.where(c > p1, hi, 1.0))
-            prof = np.where((c <= s0) | (c >= s1), 0.0, prof)
-            out = out * prof
+            # the nearer edge's ramp: <= 0 off the support, >= 1 on the
+            # plateau, where the clipped smoothstep is exactly 0 and 1
+            ramp = np.minimum((c - s0) / (p0 - s0), (s1 - c) / (s1 - p1))
+            out = out * _smoothstep(ramp, self.order)
         return out
 
 
