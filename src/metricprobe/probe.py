@@ -357,7 +357,7 @@ def gaussian_band_spectrum(omega0: float, fractional_width: float, n_photons: fl
 
 
 def flat_band_spectrum(omega_lo: float, omega_hi: float, n_photons: float, tau: float,
-                       n_modes: int = 64, dc_cutoff_mult: float = 1.0) -> ModeSpectrum:
+                       n_modes: int = 101, dc_cutoff_mult: float = 1.0) -> ModeSpectrum:
     """Top-hat band on [omega_lo, omega_hi] with equal per-mode weight."""
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")

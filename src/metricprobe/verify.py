@@ -52,6 +52,8 @@ def _representative_families() -> list:
         geo.isotropic(1.0),
         geo.flrw_closed(2.0),
         geo.de_sitter(1.5),
+        geo.localize(geo.gw_plane_wave(0.3), geo.BumpProfile(
+            plateau=[[-0.5, 0.5]] * 4, support=[[-1.0, 1.0]] * 4)),
     ]
 
 

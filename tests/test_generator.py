@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from metricprobe import generator
-from metricprobe.generator import (_FD_STEP, _TEST_CENTER, _TEST_HALFW,
+from metricprobe.generator import (_FD_STEP, _TEST_CENTER, _TEST_HALFW, _poly_bump,
+                                   _poly_bump_derivs,
                                    CoordinateCheckReport, boundary_term,
                                    bundled_coordinate_bump,
                                    conserved_test_tensor,
@@ -448,6 +449,29 @@ def test_declared_support_is_sound(make):
                 near[:, ax] = box[ax, side] + sign * offset
                 assert np.all(T.tensor(near) == 0.0), (ax, side, offset)
     assert np.any(T.tensor(face) != 0.0)
+
+
+def test_poly_bump_derivs_keep_every_bit_of_the_separate_kernels():
+    # the masked (1 - u^2)^6 and its two derivatives as three separate
+    # kernels computed them
+    rng = np.random.default_rng(3)
+    u = np.concatenate([rng.uniform(-1.5, 1.5, 3990), [-1.0, 1.0, 0.0, -0.0],
+                        np.nextafter([-1.0, -1.0, 1.0, 1.0], [-2.0, 0.0, 0.0, 2.0]),
+                        [-np.inf, np.inf]]).reshape(10, 2, -1)
+    p = 6
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    d1, d2 = np.zeros_like(u), np.zeros_like(u)
+    d1[inside] = -2.0 * p * ui * (1.0 - ui ** 2) ** (p - 1)
+    d2[inside] = (-2.0 * p * (1.0 - ui ** 2) ** (p - 1)
+                  + 4.0 * p * (p - 1) * ui ** 2 * (1.0 - ui ** 2) ** (p - 2))
+    got = _poly_bump_derivs(u)
+    assert got.shape == (3,) + u.shape
+    for have, want in zip(got, (_poly_bump(u), d1, d2)):
+        assert np.array_equal(have.view(np.int64), want.view(np.int64))
+    b = np.zeros_like(u)
+    b[inside] = (1.0 - ui ** 2) ** p
+    assert np.array_equal(_poly_bump(u).view(np.int64), b.view(np.int64))
 
 
 def test_conserved_support_covers_its_cartesian_cube():

@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from metricprobe.geometry import (BUILTIN_FAMILIES, BumpProfile,
-                                  ChartDomainError, MetricFamily,
-                                  _per_distinct, de_sitter, finite_difference_derivative,
+from metricprobe.generator import _PLATEAU_EPS
+from metricprobe.geometry import (BUILTIN_FAMILIES, MAX_SMOOTHSTEP_ORDER, BumpProfile,
+                                  ChartDomainError, MetricFamily, _per_distinct,
+                                  _smoothstep, de_sitter, finite_difference_derivative,
                                   flrw_closed, g00_profile_perturbation,
                                   gw_plane_wave, isotropic, localize,
                                   minkowski_component, schwarzschild)
@@ -228,8 +229,13 @@ def test_bump_transition_midpoint_is_half():
     assert math.isclose(float(bump(x)), 0.5, rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("order", [1, 3, 5], ids=lambda n: f"smoothstep-{n}")
+ACCEPTED_ORDERS = range(1, MAX_SMOOTHSTEP_ORDER + 1)
+
+
+@pytest.mark.parametrize("order", ACCEPTED_ORDERS, ids=lambda n: f"smoothstep-{n}")
 def test_bump_bounded_and_monotone_on_transition(order):
+    # the one-ramp bump needs S(0) = 0 and S(1) = 1 exactly
+    assert _smoothstep(np.array([0.0, 1.0]), order).tolist() == [0.0, 1.0]
     bump = unit_bump(order=order)
     t = np.linspace(-2.5, 2.5, 401)
     pts = np.zeros((t.size, 4))
@@ -238,6 +244,65 @@ def test_bump_bounded_and_monotone_on_transition(order):
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     rising = vals[(t > -2.0) & (t < -1.0)]
     assert np.all(np.diff(rising) >= 0.0)
+
+
+def test_order_bound_is_the_last_order_within_the_plateau_eps():
+    # within 1e-12 of [0, 1] and of monotone, the generator's plateau test
+    # cannot take a transition node for a plateau one
+    u = np.linspace(0.0, 1.0, 20001)
+
+    def worst(order):
+        s = _smoothstep(u, order)
+        return max(-s.min(), s.max() - 1.0, -np.diff(s).min())
+
+    assert max(worst(k) for k in ACCEPTED_ORDERS) <= _PLATEAU_EPS
+    assert worst(MAX_SMOOTHSTEP_ORDER + 1) > _PLATEAU_EPS
+
+
+@pytest.mark.parametrize("order", [0, MAX_SMOOTHSTEP_ORDER + 1, 20, 600])
+def test_bump_refuses_orders_outside_the_bound(order):
+    with pytest.raises(ValueError, match=f"from 1 to {MAX_SMOOTHSTEP_ORDER} "):
+        unit_bump(order=order)
+
+
+def _two_ramp_bump(bump, x):
+    """The bump as two smoothsteps per axis, the edge's one chosen by
+    np.where: the formula the one-ramp bump replaced."""
+    out = np.ones(x.shape[:-1])
+    for ax in range(4):
+        s0, s1 = bump.support[ax]
+        p0, p1 = bump.plateau[ax]
+        c = x[..., ax]
+        lo = _smoothstep((c - s0) / (p0 - s0), bump.order)
+        hi = _smoothstep((s1 - c) / (s1 - p1), bump.order)
+        prof = np.where(c < p0, lo, np.where(c > p1, hi, 1.0))
+        prof = np.where((c <= s0) | (c >= s1), 0.0, prof)
+        out = out * prof
+    return out
+
+
+@pytest.mark.parametrize("order", ACCEPTED_ORDERS, ids=lambda n: f"smoothstep-{n}")
+def test_bump_keeps_every_bit_of_the_two_ramp_formula(order):
+    plateau = np.array([[-0.9, 0.9], [2.1, 4.1], [1.15, 2.0], [-0.4, 0.4]])
+    support = np.array([[-1.25, 1.25], [1.65, 4.55], [0.97, 2.18], [-0.58, 0.58]])
+    bump = BumpProfile(plateau=plateau, support=support, order=order)
+    rng = np.random.default_rng(order)
+    lo, hi = support[:, 0] - 0.2, support[:, 1] + 0.2
+    pts = [lo + rng.random((4000, 4)) * (hi - lo)]
+    # each of s0, p0, p1, s1 and one float either side, on each axis, with
+    # the other axes on the plateau, in the transition or off the support
+    edges = np.concatenate([support, plateau], axis=1)
+    for ax in range(4):
+        for edge in edges[ax]:
+            for c in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                block = lo + rng.random((8, 4)) * (hi - lo)
+                block[:4] = plateau.mean(axis=1)
+                block[:, ax] = c
+                pts.append(block)
+    x = np.concatenate(pts).reshape(-1, 2, 4)
+    got, want = bump(x), _two_ramp_bump(bump, x)
+    assert got.shape == want.shape == x.shape[:-1]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_smoothstep_seam_derivatives_vanish_to_declared_order():

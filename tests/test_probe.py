@@ -288,6 +288,12 @@ def test_validation_errors():
             flat_band_spectrum(5.0, 10.0, n_photons, tau=1.0, n_modes=n_modes)
 
 
+def test_band_spectra_default_to_the_scenario_readers_lattice():
+    # the scenario reader's n_modes default is 101 for both band families
+    assert len(flat_band_spectrum(60.0, 65.0, 1.0e4, tau=1.0).lattice) == 101
+    assert len(gaussian_band_spectrum(60.0, 0.1, 1.0e4, tau=1.0).lattice) == 101
+
+
 def test_paraxial_warning_for_off_axis_modes():
     lat = ModeLattice(k=np.array([[0.0, 8.0, 0.0]]))
     with pytest.warns(UserWarning):

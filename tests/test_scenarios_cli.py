@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from metricprobe import generator, quadrature, scenarios, stress_energy, verify
 from metricprobe.cli import main
+from metricprobe.geometry import MAX_SMOOTHSTEP_ORDER
 from metricprobe.probe import flat_band_spectrum, save_spectrum_table
 from metricprobe.reports import dumps_report, render_summary, write_report
 from metricprobe.quadrature import MAX_NODES
@@ -567,6 +568,48 @@ def test_report_rejects_foreign_types():
         dumps_report({"a": np.int64(3)})
 
 
+def test_report_writer_bytes():
+    # the writer's text, not only what parses back from it
+    report = {"empty_dict": {}, "empty_list": [], "empty_tuple": (), "neg_zero": -0.0,
+              "none": None, "nan": math.nan, "inf": math.inf, "ninf": -math.inf,
+              "flag": True, "count": 3, "label": 'a "b"',
+              "nested": {"leaf": {"value": 0.1, "units": "s"}, "list": [1, 2.5]}}
+    assert dumps_report(report) == """{
+  "empty_dict": {},
+  "empty_list": [],
+  "empty_tuple": [],
+  "neg_zero": -0.0,
+  "none": null,
+  "nan": NaN,
+  "inf": Infinity,
+  "ninf": -Infinity,
+  "flag": true,
+  "count": 3,
+  "label": "a \\"b\\"",
+  "nested": {
+    "leaf": {
+      "value": 0.10000000000000001,
+      "units": "s"
+    },
+    "list": [
+      1,
+      2.5
+    ]
+  }
+}
+"""
+    summary = {"scenario": {"name": "echo"}, "x": 1.5, "neg": -0.0, "empty": [],
+               "nothing": {}, "leaf": {"value": 2.0, "units": "s"},
+               "n": {"value": 3, "units": "count"}, "flags": ("a", "b"), "ok": False}
+    assert render_summary(summary) == ("x      1.5\n"
+                                       "neg    -0.0\n"
+                                       "leaf   2  [s]\n"
+                                       "n      3\n"
+                                       "flags  a\n"
+                                       "flags  b\n"
+                                       "ok     no\n")
+
+
 def test_render_summary_shape():
     rep = run_bound(load_bundled("flrw-em-probe"))
     text = render_summary(rep)
@@ -727,6 +770,26 @@ def test_cli_bad_number_exits_2_naming_the_key(tmp_path, capsys, section, key, v
     config.write_text(yaml.safe_dump(doc))
     assert main(["bound", "--config", str(config)]) == 2
     assert f"error: scenario key '{path}':" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", [0, MAX_SMOOTHSTEP_ORDER + 1, 20, 600])
+@pytest.mark.parametrize("where", ["bump", "family.parameters.profile"])
+def test_cli_smoothstep_order_outside_the_bound_exits_2(tmp_path, capsys, monkeypatch,
+                                                        where, order):
+    # above the bound the smoothstep leaves [0, 1]; at 600 it overflowed
+    monkeypatch.setattr(generator, "integrate", _no_quadrature)
+    doc = _tiny_doc()
+    if where == "bump":
+        doc["bump"] = dict(_BUMP, order=order)
+    else:
+        doc["family"] = {"name": "g00_profile_perturbation", "parameters": {
+            "theta0": 0.0, "profile": dict(_BUMP, kind="bump", order=order)}}
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert main(["bound", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario key '{where}':"), err
+    assert f"from 1 to {MAX_SMOOTHSTEP_ORDER} " in err and f"got {order}" in err, err
 
 
 def _bundled_doc(name):

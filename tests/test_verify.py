@@ -1,9 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from metricprobe import verify
+from metricprobe import geometry, verify
 from metricprobe.generator import (conserved_test_tensor,
                                    coordinate_independence_check, nonconserved_test_tensor)
 from metricprobe.quadrature import RegionSpec
@@ -33,6 +34,17 @@ def test_check_compares_both_ways_and_refuses_any_other_comparison():
     for comparison in ("<", ">", "=="):
         with pytest.raises(ValueError, match="bad comparison"):
             verify._check("typo", 0.0, 1.0, comparison)
+
+
+def test_derivative_crosscheck_takes_a_localized_family_through_its_transition():
+    # a localized family's finite differences run eval's bump branch, so
+    # the crosscheck covers the bump wherever it is neither 0 nor 1
+    localized = [f for f in verify._representative_families() if f.bump is not None]
+    assert localized
+    for fam in localized:
+        chi = fam.bump(geometry.box_grid(fam.sample_box, 4))
+        assert np.any((chi > 0.0) & (chi < 1.0))
+        assert verify._derivative_residual(fam) <= 1e-6
 
 
 def test_reductions_suite_report_shape():

@@ -17,7 +17,7 @@ of it (of its header, for a compound statement) is; ``global`` and
 ``nonlocal`` statements, which run no code, and docstrings are left out.
 It takes about 20 s on a 2-core host.
 
-The corpus (120 files), the same in both modes:
+The corpus (124 files), the same in both modes:
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
@@ -41,9 +41,10 @@ The corpus (120 files), the same in both modes:
   next to the report it wrote if any;
 * ``cli.main`` ``bound`` of a scenario file in a subdirectory that names
   its grid and its spectrum table relative to itself;
-* ``cli.main`` ``bound`` of four ``CLI_ERRORS`` scenario files, one per
-  family of input error, each of which must exit 2; its stderr is a
-  corpus file (``*.stderr``).
+* ``cli.main`` of eight ``CLI_ERRORS`` scenario files, each of which must
+  exit 2: ``bound`` of one per family of input error, and ``simulate`` of
+  one per refusal of ``run_simulate``; its stderr is a corpus file
+  (``*.stderr``).
 
 The workload inputs come from this tree's ``bench/workloads.py`` for both
 trees, so both libraries see the same scenario dicts.  The script prints
@@ -118,17 +119,27 @@ CLI_RUNS = {
                                  "--out", "cli_bound_relative-paths.json"],
 }
 #: scenario files that cli.main must refuse with exit 2: name ->
-#: (bundled scenario, {dotted key: new value}), written as name.yaml
+#: (command, bundled scenario, {dotted key: new value}), written as name.yaml
 CLI_ERRORS = {
-    "unknown-key": ("gw-monochromatic-coherent", {"notes": "a key no reader takes"}),
-    "region-outside-the-chart": ("flrw-em-probe", {
+    "unknown-key": ("bound", "gw-monochromatic-coherent", {"notes": "a key no reader takes"}),
+    "region-outside-the-chart": ("bound", "flrw-em-probe", {
         "region.box": [[-1.0, 2.5], [0.5, 1.5], [0.8, 2.2], [-0.5, 0.5]]}),
-    "ragged-region-box": ("gw-monochromatic-coherent", {
+    "ragged-region-box": ("bound", "gw-monochromatic-coherent", {
         "region.box": [[0.0, 1.0], [0.0, 1.0], [0.0, 0.25], [0.0]]}),
     # squeeze_r stays at the scenario's 0.0, so the squeezed-vacuum
     # refusal first runs the probe reader's unknown-key check
-    "misspelt-squeeze_r": ("gw-monochromatic-coherent", {
+    "misspelt-squeeze_r": ("bound", "gw-monochromatic-coherent", {
         "probe.reference": "squeezed-vacuum", "probe.squeez_r": 0.5}),
+    # run_simulate's refusals: no probe, no bound to read out against, a
+    # probe that does not respond (C = 0), a mean that hides the noise
+    "simulate-without-a-probe": ("simulate", "flrw-em-probe", {}),
+    "simulate-coordinate-check": ("simulate", "schwarzschild-coordinate-check", {
+        "probe": {"spectrum": {"family": "monochromatic", "omega": 62.83185307179586,
+                               "n_photons": 1.0e4, "tau": 1.0}}}),
+    "simulate-zero-photons": ("simulate", "gw-monochromatic-coherent",
+                              {"probe.spectrum.n_photons": 0.0}),
+    "simulate-hidden-noise": ("simulate", "gw-monochromatic-coherent",
+                              {"simulation.a_true": 1.0e300}),
 }
 
 
@@ -217,11 +228,11 @@ def write_corpus(out_dir: str) -> None:
             if cli.main(argv) != 0:
                 raise SystemExit(f"metricprobe {' '.join(argv)} failed")
         (Path(out_dir) / f"{name}.stdout").write_text(stdout.getvalue())
-    for name, (base, changes) in CLI_ERRORS.items():
+    for name, (command, base, changes) in CLI_ERRORS.items():
         Path(f"{name}.yaml").write_text(yaml.safe_dump(_edited(scenarios, name, base, changes)))
         with contextlib.redirect_stderr(io.StringIO()) as stderr:
-            if cli.main(["bound", "--config", f"{name}.yaml"]) != 2:
-                raise SystemExit(f"metricprobe bound --config {name}.yaml did not exit 2")
+            if cli.main([command, "--config", f"{name}.yaml"]) != 2:
+                raise SystemExit(f"metricprobe {command} --config {name}.yaml did not exit 2")
         (Path(out_dir) / f"cli_error_{name}.stderr").write_text(stderr.getvalue())
 
 
