@@ -21,16 +21,14 @@ import numpy as np
 
 from .geometry import BumpProfile, _per_distinct, box_grid, localize, schwarzschild, isotropic
 from .quadrature import RegionSpec, face_integral, integrate
-from .stress_energy import (StressEnergyField, _stencil_reach, covariant_divergence,
-                            divergence_residual)
+from .stress_energy import (StressEnergyField, covariant_divergence, divergence_residual,
+                            stencil_box)
 
 _PLATEAU_EPS = 1e-12
 # finite-difference step of the coordinate check's covariant divergence,
 # and the divergence residual below which its source counts as conserved
 _FD_STEP = 1e-3
 DIVERGENCE_TOL = 1e-6
-# how far outside a source's support its divergence stencil can see it
-_STENCIL_REACH = _stencil_reach(_FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -246,9 +244,7 @@ def coordinate_independence_check(testT: StressEnergyField,
         div = covariant_divergence(testT, metric_eval, pts, h=_FD_STEP)
         return vol * div[..., 1]
 
-    div_support = (None if testT.support is None
-                   else testT.support + np.array([-_STENCIL_REACH, _STENCIL_REACH]))
-    div_integral, div_est, _ = integrate(div_r_density, region, div_support)
+    div_integral, div_est, _ = integrate(div_r_density, region, stencil_box(testT, _FD_STEP))
 
     flux = boundary_term(testT, region)
 

@@ -399,11 +399,10 @@ BUILTIN_FAMILIES = {
 MAX_SMOOTHSTEP_ORDER = 5
 
 
-def _smoothstep(u: np.ndarray, order: int) -> np.ndarray:
+def _smoothstep(u: np.ndarray, k: int) -> np.ndarray:
     """The order-k polynomial smoothstep S_k of u clipped to [0, 1]: the
     unique degree 2k+1 polynomial with S(0)=0, S(1)=1 and k vanishing
     derivatives at both ends, by Horner's rule on its ascending powers."""
-    k = int(order)
     coeffs = np.zeros(2 * k + 2)
     for n in range(k + 1):
         coeffs[k + 1 + n] = math.comb(k + n, n) * math.comb(2 * k + 1, k - n) * (-1.0) ** n
@@ -433,6 +432,8 @@ class BumpProfile:
         s = _checked_box(self.support, "support")
         if np.any(p[:, 0] <= s[:, 0]) or np.any(p[:, 1] >= s[:, 1]):
             raise ValueError("plateau must lie strictly inside support on every axis")
+        if isinstance(self.order, bool) or not isinstance(self.order, (int, np.integer)):
+            raise ValueError(f"smoothstep order must be an integer, got {self.order!r}")
         if not 1 <= self.order <= MAX_SMOOTHSTEP_ORDER:
             raise ValueError(f"smoothstep order must be from 1 to {MAX_SMOOTHSTEP_ORDER} (higher "
                              f"orders leave [0, 1] in floating point), got {self.order!r}")

@@ -78,30 +78,15 @@ def region_rules(region: RegionSpec):
 def face_integral(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
                   axis: int, value: float, support=None) -> float:
     """Integral of fn over the face of the region's box where coordinate
-    axis is value: one weighted sum over the region's trapezoid rules on
-    the three free axes.  fn maps points (na, nb, nc, 4) to (na, nb, nc).
-
-    support, a closed (4, 2) box outside which fn is exactly 0, works as
-    in integrate: a face that holds no node of the box (its value lies
-    outside the box's interval on axis, or no face node is inside the
-    box) is 0.0 and fn is not called; otherwise fn is evaluated only on
-    the face nodes inside the box, written into a zeroed full face and
-    summed in the same order, so the result has the same bits as
-    without support."""
-    free = [a for a in range(4) if a != axis]
-    (xa, wa), (xb, wb), (xc, wc) = (axis_rule(*region.box[a], region.resolution[a])
-                                    for a in free)
-    w3 = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
-    face = (slice(None),) * 3
-    if support is not None:
-        box = np.asarray(support, dtype=float)
-        face = tuple(_nodes_inside(x, *box[a]) for x, a in zip((xa, xb, xc), free))
-        if not box[axis, 0] <= value <= box[axis, 1] or any(s.start >= s.stop for s in face):
-            return 0.0
-    mesh = np.stack(np.meshgrid(xa[face[0]], xb[face[1]], xc[face[2]], indexing="ij"), axis=-1)
-    vals = np.zeros(w3.shape)
-    vals[face] = fn(np.insert(mesh, axis, value, axis=-1))
-    return float(np.sum(vals * w3))
+    axis is value: integrate's slice sum at that one node, over the
+    region's trapezoid rules on the three free axes, inside support as
+    in integrate.  fn maps points (na, nb, nc, 4) to (na, nb, nc); it is
+    not called on a face that holds no support node, which is 0.0."""
+    rules = region_rules(region)
+    rules[axis] = (np.array([value], dtype=float), None)
+    sums = _slice_sums(lambda pts: fn(pts[0])[None], rules, axis, support,
+                       [(slice(None),) * 3])
+    return 0.0 if sums is None else float(sums[0, 0])
 
 
 def _nodes_inside(x: np.ndarray, lo: float, hi: float) -> slice:
@@ -146,28 +131,53 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
     support.  Without support every node is evaluated.
     """
     rules = region_rules(region)
-    (x0, w0), (x1, w1), (x2, w2), (x3, w3) = rules
-    w123 = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
     halves = [(slice(0, None, 2), slice(1, None, 2)) if n >= 3 and n % 2 else (slice(None),)
               for n in region.resolution]
     classes = [(slice(None),) * 3] + list(itertools.product(*halves[1:]))
-    box = region.box if support is None else np.asarray(support, dtype=float)
-    inside = [_nodes_inside(x, lo, hi) for (x, _), (lo, hi) in zip(rules, box)]
-    if any(s.start >= s.stop for s in inside):
+    sums = _slice_sums(fn, rules, 0, support, classes)
+    if sums is None:
         # the box misses the grid: evaluate one empty block, only to
         # learn how many integrands fn stacks
-        inside = [slice(0, 1)] + [slice(0, 0)] * 3
-    block = tuple(inside[1:])
-    mesh123 = np.stack(np.meshgrid(x1[block[0]], x2[block[1]], x3[block[2]],
-                                   indexing="ij"), axis=-1)
-    slices = range(len(x0))[inside[0]]
-    per_block = max(1, _BLOCK_NODES // max(1, mesh123[..., 0].size))
+        stack = np.asarray(fn(np.empty((1, 0, 0, 0, 4))), dtype=float).shape[:-4]
+        sums = np.zeros(stack + (len(classes), region.resolution[0]))
+    stacked, sums = sums.ndim > 2, sums.reshape((-1,) + sums.shape[-2:])
+    w0 = rules[0][1]
+    value = np.sum(sums[:, 0] * w0, axis=-1)
+    scale = 2.0 ** sum(len(h) == 2 for h in halves)
+    halved = np.stack([scale * np.sum(sums[:, 1:, c] * w0[c], axis=-1) for c in halves[0]], 1)
+    estimate = np.max(np.abs(value[:, None, None] - halved), axis=(1, 2))
+    outputs = (value, estimate, halved[:, 0, 0])
+    return outputs if stacked else tuple(float(out[0]) for out in outputs)
+
+
+def _slice_sums(fn, rules, axis: int, support, classes):
+    """The slice loop of integrate and face_integral.  rules are the four
+    per-axis (nodes, weights); for each node of axis, fn times the other
+    three axes' weights is summed over each node class, an index of the
+    slice.  Returns these sums as (k..., len(classes), n) for fn's k...
+    stacked integrands, or None, without calling fn, when no node is
+    inside the support box.  fn is called as integrate describes, along
+    axis."""
+    others = [a for a in range(4) if a != axis]
+    x0 = rules[axis][0]
+    (x1, w1), (x2, w2), (x3, w3) = (rules[a] for a in others)
+    w123 = w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
+    box = None if support is None else np.asarray(support, dtype=float)
+    inside = [slice(0, len(x)) if box is None else _nodes_inside(x, *box[a])
+              for a, (x, _) in enumerate(rules)]
+    if any(s.start >= s.stop for s in inside):
+        return None
+    block = tuple(inside[a] for a in others)
+    mesh = np.stack(np.meshgrid(x1[block[0]], x2[block[1]], x3[block[2]], indexing="ij"),
+                    axis=-1)
+    slices = range(len(x0))[inside[axis]]
+    per_block = max(1, _BLOCK_NODES // mesh[..., 0].size)
     sums = None
     for start in range(0, len(slices), per_block):
         group = slices[start:start + per_block]
-        pts = np.empty((len(group),) + mesh123.shape[:-1] + (4,))
-        pts[..., 0] = x0[group, None, None, None]
-        pts[..., 1:] = mesh123
+        pts = np.empty((len(group),) + mesh.shape[:-1] + (4,))
+        pts[..., axis] = x0[group, None, None, None]
+        pts[..., others] = mesh
         values = np.asarray(fn(pts), dtype=float)
         for j, i in enumerate(group):
             weighted = np.zeros(values.shape[:-4] + w123.shape)
@@ -176,9 +186,4 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], region: RegionSpec,
             if sums is None:
                 sums = np.zeros((len(slabs), len(classes), len(x0)))
             sums[:, :, i] = [[np.sum(slab[c]) for c in classes] for slab in slabs]
-    value = np.sum(sums[:, 0] * w0, axis=-1)
-    scale = 2.0 ** sum(len(h) == 2 for h in halves)
-    halved = np.stack([scale * np.sum(sums[:, 1:, c] * w0[c], axis=-1) for c in halves[0]], 1)
-    estimate = np.max(np.abs(value[:, None, None] - halved), axis=(1, 2))
-    outputs = (value, estimate, halved[:, 0, 0])
-    return outputs if weighted.ndim == 4 else tuple(float(out[0]) for out in outputs)
+    return sums.reshape(values.shape[:-4] + sums.shape[1:])

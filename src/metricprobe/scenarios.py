@@ -14,7 +14,7 @@ import importlib.resources
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -82,12 +82,14 @@ def _is_int(v) -> bool:
 
 class _Reader:
     """One mapping of a scenario document at its key path; each getter
-    records the key it reads, so check_read can refuse the keys no one took."""
+    records the key it reads, so check_read can refuse the keys no one took.
+    base is the directory that the document's relative file paths name
+    files in."""
 
-    def __init__(self, value, path: str = ""):
+    def __init__(self, value, path: str = "", base: str = ""):
         if not isinstance(value, dict):
             raise ScenarioError(path or "<root>", "must be a mapping")
-        self.data, self.path, self.read, self.subs = value, path, set(), {}
+        self.data, self.path, self.base, self.read, self.subs = value, path, base, set(), {}
 
     def key(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
@@ -129,6 +131,13 @@ class _Reader:
         raise ScenarioError(self.key(key), "expected an array of finite numbers"
                             + (f" of shape {shape}" if shape else "") + f", got {v!r}")
 
+    def file(self, key: str) -> str:
+        """A file path, joined onto the document's base directory."""
+        v = self.need(key)
+        if not isinstance(v, str):
+            raise ScenarioError(self.key(key), f"expected a file path, got {v!r}")
+        return os.path.join(self.base, v)
+
     def only(self, key: str, value: str) -> None:
         """Accept an optional key whose one allowed value is also its default."""
         if self.get(key, value) != value:
@@ -137,7 +146,8 @@ class _Reader:
     def sub(self, key: str, optional: bool = False) -> "_Reader":
         """The mapping at key; an optional one may be missing or null."""
         value = self.get(key)
-        self.subs[key] = _Reader({} if optional and value is None else value, self.key(key))
+        self.subs[key] = _Reader({} if optional and value is None else value, self.key(key),
+                                 self.base)
         return self.subs[key]
 
     def kwargs(self) -> dict:
@@ -154,10 +164,6 @@ class _Reader:
                 self.subs[key].check_read()
 
 
-#: (section, subsection) of each file path a scenario may name
-_FILE_PATHS = (("stress_energy", "grid"), ("probe", "spectrum"))
-
-
 def load_scenario(path) -> Scenario:
     """The scenario in a YAML file; a file that cannot be read, decoded as
     UTF-8 or parsed as YAML is a ScenarioError at the document root.  A
@@ -168,20 +174,13 @@ def load_scenario(path) -> Scenario:
             doc = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ScenarioError("<root>", f"cannot read {str(path)!r}: {exc}") from exc
-    resolved = doc
-    for section, sub in _FILE_PATHS:
-        # copies along the way, so doc itself stays as written; any other
-        # shape is left for parse_scenario to refuse
-        spec = resolved.get(section) if isinstance(resolved, dict) else None
-        if isinstance(spec, dict) and isinstance(spec.get(sub), dict) \
-                and isinstance(spec[sub].get("path"), str):
-            file_path = os.path.join(os.path.dirname(path), spec[sub]["path"])
-            resolved = {**resolved, section: {**spec, sub: {**spec[sub], "path": file_path}}}
-    return replace(parse_scenario(resolved), raw=doc)
+    return parse_scenario(doc, os.path.dirname(path))
 
 
-def parse_scenario(doc) -> Scenario:
-    root = _Reader(doc)
+def parse_scenario(doc, base: str = "") -> Scenario:
+    """The scenario of a parsed document; a relative grid or spectrum-table
+    path in it names a file relative to the directory base."""
+    root = _Reader(doc, base=base)
     name = root.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("name", "must be a nonempty string")
@@ -284,9 +283,7 @@ def build_field(doc: _Reader, family: geo.MetricFamily,
 def _build_grid(spec: _Reader, family: geo.MetricFamily, box: np.ndarray):
     """Interpolant of a grid file on the family's chart that covers the
     region box."""
-    path, key = spec.need("path"), spec.key("path")
-    if not isinstance(path, str):
-        raise ScenarioError(key, f"expected a file path, got {path!r}")
+    path, key = spec.file("path"), spec.key("path")
     with _keyed(key, (OSError, ValueError)):
         grid = se.load_grid(path)
     if grid.chart != family.chart_name:
@@ -340,10 +337,7 @@ def build_state(doc: _Reader) -> GaussianProbeState:
             omega_lo=sp.num("omega_lo"), omega_hi=sp.num("omega_hi"),
             n_photons=sp.num("n_photons"), n_modes=sp.int("n_modes", default=101))
     elif fam == "table":
-        path = sp.need("path")
-        if not isinstance(path, str):
-            raise ScenarioError(sp.key("path"), f"expected a file path, got {path!r}")
-        make, kwargs = load_spectrum_table, dict(path=path)
+        make, kwargs = load_spectrum_table, dict(path=sp.file("path"))
     else:
         raise ScenarioError(sp.key("family"), f"unknown spectrum family {fam!r}")
     with _keyed(sp.key("path"), OSError), _keyed(sp.path):

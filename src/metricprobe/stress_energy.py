@@ -322,10 +322,14 @@ def covariant_divergence(field: StressEnergyField, metric_eval: Callable[[np.nda
     return div
 
 
-def _stencil_reach(h):
-    """How far outside a field's support the order-4 stencil of step h
-    can see it: two steps, with a margin against rounding."""
-    return 2.0 * h * 1.01
+def stencil_box(field: StressEnergyField, h) -> Optional[np.ndarray]:
+    """field's support widened on every axis by how far the order-4
+    stencil of step h (a scalar or per axis) can see it: two steps, with
+    a margin against rounding; None when field declares no support."""
+    if field.support is None:
+        return None
+    reach = 2.0 * np.broadcast_to(np.asarray(h, dtype=float), (4,)) * 1.01
+    return field.support + np.stack([-reach, reach], axis=-1)
 
 
 def divergence_residual(field: StressEnergyField, metric_eval, x: np.ndarray,
@@ -349,9 +353,8 @@ def divergence_residual(field: StressEnergyField, metric_eval, x: np.ndarray,
     spans = pts.max(axis=0) - pts.min(axis=0)
     spans = spans[spans > 0]
     L = float(spans.min()) if spans.size else 1.0
-    if field.support is not None:
-        reach = _stencil_reach(np.broadcast_to(np.asarray(h, dtype=float), (4,)))
-        x = x[np.all((x >= field.support[:, 0] - reach) & (x <= field.support[:, 1] + reach),
-                     axis=-1)]
+    box = stencil_box(field, h)
+    if box is not None:
+        x = x[np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=-1)]
     div = covariant_divergence(field, metric_eval, x, h=h)
     return float(np.max(np.abs(div), initial=0.0) / (scale / L))

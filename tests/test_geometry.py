@@ -265,6 +265,18 @@ def test_bump_refuses_orders_outside_the_bound(order):
         unit_bump(order=order)
 
 
+@pytest.mark.parametrize("order", [2.5, True, 3.0])
+def test_bump_refuses_an_order_that_is_not_an_integer(order):
+    # a float or a bool was once truncated to an integer order
+    with pytest.raises(ValueError, match="must be an integer"):
+        unit_bump(order=order)
+
+
+def test_bump_takes_a_numpy_integer_order():
+    x = np.random.default_rng(5).uniform(-2.5, 2.5, size=(2000, 4))
+    assert unit_bump(order=np.int64(3))(x).tobytes() == unit_bump(order=3)(x).tobytes()
+
+
 def _two_ramp_bump(bump, x):
     """The bump as two smoothsteps per axis, the edge's one chosen by
     np.where: the formula the one-ramp bump replaced."""

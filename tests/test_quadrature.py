@@ -256,6 +256,47 @@ def test_face_on_the_support_edge_is_evaluated(axis, side):
     assert face_integral(fn, _SUPPORT_REGION, axis, value, support=box) == full
 
 
+def _one_sum_face_integral(fn, region, axis, value, support=None):
+    """The face rule as one sum: fn on the face nodes inside support,
+    written into a zeroed full face, times the product of the three free
+    axes' weights, in one np.sum; 0.0 for a face the support misses."""
+    free = [a for a in range(4) if a != axis]
+    (xa, wa), (xb, wb), (xc, wc) = (axis_rule(*region.box[a], region.resolution[a])
+                                    for a in free)
+    w3 = wa[:, None, None] * wb[None, :, None] * wc[None, None, :]
+    face = (slice(None),) * 3
+    if support is not None:
+        box = np.asarray(support, dtype=float)
+        face = tuple(slice(int(np.searchsorted(x, box[a, 0], side="left")),
+                           int(np.searchsorted(x, box[a, 1], side="right")))
+                     for x, a in zip((xa, xb, xc), free))
+        if not box[axis, 0] <= value <= box[axis, 1] or any(s.start >= s.stop for s in face):
+            return 0.0
+    mesh = np.stack(np.meshgrid(xa[face[0]], xb[face[1]], xc[face[2]], indexing="ij"), axis=-1)
+    vals = np.zeros(w3.shape)
+    vals[face] = fn(np.insert(mesh, axis, value, axis=-1))
+    return float(np.sum(vals * w3))
+
+
+_FACE_CUT = np.array([[-1.2, 0.2], [0.4, 2.5], [0.2, 0.9], [-0.5, 0.8]])
+
+
+@pytest.mark.parametrize("support", [None, _FACE_CUT], ids=["whole-face", "cut-face"])
+@pytest.mark.parametrize("resolution", [(9, 7, 5, 6), (19, 33, 17, 21)])
+@pytest.mark.parametrize("axis", [0, 1, 2, 3])
+def test_face_integral_keeps_the_one_sum_bits(axis, resolution, support):
+    region = RegionSpec(box=_SUPPORT_REGION.box, resolution=resolution)
+    f = _vanishing_outside(_FACE_CUT)
+    fn = f if support is not None else (
+        lambda pts: np.exp(np.sin(3.0 * pts[..., 0]) + pts[..., 1] * pts[..., 2]) - pts[..., 3])
+    x = region_rules(region)[axis][0]
+    for value in (x[0], x[len(x) // 2], 0.37 * x[1] + 0.63 * x[2], x[-1]):
+        got = face_integral(fn, region, axis, value, support)
+        want = _one_sum_face_integral(fn, region, axis, value, support)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_estimate_passes_support_through():
     box = [[-0.6, 0.2], [0.4, 1.5], [0.45, 0.9], [-0.5, 0.3]]
     fn = _vanishing_outside(box)

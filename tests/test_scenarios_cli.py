@@ -1182,6 +1182,48 @@ def test_cli_reads_relative_file_paths_next_to_the_scenario(tmp_path, capsys, mo
         parse_scenario(doc)
 
 
+def test_parse_scenario_resolves_file_paths_against_its_base(tmp_path, monkeypatch):
+    # relative grid and table paths name files in base, absolute ones are
+    # kept; the run starts in a directory that holds neither file
+    here = tmp_path / "scenario"
+    here.mkdir()
+    doc = _grid_doc(here)
+    table = flat_band_spectrum(60.0, 65.0, n_photons=1.0e4, tau=1.0, n_modes=5)
+    save_spectrum_table(here / "table.txt", table)
+    monkeypatch.chdir(tmp_path)
+    for grid_path, table_path, base in (("grid.txt", "table.txt", str(here)),
+                                        (str(here / "grid.txt"), str(here / "table.txt"),
+                                         str(tmp_path / "elsewhere"))):
+        doc["stress_energy"]["grid"]["path"] = grid_path
+        doc["probe"]["spectrum"] = {"family": "table", "path": table_path, "tau": 1.0}
+        written = copy.deepcopy(doc)
+        sc = parse_scenario(doc, base)
+        # raw is the document as written
+        assert sc.raw == written and doc == written
+        assert sc.raw["stress_energy"]["grid"]["path"] == grid_path
+        assert np.array_equal(sc.state.spectrum.lattice.k, table.lattice.k)
+        assert run_bound(sc)["generator"]["P_total"]["value"] == 0.0
+
+
+@pytest.mark.parametrize("section,value,key", [
+    ("stress_energy", {"grid": {"path": 5}}, "stress_energy.grid.path"),
+    ("stress_energy", {"grid": {"path": None}}, "stress_energy.grid.path"),
+    ("probe", {"spectrum": {"family": "table", "path": ["t.txt"], "tau": 1.0}},
+     "probe.spectrum.path"),
+    ("probe", {"spectrum": {"family": "table", "path": {"a": 1}, "tau": 1.0}},
+     "probe.spectrum.path"),
+])
+def test_cli_file_path_that_is_not_a_string_exits_2_naming_its_key(tmp_path, capsys,
+                                                                  section, value, key):
+    doc = _tiny_doc()
+    doc[section] = value
+    (tmp_path / "scenario").mkdir()
+    config = tmp_path / "scenario" / "bad.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert main(["bound", "--config", str(config)]) == 2
+    assert f"error: scenario key '{key}': expected a file path, got " in capsys.readouterr().err
+
+
 def test_cli_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope"])

@@ -9,7 +9,8 @@ from metricprobe.scenarios import load_bundled
 from metricprobe.stress_energy import (StressEnergyField, TensorGrid,
                                        covariant_divergence, divergence_residual,
                                        em_plane_wave, em_stress_tensor, em_uniform,
-                                       in_orthonormal_frame, load_grid, save_grid)
+                                       in_orthonormal_frame, load_grid, save_grid,
+                                       stencil_box)
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 FOUR_PI = 4.0 * math.pi
@@ -261,3 +262,13 @@ def test_each_grid_interpolates_its_own_values():
         if got != k:
             wrong.append((k, got))
     assert not wrong
+
+
+@pytest.mark.parametrize("h", [1e-3, [1e-3, 2e-3, 5e-4, 1e-2]], ids=["scalar", "per-axis"])
+def test_stencil_box_is_the_support_widened_by_two_steps_and_a_margin(h):
+    support = np.array([[-0.8, 0.8], [2.2, 3.97], [1.222, 1.92], [-0.349, 0.349]])
+    reach = np.array([2.0 * step * 1.01 for step in np.broadcast_to(h, (4,)).tolist()])
+    want = np.stack([support[:, 0] - reach, support[:, 1] + reach], axis=-1)
+    field = StressEnergyField(em_uniform(np.zeros(3), np.zeros(3)), support=support)
+    assert stencil_box(field, h).tobytes() == want.tobytes()
+    assert stencil_box(StressEnergyField(field.fn), h) is None

@@ -17,7 +17,7 @@ of it (of its header, for a compound statement) is; ``global`` and
 ``nonlocal`` statements, which run no code, and docstrings are left out.
 It takes about 20 s on a 2-core host.
 
-The corpus (124 files), the same in both modes:
+The corpus (128 files), the same in both modes:
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
@@ -25,15 +25,21 @@ The corpus (124 files), the same in both modes:
   ops 1-6 and readout-mc ops 1-6;
 * ``run_verify()`` over all four suites;
 * the chart audit at resolution 0.5 on a box whose faces cut both
-  bundled sources, the one route where ``boundary_term`` is nonzero;
-* ``run_bound`` of ten ``VARIANTS`` of bundled scenarios, which take the
-  ``build_*`` branches no bundled scenario takes: a source read from a grid
-  file and a probe spectrum read from a table, which each child writes
-  with ``save_grid`` and ``save_spectrum_table`` next to its reports; a
-  ``bump:`` section with ``stress_energy.frame: orthonormal``; a uniform
-  EM field; a flat-band spectrum; squeezed unruh-component and
-  proper-time-reduction; a g00 profile of kind bump; the off-diagonal
-  minkowski_component (mu0 0, nu0 1); and a probe without photons;
+  bundled sources, the one route where ``boundary_term`` is nonzero, and
+  on a box that holds neither source, where every support-restricted
+  integral misses the grid and the divergence residual's sample is all
+  zero;
+* ``run_bound`` of thirteen ``VARIANTS`` of bundled scenarios, which take
+  the ``build_*`` branches no bundled scenario takes: a source read from a
+  grid file and a probe spectrum read from a table, real or complex
+  alpha, which each child writes with ``save_grid`` and
+  ``save_spectrum_table`` next to its reports; a ``bump:`` section with
+  ``stress_energy.frame: orthonormal``; a uniform EM field along the axes
+  and one along no axis; a flat-band spectrum; squeezed unruh-component
+  and proper-time-reduction; a g00 profile of kind bump; the off-diagonal
+  minkowski_component (mu0 0, nu0 1); a probe without photons; and
+  flrw-em-probe in the chart frame with a box corner on the closed chi
+  axis's lower bound, 0;
 * ``cli.main`` in the child's directory: ``bound`` and ``simulate`` of
   gw-monochromatic-coherent and ``verify --suite reductions``, each with
   ``--out``, ``list-scenarios``, and ``bound --resolution 0.5`` of every
@@ -67,6 +73,7 @@ import sys
 import tempfile
 import trace
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,11 +83,14 @@ SEED = 7
 OPS = {"bound-sweep": range(1, 9), "chart-audit": range(1, 7), "readout-mc": range(1, 7)}
 #: chart-audit box whose t and r faces cut both bundled sources
 FACE_CUTTING_BOX = [[-0.5, 0.5], [1.6, 3.5], [0.94, 2.21], [-0.61, 0.61]]
+#: chart-audit box that holds neither bundled source
+SOURCELESS_BOX = [[-1.3, 1.3], [4.0, 4.6], [0.94, 2.21], [-0.61, 0.61]]
 #: the grid field's and the spectrum table's files, relative to the
 #: child's working directory, so both trees echo the same paths in their
 #: reports
 GRID_FILE = "grid.txt"
 SPECTRUM_FILE = "spectrum.txt"
+COMPLEX_SPECTRUM_FILE = "spectrum-complex.txt"
 #: a bump inside the gravitational-wave region box
 GW_BUMP = {"plateau": [[0.2, 0.8], [0.2, 0.8], [0.05, 0.2], [0.05, 0.2]],
            "support": [[0.05, 0.95], [0.05, 0.95], [0.01, 0.24], [0.01, 0.24]]}
@@ -93,11 +103,22 @@ VARIANTS = {
                                  {"bump": GW_BUMP, "stress_energy.frame": "orthonormal"}),
     "gw-uniform-field": ("gw-monochromatic-coherent", {"stress_energy.em": {
         "kind": "uniform", "E": [0, 1, 0], "B": [0, 0, 1]}}),
+    # a field along no axis, coupled to T^xy, which is 0 for E along y
+    # and B along z
+    "unruh-component-oblique-field": ("unruh-component", {
+        "family.parameters.nu0": 2,
+        "stress_energy.em": {"kind": "uniform", "E": [0.6, -0.8, 0.5], "B": [0.2, 0.7, -0.4]}}),
     "gw-flat-band": ("gw-monochromatic-coherent", {"probe.spectrum": {
         "family": "flat-band", "omega_lo": 60.0, "omega_hi": 65.0, "n_photons": 1.0e4,
         "tau": 1.0}}),
     "gw-table-spectrum": ("gw-monochromatic-coherent", {"probe.spectrum": {
         "family": "table", "path": SPECTRUM_FILE, "tau": 1.0}}),
+    "gw-table-spectrum-complex": ("gw-monochromatic-coherent", {"probe.spectrum": {
+        "family": "table", "path": COMPLEX_SPECTRUM_FILE, "tau": 1.0}}),
+    # a box corner on the closed chi axis's lower bound, 0
+    "flrw-chart-frame-from-the-pole": ("flrw-em-probe", {
+        "stress_energy.frame": "chart",
+        "region.box": [[1.0, 2.5], [0.0, 1.5], [0.8, 2.2], [-0.5, 0.5]]}),
     "unruh-component-squeezed": ("unruh-component", SQUEEZED),
     "proper-time-reduction-squeezed": ("proper-time-reduction", SQUEEZED),
     "gw-g00-bump-profile": ("gw-monochromatic-coherent", {"family": {
@@ -194,17 +215,20 @@ def write_corpus(out_dir: str) -> None:
                 put(f"{workload}_op{op}_job{job}", text)
     put("verify", reports.dumps_report(verify.run_verify()))
 
-    doc = dict(scenarios.load_bundled("schwarzschild-coordinate-check").raw)
-    doc["region"] = dict(doc["region"], box=FACE_CUTTING_BOX)
-    with warnings.catch_warnings():
-        # the box clips the bump support too; the report's warnings say so
-        warnings.simplefilter("ignore", UserWarning)
-        report = scenarios.run_bound(scenarios.parse_scenario(doc), resolution_mult=0.5)
-    put("bound@0.5_face-cutting-box", reports.dumps_report(report))
+    for name, box in (("face-cutting-box", FACE_CUTTING_BOX), ("sourceless-box", SOURCELESS_BOX)):
+        doc = dict(scenarios.load_bundled("schwarzschild-coordinate-check").raw)
+        doc["region"] = dict(doc["region"], box=box)
+        with warnings.catch_warnings():
+            # the box clips the bump support too; the report's warnings say so
+            warnings.simplefilter("ignore", UserWarning)
+            report = scenarios.run_bound(scenarios.parse_scenario(doc), resolution_mult=0.5)
+        put(f"bound@0.5_{name}", reports.dumps_report(report))
 
     shape, spacing = (9, 9, 3, 3), np.full(4, 0.125)
     grid = TensorGrid(values=_grid_values(shape, spacing), origin=np.zeros(4), spacing=spacing)
     spectrum = flat_band_spectrum(60.0, 65.0, n_photons=1.0e4, tau=1.0, n_modes=5)
+    save_spectrum_table(COMPLEX_SPECTRUM_FILE, replace(
+        spectrum, alpha=spectrum.alpha * np.exp(1j * np.linspace(0.0, 2.0, 5))))
     for directory in (".", "scenario"):
         os.makedirs(directory, exist_ok=True)
         save_grid(os.path.join(directory, GRID_FILE), grid)
