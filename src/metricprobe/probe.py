@@ -31,6 +31,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+#: the band spectra's lattice size when none is given, in the API and in
+#: a scenario's probe.spectrum
+BAND_MODES = 101
+
 
 @dataclass(frozen=True)
 class ModeLattice:
@@ -111,20 +115,14 @@ class ModeSpectrum:
                           f"(off-axis weight {off_axis:.2e})")
 
 
-def _active_sums(spec: ModeSpectrum):
-    m = spec.active
-    om = spec.lattice.omega[m]
-    al = spec.alpha[m]
-    return om, al
-
-
 def effective_constant_C(spec: ModeSpectrum, hbar: float = 1.0) -> float:
     """C = (1/2) hbar sum (omega tau)^2 |alpha|^2 over active modes."""
-    om, al = _active_sums(spec)
-    if om.size == 0:
+    m = spec.active
+    if not m.any():
         raise ValueError("no modes survive the DC cutoff")
+    al = spec.alpha[m]
     a2 = al.real ** 2 + al.imag ** 2
-    return 0.5 * hbar * float(np.sum((om * spec.tau) ** 2 * a2))
+    return 0.5 * hbar * float(np.sum((spec.lattice.omega[m] * spec.tau) ** 2 * a2))
 
 
 def commutator_constant(spec1: ModeSpectrum, spec2: ModeSpectrum, hbar: float = 1.0) -> float:
@@ -184,6 +182,13 @@ def quadrature_variances(state: GaussianProbeState) -> tuple:
     return half * math.exp(2.0 * r), half * math.exp(-2.0 * r)
 
 
+def _squeeze_moments(r: float) -> tuple:
+    """(n, m) = (<b~^dagger b~>, <b~ b~>) = (sinh^2 r, sinh r cosh r):
+    the second moments of the effective mode's fluctuation operator in
+    squeezed vacuum."""
+    return math.sinh(r) ** 2, math.sinh(r) * math.cosh(r)
+
+
 def hamiltonian_variance(state: GaussianProbeState) -> float:
     """Variance of the linearized free Hamiltonian,
     dH = sum_k hbar omega_k (alpha_k* da_k + alpha_k da_k^dagger).
@@ -203,8 +208,7 @@ def hamiltonian_variance(state: GaussianProbeState) -> float:
         return total
     c = effective_mode_coefficients(spec, hbar)[m]
     p = complex(np.sum(v * np.conj(c)))
-    n = math.sinh(r) ** 2
-    mm = math.sinh(r) * math.cosh(r)
+    n, mm = _squeeze_moments(r)
     # p b + p* b^dagger on the squeezed reference
     along = abs(p) ** 2 * (2.0 * n + 1.0) + 2.0 * (p ** 2).real * mm
     return total - abs(p) ** 2 + along
@@ -244,9 +248,7 @@ def reference_remainder_variance(state: GaussianProbeState) -> float:
     c = effective_mode_coefficients(spec, state.hbar)
     om = spec.lattice.omega
     g = 0.5 * state.hbar * spec.tau * float(np.sum(om * np.abs(c) ** 2))
-    r = state.squeeze_r
-    n = math.sinh(r) ** 2
-    m = math.sinh(r) * math.cosh(r)
+    n, m = _squeeze_moments(state.squeeze_r)
     return g ** 2 * (n ** 2 + n + m ** 2)
 
 
@@ -260,9 +262,7 @@ def remainder_variance_lattice(state: GaussianProbeState) -> float:
     c = effective_mode_coefficients(spec, state.hbar)
     om = spec.lattice.omega
     h = 0.5 * state.hbar * spec.tau * om
-    r = state.squeeze_r
-    n = math.sinh(r) ** 2
-    m = math.sinh(r) * math.cosh(r)
+    n, m = _squeeze_moments(state.squeeze_r)
     c2 = np.abs(c) ** 2
     g1 = float(np.sum(h * c2))
     g2 = float(np.sum(h ** 2 * c2))
@@ -283,27 +283,19 @@ def crlb_amplitude(state: GaussianProbeState) -> CrlbReport:
     spec = state.spectrum
     hbar = state.hbar
     C = effective_constant_C(spec, hbar)
-    flags = []
     if C == 0.0:
-        flags.append("zero-mean-field: bound undefined at mean-field level")
-        return CrlbReport(C=0.0, var_X1=0.0, var_X2=0.0, crlb=math.inf,
-                          shot_noise=math.inf, remainder_ratio=math.nan,
-                          n_dc_excluded=spec.n_dc_excluded,
-                          commutator_residual=0.0,
-                          counter_rotating_scale=_cr_scale(spec),
-                          flags=tuple(flags))
-    v1, v2 = quadrature_variances(state)
-    crlb = hbar ** 2 / (4.0 * v1)
-    shot = hbar / (2.0 * C)
-    comm = commutator_constant(spec, spec.conjugate(), hbar)
-    comm_res = abs(comm - C) / C
-    rem = reference_remainder_variance(state)
-    return CrlbReport(C=C, var_X1=v1, var_X2=v2, crlb=crlb, shot_noise=shot,
-                      remainder_ratio=rem / v1,
-                      n_dc_excluded=spec.n_dc_excluded,
-                      commutator_residual=comm_res,
-                      counter_rotating_scale=_cr_scale(spec),
-                      flags=tuple(flags))
+        values = dict(var_X1=0.0, var_X2=0.0, crlb=math.inf, shot_noise=math.inf,
+                      remainder_ratio=math.nan, commutator_residual=0.0,
+                      flags=("zero-mean-field: bound undefined at mean-field level",))
+    else:
+        v1, v2 = quadrature_variances(state)
+        comm = commutator_constant(spec, spec.conjugate(), hbar)
+        values = dict(var_X1=v1, var_X2=v2, crlb=hbar ** 2 / (4.0 * v1),
+                      shot_noise=hbar / (2.0 * C),
+                      remainder_ratio=reference_remainder_variance(state) / v1,
+                      commutator_residual=abs(comm - C) / C)
+    return CrlbReport(C=C, n_dc_excluded=spec.n_dc_excluded,
+                      counter_rotating_scale=_cr_scale(spec), **values)
 
 
 def _cr_scale(spec: ModeSpectrum) -> float:
@@ -336,7 +328,7 @@ def monochromatic_spectrum(omega: float, n_photons: float, tau: float,
 
 
 def gaussian_band_spectrum(omega0: float, fractional_width: float, n_photons: float,
-                           tau: float, n_modes: int = 101,
+                           tau: float, n_modes: int = BAND_MODES,
                            dc_cutoff_mult: float = 1.0) -> ModeSpectrum:
     """Gaussian band around omega0 with rms width fractional_width * omega0,
     sampled on n_modes uniformly spaced frequencies spanning +- 4 widths,
@@ -357,7 +349,7 @@ def gaussian_band_spectrum(omega0: float, fractional_width: float, n_photons: fl
 
 
 def flat_band_spectrum(omega_lo: float, omega_hi: float, n_photons: float, tau: float,
-                       n_modes: int = 101, dc_cutoff_mult: float = 1.0) -> ModeSpectrum:
+                       n_modes: int = BAND_MODES, dc_cutoff_mult: float = 1.0) -> ModeSpectrum:
     """Top-hat band on [omega_lo, omega_hi] with equal per-mode weight."""
     if not (0 < omega_lo < omega_hi):
         raise ValueError("need 0 < omega_lo < omega_hi")

@@ -24,7 +24,7 @@ from . import geometry as geo
 from . import stress_energy as se
 from .generator import (conserved_test_tensor, coordinate_independence_check,
                         integrate_generator, nonconserved_test_tensor, trace_null_residual)
-from .probe import (GaussianProbeState, crlb_amplitude, effective_constant_C,
+from .probe import (BAND_MODES, GaussianProbeState, crlb_amplitude, effective_constant_C,
                     flat_band_spectrum, gaussian_band_spectrum, hamiltonian_variance,
                     load_spectrum_table, monochromatic_spectrum)
 from .quadrature import RegionSpec, face_integral
@@ -331,11 +331,11 @@ def build_state(doc: _Reader) -> GaussianProbeState:
     elif fam == "gaussian-band":
         make, kwargs = gaussian_band_spectrum, dict(
             omega0=sp.num("omega"), fractional_width=sp.num("fractional_width"),
-            n_photons=sp.num("n_photons"), n_modes=sp.int("n_modes", default=101))
+            n_photons=sp.num("n_photons"), n_modes=sp.int("n_modes", default=BAND_MODES))
     elif fam == "flat-band":
         make, kwargs = flat_band_spectrum, dict(
             omega_lo=sp.num("omega_lo"), omega_hi=sp.num("omega_hi"),
-            n_photons=sp.num("n_photons"), n_modes=sp.int("n_modes", default=101))
+            n_photons=sp.num("n_photons"), n_modes=sp.int("n_modes", default=BAND_MODES))
     elif fam == "table":
         make, kwargs = load_spectrum_table, dict(path=sp.file("path"))
     else:

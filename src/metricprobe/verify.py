@@ -17,7 +17,8 @@ from .generator import (DIVERGENCE_TOL, conserved_test_tensor,
                         coordinate_independence_check, nonconserved_test_tensor,
                         trace_null_residual)
 from .fock import probe_state_moments
-from .probe import (GaussianProbeState, commutator_constant, crlb_amplitude,
+from .probe import (GaussianProbeState, ModeLattice, ModeSpectrum,
+                    commutator_constant, crlb_amplitude,
                     effective_constant_C, effective_mode_coefficients,
                     flat_band_spectrum, monochromatic_spectrum,
                     quadrature_variances, remainder_variance_lattice,
@@ -157,10 +158,9 @@ _WICK_STATES = (
 
 
 def _lattice_state(modes, r) -> GaussianProbeState:
-    from .probe import ModeSpectrum, _axis_lattice
-    omegas = np.array([om for om, _ in modes])
+    k = np.array([(om, 0.0, 0.0) for om, _ in modes])
     alphas = np.array([al for _, al in modes], dtype=complex)
-    spec = ModeSpectrum(lattice=_axis_lattice(omegas), alpha=alphas, tau=1.0)
+    spec = ModeSpectrum(lattice=ModeLattice(k=k), alpha=alphas, tau=1.0)
     return GaussianProbeState(spec, squeeze_r=r)
 
 
