@@ -66,7 +66,8 @@ class ModeLattice:
 class ModeSpectrum:
     """Mean-field amplitude alpha_k on a lattice, with the measurement
     window tau.  Modes with omega < dc_cutoff_mult * 2 pi / tau are
-    masked out of every mode sum and counted in ``n_dc_excluded``."""
+    masked out of every mode sum and counted in ``n_dc_excluded``;
+    dc_cutoff_mult is finite and >= 0, and 0 keeps every mode."""
 
     lattice: ModeLattice
     alpha: np.ndarray
@@ -79,8 +80,10 @@ class ModeSpectrum:
             raise ValueError("alpha must have one amplitude per mode")
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise ValueError("alpha must be finite")
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValueError("tau must be positive")
+        if not (math.isfinite(self.dc_cutoff_mult) and self.dc_cutoff_mult >= 0):
+            raise ValueError("dc_cutoff_mult must be finite and nonnegative")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "tau", float(self.tau))
         self._paraxial_warning()
@@ -132,6 +135,8 @@ def commutator_constant(spec1: ModeSpectrum, spec2: ModeSpectrum, hbar: float = 
         raise ValueError("spectra must share a mode lattice")
     if spec1.tau != spec2.tau:
         raise ValueError("spectra must share the window tau")
+    if spec1.dc_cutoff_mult != spec2.dc_cutoff_mult:
+        raise ValueError("spectra must share the DC cutoff")
     m = spec1.active
     om = spec1.lattice.omega[m]
     prod = np.conj(spec1.alpha[m]) * spec2.alpha[m]
@@ -168,9 +173,9 @@ class GaussianProbeState:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.squeeze_r < 0:
+        if not self.squeeze_r >= 0:
             raise ValueError("squeeze_r must be >= 0")
-        if self.hbar <= 0:
+        if not self.hbar > 0:
             raise ValueError("hbar must be positive")
 
 

@@ -549,12 +549,10 @@ def run_simulate(sc: Scenario, seed: Optional[int] = None,
         raise ScenarioError("probe", "simulate needs a probe section")
     if sc.kind == "coordinate-check":
         raise ScenarioError("kind", "coordinate-check has no bound for simulate to read out")
-    report = run_bound(sc, resolution_mult=resolution_mult)
-    bound = report["crlb"]
-    if bound["C"]["value"] <= 0.0:
+    # the refusals that read only the built state come before the quadrature
+    if effective_constant_C(sc.state.spectrum, sc.state.hbar) <= 0.0:
         raise ScenarioError("probe", "simulation needs a responding probe (C > 0)")
     params = sc.simulation
-    seed = params["seed"] if seed is None else int(seed)
     model = model_from_state(sc.state, a_true=params["a_true"])
     # histogram_fisher bins the samples 64 to +- 6 sigma around the mean;
     # the bin edges must be distinct floats for the noise to show
@@ -562,8 +560,10 @@ def run_simulate(sc: Scenario, seed: Optional[int] = None,
     if not 12.0 * sigma / 64 > 2.0 * math.ulp(abs(model.mean) + 6.0 * sigma):
         raise ScenarioError("simulation.a_true", f"the readout mean C a_true = "
                             f"{model.mean!r} hides its noise sigma = {sigma!r}")
+    report = run_bound(sc, resolution_mult=resolution_mult)
+    seed = params["seed"] if seed is None else int(seed)
     samples = simulate_readout(model, params["n_samples"], seed)
-    run = linear_estimator(samples, model, bound["crlb"]["value"])
+    run = linear_estimator(samples, model, report["crlb"]["crlb"]["value"])
     report["simulation"] = _block({
         **vars(run), "seed": seed, "a_true": params["a_true"],
         "classical_fisher": classical_fisher(model),

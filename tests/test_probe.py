@@ -99,6 +99,11 @@ def test_commutator_rejects_mismatched_spectra():
         commutator_constant(spec, other)
     with pytest.raises(ValueError):
         commutator_constant(spec, _two_mode_spectrum(tau=2.0))
+    # every mode of the second spectrum is under its cutoff 4 pi
+    s1 = monochromatic_spectrum(7.0, 4.0, tau=1.0)
+    s2 = monochromatic_spectrum(7.0, 4.0, tau=1.0, dc_cutoff_mult=2.0)
+    with pytest.raises(ValueError, match="DC cutoff"):
+        commutator_constant(s1, s2.conjugate())
 
 
 def test_quadrature_variances_coherent_and_squeezed():
@@ -267,11 +272,23 @@ def test_validation_errors():
         ModeSpectrum(lattice=lat, alpha=np.array([1.0 + 0j]), tau=0.0)
     with pytest.raises(ValueError):
         ModeSpectrum(lattice=lat, alpha=np.array([math.nan + 0j]), tau=1.0)
+    # NaN fails every comparison, so each check is written to refuse it
+    with pytest.raises(ValueError, match="tau"):
+        ModeSpectrum(lattice=lat, alpha=np.array([1.0 + 0j]), tau=math.nan)
+    for bad in (-5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dc_cutoff_mult"):
+            ModeSpectrum(lattice=lat, alpha=np.array([1.0 + 0j]), tau=1.0,
+                         dc_cutoff_mult=bad)
+    # no cutoff at all is a valid choice
+    assert ModeSpectrum(lattice=lat, alpha=np.array([1.0 + 0j]), tau=1.0,
+                        dc_cutoff_mult=0.0).omega_min == 0.0
     spec = ModeSpectrum(lattice=lat, alpha=np.array([1.0 + 0j]), tau=1.0)
-    with pytest.raises(ValueError):
-        GaussianProbeState(spectrum=spec, squeeze_r=-0.5)
-    with pytest.raises(ValueError):
-        GaussianProbeState(spectrum=spec, hbar=0.0)
+    for r in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="squeeze_r"):
+            GaussianProbeState(spectrum=spec, squeeze_r=r)
+    for hbar in (0.0, math.nan):
+        with pytest.raises(ValueError, match="hbar"):
+            GaussianProbeState(spectrum=spec, hbar=hbar)
     with pytest.raises(ValueError):
         monochromatic_spectrum(-1.0, 1.0, tau=1.0)
     with pytest.raises(ValueError):

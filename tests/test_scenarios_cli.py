@@ -704,6 +704,8 @@ _GAUSSIAN_BAND = {"family": "gaussian-band", "omega": 60.0, "fractional_width": 
     ("stress_energy.em", "amplitude", math.nan, "stress_energy.em.amplitude"),
     ("probe.spectrum", "omega", math.nan, "probe.spectrum.omega"),
     ("probe.spectrum", "tau", -1.0, "probe.spectrum"),
+    # a negative multiplier would put the cutoff below omega = 0: no cutoff
+    ("probe.spectrum", "dc_cutoff_mult", -5.0, "probe.spectrum"),
     # sections that are not mappings
     ("family", "parameters", [1, 2], "family.parameters"),
     ("", "bump", "oops", "bump"),
@@ -933,6 +935,18 @@ def _negative_seed(tmp_path):
     return doc
 
 
+def _zero_photons(tmp_path):
+    doc = _tiny_doc()
+    doc["probe"]["spectrum"]["n_photons"] = 0.0
+    return doc
+
+
+def _mean_hiding_the_noise(tmp_path):
+    doc = _tiny_doc()
+    doc["simulation"]["a_true"] = 1e300
+    return doc
+
+
 def _coordinate_check(tmp_path):
     return _bundled_doc("schwarzschild-coordinate-check")
 
@@ -979,6 +993,10 @@ def _region_above_the_node_ceiling(tmp_path):
     ("simulate", _coordinate_check, "probe"),
     # nor, given one, a bound to read it out against
     ("simulate", _coordinate_check_with_a_probe, "kind"),
+    # a probe that does not respond (C = 0) and a readout mean that hides
+    # its noise are refused from the built state alone
+    ("simulate", _zero_photons, "probe"),
+    ("simulate", _mean_hiding_the_noise, "simulation.a_true"),
 ])
 def test_cli_exits_2_before_any_quadrature(tmp_path, capsys, monkeypatch, command,
                                            make_doc, path):
