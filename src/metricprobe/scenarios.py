@@ -553,6 +553,7 @@ def run_simulate(sc: Scenario, seed: Optional[int] = None,
     if effective_constant_C(sc.state.spectrum, sc.state.hbar) <= 0.0:
         raise ScenarioError("probe", "simulation needs a responding probe (C > 0)")
     params = sc.simulation
+    seed = params["seed"] if seed is None else int(seed)
     model = model_from_state(sc.state, a_true=params["a_true"])
     # histogram_fisher bins the samples 64 to +- 6 sigma around the mean;
     # the bin edges must be distinct floats for the noise to show
@@ -561,7 +562,6 @@ def run_simulate(sc: Scenario, seed: Optional[int] = None,
         raise ScenarioError("simulation.a_true", f"the readout mean C a_true = "
                             f"{model.mean!r} hides its noise sigma = {sigma!r}")
     report = run_bound(sc, resolution_mult=resolution_mult)
-    seed = params["seed"] if seed is None else int(seed)
     samples = simulate_readout(model, params["n_samples"], seed)
     run = linear_estimator(samples, model, report["crlb"]["crlb"]["value"])
     report["simulation"] = _block({

@@ -17,7 +17,7 @@ of it (of its header, for a compound statement) is; ``global`` and
 ``nonlocal`` statements, which run no code, and docstrings are left out.
 It takes about 20 s on a 2-core host.
 
-The corpus (128 files), the same in both modes:
+The corpus (130 files), the same in both modes:
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
@@ -29,13 +29,13 @@ The corpus (128 files), the same in both modes:
   on a box that holds neither source, where every support-restricted
   integral misses the grid and the divergence residual's sample is all
   zero;
-* ``run_bound`` of thirteen ``VARIANTS`` of bundled scenarios, which take
+* ``run_bound`` of fourteen ``VARIANTS`` of bundled scenarios, which take
   the ``build_*`` branches no bundled scenario takes: a source read from a
-  grid file and a probe spectrum read from a table, real or complex
-  alpha, which each child writes with ``save_grid`` and
-  ``save_spectrum_table`` next to its reports; a ``bump:`` section with
-  ``stress_energy.frame: orthonormal``; a uniform EM field along the axes
-  and one along no axis; a flat-band spectrum; squeezed unruh-component
+  grid file and a probe spectrum read from a table, with real or complex
+  alpha or with one off-axis mode (the non-paraxial warning), which each
+  child writes with ``save_grid`` and ``save_spectrum_table`` next to its
+  reports; a ``bump:`` section with ``stress_energy.frame: orthonormal``;
+  a uniform EM field along the axes and one along no axis; a flat-band spectrum; squeezed unruh-component
   and proper-time-reduction; a g00 profile of kind bump; the off-diagonal
   minkowski_component (mu0 0, nu0 1); a probe without photons; and
   flrw-em-probe in the chart frame with a box corner on the closed chi
@@ -47,7 +47,7 @@ The corpus (128 files), the same in both modes:
   next to the report it wrote if any;
 * ``cli.main`` ``bound`` of a scenario file in a subdirectory that names
   its grid and its spectrum table relative to itself;
-* ``cli.main`` of eight ``CLI_ERRORS`` scenario files, each of which must
+* ``cli.main`` of nine ``CLI_ERRORS`` scenario files, each of which must
   exit 2: ``bound`` of one per family of input error, and ``simulate`` of
   one per refusal of ``run_simulate``; its stderr is a corpus file
   (``*.stderr``).
@@ -91,6 +91,7 @@ SOURCELESS_BOX = [[-1.3, 1.3], [4.0, 4.6], [0.94, 2.21], [-0.61, 0.61]]
 GRID_FILE = "grid.txt"
 SPECTRUM_FILE = "spectrum.txt"
 COMPLEX_SPECTRUM_FILE = "spectrum-complex.txt"
+OFF_AXIS_SPECTRUM_FILE = "spectrum-off-axis.txt"
 #: a bump inside the gravitational-wave region box
 GW_BUMP = {"plateau": [[0.2, 0.8], [0.2, 0.8], [0.05, 0.2], [0.05, 0.2]],
            "support": [[0.05, 0.95], [0.05, 0.95], [0.01, 0.24], [0.01, 0.24]]}
@@ -115,6 +116,8 @@ VARIANTS = {
         "family": "table", "path": SPECTRUM_FILE, "tau": 1.0}}),
     "gw-table-spectrum-complex": ("gw-monochromatic-coherent", {"probe.spectrum": {
         "family": "table", "path": COMPLEX_SPECTRUM_FILE, "tau": 1.0}}),
+    "gw-table-spectrum-off-axis": ("gw-monochromatic-coherent", {"probe.spectrum": {
+        "family": "table", "path": OFF_AXIS_SPECTRUM_FILE, "tau": 1.0}}),
     # a box corner on the closed chi axis's lower bound, 0
     "flrw-chart-frame-from-the-pole": ("flrw-em-probe", {
         "stress_energy.frame": "chart",
@@ -151,6 +154,9 @@ CLI_ERRORS = {
     # refusal first runs the probe reader's unknown-key check
     "misspelt-squeeze_r": ("bound", "gw-monochromatic-coherent", {
         "probe.reference": "squeezed-vacuum", "probe.squeez_r": 0.5}),
+    # a number out of its range: the cutoff would sit below omega = 0
+    "negative-dc-cutoff": ("bound", "gw-monochromatic-coherent",
+                           {"probe.spectrum.dc_cutoff_mult": -5.0}),
     # run_simulate's refusals: no probe, no bound to read out against, a
     # probe that does not respond (C = 0), a mean that hides the noise
     "simulate-without-a-probe": ("simulate", "flrw-em-probe", {}),
@@ -192,7 +198,7 @@ def _edited(scenarios, name: str, base: str, changes: dict) -> dict:
 def write_corpus(out_dir: str) -> None:
     """Write every corpus report as one file under out_dir (child side)."""
     from metricprobe import cli, reports, scenarios, verify
-    from metricprobe.probe import flat_band_spectrum, save_spectrum_table
+    from metricprobe.probe import ModeLattice, flat_band_spectrum, save_spectrum_table
     from metricprobe.stress_energy import TensorGrid, save_grid
     import workloads
     import yaml
@@ -233,10 +239,17 @@ def write_corpus(out_dir: str) -> None:
         os.makedirs(directory, exist_ok=True)
         save_grid(os.path.join(directory, GRID_FILE), grid)
         save_spectrum_table(os.path.join(directory, SPECTRUM_FILE), spectrum)
-    for variant, (base, changes) in VARIANTS.items():
-        doc = _edited(scenarios, variant, base, changes)
-        report = scenarios.run_bound(scenarios.parse_scenario(doc))
-        put(f"bound_{variant}", reports.dumps_report(report))
+    # the middle mode leaves the x axis: khat_x = 0.987
+    k = spectrum.lattice.k.copy()
+    k[2, 1] = 10.0
+    with warnings.catch_warnings():
+        # each build of the off-axis spectrum warns that it is not paraxial
+        warnings.simplefilter("ignore", UserWarning)
+        save_spectrum_table(OFF_AXIS_SPECTRUM_FILE, replace(spectrum, lattice=ModeLattice(k=k)))
+        for variant, (base, changes) in VARIANTS.items():
+            doc = _edited(scenarios, variant, base, changes)
+            report = scenarios.run_bound(scenarios.parse_scenario(doc))
+            put(f"bound_{variant}", reports.dumps_report(report))
     # the two files named relative to the scenario file, not to the
     # working directory
     Path("scenario/relative-paths.yaml").write_text(yaml.safe_dump(_edited(
