@@ -29,6 +29,18 @@ _PLATEAU_EPS = 1e-12
 # and the divergence residual below which its source counts as conserved
 _FD_STEP = 1e-3
 DIVERGENCE_TOL = 1e-6
+#: the flat spherical chart (t, r, theta, phi) of the coordinate check
+_FLAT = schwarzschild(0.0)
+
+
+def _flat_metric(pts: np.ndarray) -> np.ndarray:
+    """The flat spherical metric's components at points (..., 4)."""
+    return _FLAT.eval(0.0, pts)
+
+
+def _volume(g: np.ndarray) -> np.ndarray:
+    """sqrt(|det g|) of metric components (..., 4, 4)."""
+    return np.sqrt(np.abs(_per_distinct(np.linalg.det, 2, g)))
 
 
 @dataclass(frozen=True)
@@ -54,8 +66,7 @@ def _density_terms(T: StressEnergyField, family, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     g0 = family.eval(family.theta0, x)
     dg = family.deriv(x)
-    vol = np.sqrt(np.abs(_per_distinct(np.linalg.det, 2, g0)))
-    return vol, T.tensor(x), dg
+    return _volume(g0), T.tensor(x), dg
 
 
 def generator_density(T: StressEnergyField, family, x: np.ndarray) -> np.ndarray:
@@ -150,13 +161,13 @@ def boundary_term(T: StressEnergyField, region: RegionSpec) -> float:
     Each face is a face_integral, upper side before lower, axis by axis,
     evaluated only inside T's declared support, if it has one.
     """
-    flat, box = schwarzschild(0.0), region.box
+    box = region.box
     total = 0.0
     for axis in range(4):
         def flux_density(pts):
-            g = flat.eval(0.0, pts)
-            vol = np.sqrt(np.abs(_per_distinct(np.linalg.det, 2, g)))
-            return vol * np.einsum("...j,...j->...", T.tensor(pts)[..., axis, :], g[..., :, 1])
+            g = _flat_metric(pts)
+            return _volume(g) * np.einsum("...j,...j->...", T.tensor(pts)[..., axis, :],
+                                          g[..., :, 1])
 
         for side, sign in ((1, 1.0), (0, -1.0)):
             total += sign * face_integral(flux_density, region, axis, box[axis, side],
@@ -170,27 +181,30 @@ def boundary_term(T: StressEnergyField, region: RegionSpec) -> float:
 
 @dataclass(frozen=True)
 class CoordinateCheckReport:
-    """Both charts' generator integrals for the same source, plus the
-    two sides of the surface-integral identity that explains their
-    difference, and a conservation diagnostic for the source.
+    """Both charts' generator integrals for the same source, their
+    difference P_isotropic - P_schwarzschild, the two sides of the
+    surface-integral identity that explains it, and a conservation
+    diagnostic for the source.
 
     angular_integral quadratures the identity's right-hand side
     directly; flux_minus_divergence reaches the same number through
     Gauss's theorem, with finite-difference Christoffels and partial
     derivatives, so agreement between the two is a nontrivial check of
     the differential plumbing rather than a rearrangement of the same
-    sums.  The _half fields are the two generator integrals' all-even
-    half rules, and warnings are those of the two integrals."""
+    sums.  consistent says the difference is within error_estimate of
+    both.  difference_half is the difference of the two integrals'
+    all-even half rules, and warnings are those of the two integrals."""
 
     P_schwarzschild: float
     P_isotropic: float
-    P_schwarzschild_half: float
-    P_isotropic_half: float
+    difference: float
+    difference_half: float
     angular_integral: float
     flux_minus_divergence: float
     divergence_residual: float
     error_estimate: float
     conserved: bool
+    consistent: bool
     warnings: tuple
 
 
@@ -216,56 +230,42 @@ def coordinate_independence_check(testT: StressEnergyField,
     a nonzero value within quadrature error.  The source counts as
     conserved when its divergence residual is at most 1e-6.
 
-    When testT declares a support, the volume integrals and the boundary
-    flux evaluate only inside it, and the divergence, in its integral and
-    in the residual sample, only within the stencil's reach of it.
+    The angular and the divergence integrands share one quadrature pass.
+    When testT declares a support, the generator integrals and the
+    boundary flux evaluate only inside it, and that pass and the residual
+    sample only within the stencil's reach of it.
     """
-    flat, chi = schwarzschild(0.0), bundled_coordinate_bump()
-    fam_s, fam_i = localize(flat, chi), localize(isotropic(0.0), chi)
+    chi = bundled_coordinate_bump()
+    res_s = integrate_generator(testT, localize(_FLAT, chi), region)
+    res_i = integrate_generator(testT, localize(isotropic(0.0), chi), region)
 
-    res_s = integrate_generator(testT, fam_s, region)
-    res_i = integrate_generator(testT, fam_i, region)
-
-    def metric_eval(pts):
-        return flat.eval(0.0, pts)
-
-    def angular_density(pts):
+    def volume_densities(pts):
+        # the angular integrand, then the volume-weighted div_r
         Tv = testT.tensor(pts)
         r = pts[..., 1]
         sth = np.sin(pts[..., 2])
-        vol = r * r * sth
-        return vol * chi(pts) * r * (Tv[..., 2, 2] + sth ** 2 * Tv[..., 3, 3])
+        angular = (r * r * sth) * chi(pts) * r * (Tv[..., 2, 2] + sth ** 2 * Tv[..., 3, 3])
+        div = covariant_divergence(testT, _flat_metric, pts, _FD_STEP)
+        return np.stack([angular, _volume(_flat_metric(pts)) * div[..., 1]])
 
-    angular, angular_est, _ = integrate(angular_density, region, testT.support)
-
-    def div_r_density(pts):
-        g = metric_eval(pts)
-        vol = np.sqrt(np.abs(_per_distinct(np.linalg.det, 2, g)))
-        div = covariant_divergence(testT, metric_eval, pts, h=_FD_STEP)
-        return vol * div[..., 1]
-
-    div_integral, div_est, _ = integrate(div_r_density, region, stencil_box(testT, _FD_STEP))
-
+    (angular, div_integral), (angular_est, div_est), _ = integrate(
+        volume_densities, region, stencil_box(testT, _FD_STEP))
     flux = boundary_term(testT, region)
 
     # conservation diagnostic on a moderate interior sample
     sample = box_grid(region.box, 7)[1:-1, 1:-1, 1:-1, 1:-1]
-    resid = divergence_residual(testT, metric_eval, sample, h=_FD_STEP)
+    resid = divergence_residual(testT, _flat_metric, sample, _FD_STEP)
 
-    est = (res_s.error_estimate + res_i.error_estimate
-           + angular_est + div_est)
+    diff = res_i.P_total - res_s.P_total
+    angular, routes = float(angular), float(flux - div_integral)
+    est = float(res_s.error_estimate + res_i.error_estimate + angular_est + div_est)
     return CoordinateCheckReport(
-        P_schwarzschild=res_s.P_total,
-        P_isotropic=res_i.P_total,
-        P_schwarzschild_half=res_s.P_half,
-        P_isotropic_half=res_i.P_half,
-        angular_integral=float(angular),
-        flux_minus_divergence=float(flux - div_integral),
-        divergence_residual=float(resid),
-        error_estimate=float(est),
+        P_schwarzschild=res_s.P_total, P_isotropic=res_i.P_total, difference=diff,
+        difference_half=res_i.P_half - res_s.P_half, angular_integral=angular,
+        flux_minus_divergence=routes, divergence_residual=float(resid), error_estimate=est,
         conserved=bool(resid <= DIVERGENCE_TOL),
-        warnings=res_s.warnings,
-    )
+        consistent=bool(abs(diff - angular) <= est and abs(diff - routes) <= est),
+        warnings=res_s.warnings)
 
 
 # ---------------------------------------------------------------------------

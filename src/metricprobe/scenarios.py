@@ -464,11 +464,7 @@ def _run_coordinate_check(sc: Scenario, region: RegionSpec, report: dict) -> Non
         except geo.ChartDomainError as exc:
             # raised by the region check that precedes any quadrature
             raise ScenarioError("region.box", str(exc)) from exc
-        dP = rep.P_isotropic - rep.P_schwarzschild
-        consistent = bool(abs(dP - rep.angular_integral) <= rep.error_estimate
-                          and abs(dP - rep.flux_minus_divergence) <= rep.error_estimate)
-        out[label] = _block({**vars(rep), "difference": dP, "consistent": consistent},
-                            _COORDINATE_CHECK)
+        out[label] = _block(vars(rep), _COORDINATE_CHECK)
     # both sources share the region and bump, so they share these warnings
     out["warnings"] = list(rep.warnings)
     report["coordinate_check"] = out

@@ -272,22 +272,22 @@ class StressEnergyField:
 # covariant divergence (finite differences)
 # ---------------------------------------------------------------------------
 
-def _partials(fn, x: np.ndarray, h):
+def _partials(fn, x: np.ndarray, h: float):
     """Fourth-order central finite-difference partial derivatives of a
-    (..., 4) -> (...)+tail map, stacked along a leading axis of length 4."""
-    h = np.broadcast_to(np.asarray(h, dtype=float), (4,))
+    (..., 4) -> (...)+tail map, with the same step h on every axis,
+    stacked along a leading axis of length 4."""
     outs = []
     for ax in range(4):
         e = np.zeros(4)
         e[ax] = 1.0
-        d = (8.0 * (fn(x + h[ax] * e) - fn(x - h[ax] * e))
-             - (fn(x + 2.0 * h[ax] * e) - fn(x - 2.0 * h[ax] * e))) / (12.0 * h[ax])
+        d = (8.0 * (fn(x + h * e) - fn(x - h * e))
+             - (fn(x + 2.0 * h * e) - fn(x - 2.0 * h * e))) / (12.0 * h)
         outs.append(d)
     return np.stack(outs, axis=0)
 
 
 def christoffel(metric_eval: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                h=1e-3) -> np.ndarray:
+                h: float) -> np.ndarray:
     """Christoffel symbols Gamma^lam_munu from finite differences of the
     metric: 0.5 g^lamrho (d_mu g_rhonu + d_nu g_rhomu - d_rho g_munu).
     Returns shape (..., 4, 4, 4) indexed [lam, mu, nu]."""
@@ -303,7 +303,7 @@ def christoffel(metric_eval: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def covariant_divergence(field: StressEnergyField, metric_eval: Callable[[np.ndarray], np.ndarray],
-                         x: np.ndarray, h=1e-3) -> np.ndarray:
+                         x: np.ndarray, h: float) -> np.ndarray:
     """nabla_mu T^munu at x via central differences, returning (..., 4).
 
     metric_eval maps points to metric components in the field's chart.
@@ -314,7 +314,7 @@ def covariant_divergence(field: StressEnergyField, metric_eval: Callable[[np.nda
     x = np.asarray(x, dtype=float)
     dT = _partials(field.tensor, x, h)                 # (rho, ..., mu, nu) with rho = deriv axis
     div = np.einsum("m...mn->...n", dT)
-    gam = christoffel(metric_eval, x, h=h)
+    gam = christoffel(metric_eval, x, h)
     gam_trace = np.einsum("...mml->...l", gam)         # Gamma^mu_mulam
     T = field.tensor(x)
     div = div + np.einsum("...l,...ln->...n", gam_trace, T)
@@ -322,18 +322,18 @@ def covariant_divergence(field: StressEnergyField, metric_eval: Callable[[np.nda
     return div
 
 
-def stencil_box(field: StressEnergyField, h) -> Optional[np.ndarray]:
+def stencil_box(field: StressEnergyField, h: float) -> Optional[np.ndarray]:
     """field's support widened on every axis by how far the order-4
-    stencil of step h (a scalar or per axis) can see it: two steps, with
-    a margin against rounding; None when field declares no support."""
+    stencil of step h can see it: two steps, with a margin against
+    rounding; None when field declares no support."""
     if field.support is None:
         return None
-    reach = 2.0 * np.broadcast_to(np.asarray(h, dtype=float), (4,)) * 1.01
-    return field.support + np.stack([-reach, reach], axis=-1)
+    reach = 2.0 * h * 1.01
+    return field.support + np.array([-reach, reach])
 
 
 def divergence_residual(field: StressEnergyField, metric_eval, x: np.ndarray,
-                        h=1e-3) -> float:
+                        h: float) -> float:
     """Max |nabla_mu T^munu| over the sample points, normalized by the
     local component scale max|T| / L with L the smallest coordinate range
     spanned by the samples (or 1 for a single point).
@@ -356,5 +356,5 @@ def divergence_residual(field: StressEnergyField, metric_eval, x: np.ndarray,
     box = stencil_box(field, h)
     if box is not None:
         x = x[np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=-1)]
-    div = covariant_divergence(field, metric_eval, x, h=h)
+    div = covariant_divergence(field, metric_eval, x, h)
     return float(np.max(np.abs(div), initial=0.0) / (scale / L))

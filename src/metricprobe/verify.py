@@ -119,7 +119,7 @@ def _suite_coordinate() -> list:
 
     cons = conserved_test_tensor()
     rep_fine = coordinate_independence_check(cons, region)
-    d_fine = abs(rep_fine.P_isotropic - rep_fine.P_schwarzschild)
+    d_fine = abs(rep_fine.difference)
     checks.append(_check("conserved-chart-agreement",
                          d_fine / rep_fine.error_estimate, 1.0))
     checks.append(_check("conserved-divergence-residual",
@@ -127,13 +127,13 @@ def _suite_coordinate() -> list:
 
     # the chart difference on the half-interval grid, from the all-even
     # half rules of the fine pass
-    d_coarse = abs(rep_fine.P_isotropic_half - rep_fine.P_schwarzschild_half)
+    d_coarse = abs(rep_fine.difference_half)
     ratio = d_coarse / d_fine if d_fine > 0 else math.inf
     checks.append(_check("conserved-refinement-ratio", ratio, 3.0, ">="))
 
     ncons = nonconserved_test_tensor()
     rep_n = coordinate_independence_check(ncons, region)
-    d_n = rep_n.P_isotropic - rep_n.P_schwarzschild
+    d_n = rep_n.difference
     checks.append(_check("nonconserved-detects",
                          abs(d_n) / rep_n.error_estimate, 5.0, ">="))
     checks.append(_check("nonconserved-dual-route",

@@ -346,6 +346,26 @@ def test_audit_faces_take_the_region_rules(monkeypatch):
     assert sorted(counts) == [27, 27] + [81] * 6
 
 
+def test_coordinate_check_takes_one_volume_pass_beside_its_generators(monkeypatch):
+    # the two charts' generator integrals, each stacking its total,
+    # plateau and shell, then one pass stacking the angular and the
+    # divergence integrands
+    outputs = []
+    real = generator.integrate
+
+    def spy(fn, region, support=None):
+        outputs.append(real(fn, region, support))
+        return outputs[-1]
+
+    monkeypatch.setattr(generator, "integrate", spy)
+    rep = coordinate_independence_check(nonconserved_test_tensor(), _check_region(5))
+    assert [np.shape(value) for value, _, _ in outputs] == [(3,), (3,), (2,)]
+    (schw, _, schw_half), (iso, _, iso_half), (routes, _, _) = outputs
+    assert _bits(rep.difference) == _bits(iso[0] - schw[0])
+    assert _bits(rep.difference_half) == _bits(iso_half[0] - schw_half[0])
+    assert _bits(rep.angular_integral) == _bits(routes[0])
+
+
 # ---------------------------------------------------------------------------
 # chart independence
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_covariant_divergence_of_plane_wave_is_small():
 def test_covariant_divergence_of_constant_dust_vanishes():
     field = dust(1.0)
     pts = np.array([[0.0, 0.1, 0.2, 0.3]])
-    div = covariant_divergence(field, flat_metric, pts)
+    div = covariant_divergence(field, flat_metric, pts, h=1e-3)
     assert np.max(np.abs(div)) <= 1e-12
 
 
@@ -119,7 +119,7 @@ def test_nonconserved_tensor_divergence_component():
         return T
 
     field = StressEnergyField(fn)
-    div = covariant_divergence(field, flat_metric, np.array([[0.7, 0.0, 0.0, 0.0]]))
+    div = covariant_divergence(field, flat_metric, np.array([[0.7, 0.0, 0.0, 0.0]]), h=1e-3)
     np.testing.assert_allclose(div[0], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
@@ -157,7 +157,7 @@ def _straddling_box(support):
     return box
 
 
-@pytest.mark.parametrize("h", [1e-3, (1e-3, 2e-3, 1e-3, 5e-4)], ids=["scalar-h", "per-axis-h"])
+@pytest.mark.parametrize("h", [1e-3], ids=["scalar-h"])
 @pytest.mark.parametrize("sample", ["audit", "straddling"])
 @pytest.mark.parametrize("source", [conserved_test_tensor, nonconserved_test_tensor],
                          ids=["conserved", "nonconserved"])
@@ -264,10 +264,10 @@ def test_each_grid_interpolates_its_own_values():
     assert not wrong
 
 
-@pytest.mark.parametrize("h", [1e-3, [1e-3, 2e-3, 5e-4, 1e-2]], ids=["scalar", "per-axis"])
+@pytest.mark.parametrize("h", [1e-3], ids=["scalar"])
 def test_stencil_box_is_the_support_widened_by_two_steps_and_a_margin(h):
     support = np.array([[-0.8, 0.8], [2.2, 3.97], [1.222, 1.92], [-0.349, 0.349]])
-    reach = np.array([2.0 * step * 1.01 for step in np.broadcast_to(h, (4,)).tolist()])
+    reach = np.full(4, 2.0 * h * 1.01)
     want = np.stack([support[:, 0] - reach, support[:, 1] + reach], axis=-1)
     field = StressEnergyField(em_uniform(np.zeros(3), np.zeros(3)), support=support)
     assert stencil_box(field, h).tobytes() == want.tobytes()
