@@ -40,18 +40,20 @@ BAND_MODES = 101
 class ModeLattice:
     """Discrete set of probe modes of the standard y-polarized beam:
     wavevectors (N, 3), frequencies |k| (units c = 1).  Mode-cell
-    weights are absorbed into the spectrum's |alpha_k|^2."""
+    weights are absorbed into the spectrum's |alpha_k|^2.  k is kept as
+    a read-only copy."""
 
     k: np.ndarray
 
     def __post_init__(self):
-        k = np.atleast_2d(np.asarray(self.k, dtype=float))
+        k = np.array(self.k, dtype=float, ndmin=2)
         if k.ndim != 2 or k.shape[1] != 3 or k.shape[0] == 0:
             raise ValueError("k must have shape (N, 3) with N >= 1")
         if not np.all(np.isfinite(k)):
             raise ValueError("k must be finite")
         if np.any(np.linalg.norm(k, axis=1) <= 0):
             raise ValueError("every mode needs omega = |k| > 0")
+        k.setflags(write=False)
         object.__setattr__(self, "k", k)
 
     @property
@@ -67,7 +69,8 @@ class ModeSpectrum:
     """Mean-field amplitude alpha_k on a lattice, with the measurement
     window tau.  Modes with omega < dc_cutoff_mult * 2 pi / tau are
     masked out of every mode sum and counted in ``n_dc_excluded``;
-    dc_cutoff_mult is finite and >= 0, and 0 keeps every mode."""
+    dc_cutoff_mult is finite and >= 0, and 0 keeps every mode.  alpha is
+    kept as a read-only copy."""
 
     lattice: ModeLattice
     alpha: np.ndarray
@@ -75,15 +78,16 @@ class ModeSpectrum:
     dc_cutoff_mult: float = 1.0
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.alpha, dtype=complex))
+        a = np.array(self.alpha, dtype=complex, ndmin=1)
         if a.shape != (len(self.lattice),):
             raise ValueError("alpha must have one amplitude per mode")
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise ValueError("alpha must be finite")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive and finite")
         if not (math.isfinite(self.dc_cutoff_mult) and self.dc_cutoff_mult >= 0):
             raise ValueError("dc_cutoff_mult must be finite and nonnegative")
+        a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "tau", float(self.tau))
         self._paraxial_warning()

@@ -256,6 +256,27 @@ def test_hamiltonian_variance_squeezed_positive_and_continuous():
     assert hamiltonian_variance(_mono_state(r=0.5)) > 0.0
 
 
+def test_probe_objects_own_their_arrays():
+    # a later write into the caller's arrays reaches neither object, and
+    # the objects' own arrays refuse writes
+    k = np.array([[7.0, 0.0, 0.0], [9.0, 0.0, 0.0]])
+    alpha = np.array([math.sqrt(3.0), 1.0 - 1.0j])
+    lat = ModeLattice(k=k)
+    spec = ModeSpectrum(lattice=lat, alpha=alpha, tau=1.0)
+
+    def outputs():
+        rep = crlb_amplitude(GaussianProbeState(spec, squeeze_r=0.5))
+        return lat.omega.tobytes(), effective_constant_C(spec), rep.C, rep.crlb
+
+    before = outputs()
+    k[:] = [[0.0, 0.0, 1.0]] * 2
+    alpha[:] = math.nan
+    assert outputs() == before
+    for own in (lat.k, spec.alpha):
+        with pytest.raises(ValueError, match="read-only"):
+            own[0] = 0.0
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         ModeLattice(k=np.zeros((2, 2)))
@@ -272,9 +293,11 @@ def test_validation_errors():
         ModeSpectrum(lattice=lat, alpha=np.array([1.0 + 0j]), tau=0.0)
     with pytest.raises(ValueError):
         ModeSpectrum(lattice=lat, alpha=np.array([math.nan + 0j]), tau=1.0)
-    # NaN fails every comparison, so each check is written to refuse it
-    with pytest.raises(ValueError, match="tau"):
-        ModeSpectrum(lattice=lat, alpha=np.array([1.0 + 0j]), tau=math.nan)
+    # NaN fails every comparison, so each check is written to refuse it;
+    # an infinite window would report a bound of 0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau"):
+            ModeSpectrum(lattice=lat, alpha=np.array([1.0 + 0j]), tau=bad)
     for bad in (-5.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="dc_cutoff_mult"):
             ModeSpectrum(lattice=lat, alpha=np.array([1.0 + 0j]), tau=1.0,

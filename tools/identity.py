@@ -50,13 +50,16 @@ The corpus (130 files), the same in both modes:
 * ``cli.main`` of nine ``CLI_ERRORS`` scenario files, each of which must
   exit 2: ``bound`` of one per family of input error, and ``simulate`` of
   one per refusal of ``run_simulate``; its stderr is a corpus file
-  (``*.stderr``).
+  (``*.stderr``).  A tree that is not this one may run such a file
+  without exit 2, a refusal it lacks: its file then holds ``exit N`` and
+  the stderr, its stdout is dropped, and the corpus goes on.
 
 The workload inputs come from this tree's ``bench/workloads.py`` for both
 trees, so both libraries see the same scenario dicts.  The script prints
-``N of N identical``; for the first file that differs it also prints the
-JSON key path, both values and, for floats, their distance in ulps.  It
-exits 0 when every file is identical and 1 otherwise.
+``N of N identical``, then one line for each file that differs with its
+first difference: the JSON key path, both values and, for floats, their
+distance in ulps.  It exits 0 when every file is identical and 1
+otherwise.
 """
 from __future__ import annotations
 
@@ -265,12 +268,20 @@ def write_corpus(out_dir: str) -> None:
             if cli.main(argv) != 0:
                 raise SystemExit(f"metricprobe {' '.join(argv)} failed")
         (Path(out_dir) / f"{name}.stdout").write_text(stdout.getvalue())
+    # only this tree's library must refuse every file; a refusal that
+    # another tree lacks is recorded, so the comparison names the file
+    own = Path(cli.__file__).resolve().is_relative_to(ROOT / "src")
     for name, (command, base, changes) in CLI_ERRORS.items():
         Path(f"{name}.yaml").write_text(yaml.safe_dump(_edited(scenarios, name, base, changes)))
-        with contextlib.redirect_stderr(io.StringIO()) as stderr:
-            if cli.main([command, "--config", f"{name}.yaml"]) != 2:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = cli.main([command, "--config", f"{name}.yaml"])
+        text = stderr.getvalue()
+        if code != 2:
+            if own:
                 raise SystemExit(f"metricprobe {command} --config {name}.yaml did not exit 2")
-        (Path(out_dir) / f"cli_error_{name}.stderr").write_text(stderr.getvalue())
+            text = f"exit {code}\n{text}"
+        (Path(out_dir) / f"cli_error_{name}.stderr").write_text(text)
 
 
 def traced_corpus(out_dir: str, lines_path: str) -> None:
@@ -370,36 +381,36 @@ def _first_difference(a, b, path: str = ""):
     return None
 
 
+def _first_file_difference(pa: Path, pb: Path) -> str:
+    """Where the corpus file pa first differs from pb."""
+    if not (pa.exists() and pb.exists()):
+        return "written by only one tree"
+    if pa.suffix in (".stdout", ".stderr"):
+        la, lb = pa.read_text().splitlines(), pb.read_text().splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+        return f"line {i + 1}: {la[i:i + 1]!r} != {lb[i:i + 1]!r}"
+    found = _first_difference(json.loads(pa.read_text()), json.loads(pb.read_text()))
+    if found is None:
+        return "same values, different text"
+    path, va, vb = found
+    text = f"{path}: {va!r} != {vb!r}"
+    if all(type(v) in (int, float) for v in (va, vb)):
+        # the writer prints an integral float such as 0.0 as "0"
+        text += f" ({abs(_ordered(float(va)) - _ordered(float(vb)))} ulp)"
+    return text
+
+
 def compare(dir_a: Path, dir_b: Path) -> tuple:
-    """(number identical, total, text describing the first difference)."""
+    """(number identical, total, one line per differing file naming the
+    file and its first difference)."""
     names = sorted({p.name for d in (dir_a, dir_b) for suffix in ("json", "stdout", "stderr")
                     for p in d.glob(f"*.{suffix}")})
-    same, first = 0, ""
+    differ = []
     for name in names:
         pa, pb = dir_a / name, dir_b / name
-        if pa.exists() and pb.exists() and pa.read_bytes() == pb.read_bytes():
-            same += 1
-            continue
-        if first:
-            continue
-        if not (pa.exists() and pb.exists()):
-            first = f"{name}: written by only one tree"
-            continue
-        if pa.suffix in (".stdout", ".stderr"):
-            la, lb = pa.read_text().splitlines(), pb.read_text().splitlines()
-            i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
-            first = f"{name}: line {i + 1}: {la[i:i + 1]!r} != {lb[i:i + 1]!r}"
-            continue
-        found = _first_difference(json.loads(pa.read_text()), json.loads(pb.read_text()))
-        if found is None:
-            first = f"{name}: same values, different text"
-            continue
-        path, va, vb = found
-        first = f"{name}: {path}: {va!r} != {vb!r}"
-        if all(type(v) in (int, float) for v in (va, vb)):
-            # the writer prints an integral float such as 0.0 as "0"
-            first += f" ({abs(_ordered(float(va)) - _ordered(float(vb)))} ulp)"
-    return same, len(names), first
+        if not (pa.exists() and pb.exists() and pa.read_bytes() == pb.read_bytes()):
+            differ.append(f"{name}: {_first_file_difference(pa, pb)}")
+    return len(names) - len(differ), len(names), differ
 
 
 def main(argv=None) -> int:
@@ -427,10 +438,10 @@ def main(argv=None) -> int:
         if any([p.wait() != 0 for p in procs]):
             print("a child process failed; see its traceback above", file=sys.stderr)
             return 2
-        same, total, first = compare(outs["against"], outs["this"])
+        same, total, differ = compare(outs["against"], outs["this"])
     print(f"{same} of {total} identical")
-    if first:
-        print(f"first difference ({args.against} vs this tree): {first}")
+    for line in differ:
+        print(f"differs ({args.against} vs this tree): {line}")
     return 0 if same == total else 1
 
 
