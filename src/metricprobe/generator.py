@@ -161,7 +161,6 @@ def boundary_term(T: StressEnergyField, region: RegionSpec) -> float:
     Each face is a face_integral, upper side before lower, axis by axis,
     evaluated only inside T's declared support, if it has one.
     """
-    box = region.box
     total = 0.0
     for axis in range(4):
         def flux_density(pts):
@@ -170,8 +169,8 @@ def boundary_term(T: StressEnergyField, region: RegionSpec) -> float:
                                           g[..., :, 1])
 
         for side, sign in ((1, 1.0), (0, -1.0)):
-            total += sign * face_integral(flux_density, region, axis, box[axis, side],
-                                          T.support)
+            total += sign * face_integral(flux_density, region, axis,
+                                          region.box[axis, side], T.support)
     return total
 
 
@@ -181,7 +180,7 @@ def boundary_term(T: StressEnergyField, region: RegionSpec) -> float:
 
 @dataclass(frozen=True)
 class CoordinateCheckReport:
-    """Both charts' generator integrals for the same source, their
+    """Both charts' generator integrals for the same source and their
     difference P_isotropic - P_schwarzschild, the two sides of the
     surface-integral identity that explains it, and a conservation
     diagnostic for the source.
@@ -191,9 +190,9 @@ class CoordinateCheckReport:
     Gauss's theorem, with finite-difference Christoffels and partial
     derivatives, so agreement between the two is a nontrivial check of
     the differential plumbing rather than a rearrangement of the same
-    sums.  consistent says the difference is within error_estimate of
-    both.  difference_half is the difference of the two integrals'
-    all-even half rules, and warnings are those of the two integrals."""
+    sums; consistent says both are within error_estimate of difference.
+    difference_half is the difference of the two integrals' all-even
+    half rules, and warnings are those of the two integrals."""
 
     P_schwarzschild: float
     P_isotropic: float

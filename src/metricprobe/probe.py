@@ -39,9 +39,8 @@ BAND_MODES = 101
 @dataclass(frozen=True)
 class ModeLattice:
     """Discrete set of probe modes of the standard y-polarized beam:
-    wavevectors (N, 3), frequencies |k| (units c = 1).  Mode-cell
-    weights are absorbed into the spectrum's |alpha_k|^2.  k is kept as
-    a read-only copy."""
+    wavevectors (N, 3), kept as a read-only copy, frequencies |k| (units
+    c = 1).  Mode-cell weights are absorbed into the spectrum's |alpha_k|^2."""
 
     k: np.ndarray
 
@@ -66,11 +65,10 @@ class ModeLattice:
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Mean-field amplitude alpha_k on a lattice, with the measurement
-    window tau.  Modes with omega < dc_cutoff_mult * 2 pi / tau are
-    masked out of every mode sum and counted in ``n_dc_excluded``;
-    dc_cutoff_mult is finite and >= 0, and 0 keeps every mode.  alpha is
-    kept as a read-only copy."""
+    """Mean-field amplitude alpha_k on a lattice, kept as a read-only copy,
+    with the finite window tau.  Modes with omega < dc_cutoff_mult * 2 pi /
+    tau are masked out of every mode sum and counted in ``n_dc_excluded``;
+    dc_cutoff_mult is finite and >= 0, and 0 keeps every mode."""
 
     lattice: ModeLattice
     alpha: np.ndarray

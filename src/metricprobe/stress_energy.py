@@ -273,9 +273,8 @@ class StressEnergyField:
 # ---------------------------------------------------------------------------
 
 def _partials(fn, x: np.ndarray, h: float):
-    """Fourth-order central finite-difference partial derivatives of a
-    (..., 4) -> (...)+tail map, with the same step h on every axis,
-    stacked along a leading axis of length 4."""
+    """Fourth-order central differences, of step h on every axis, of a
+    (..., 4) -> (...)+tail map: its partials stacked along a new axis 0."""
     outs = []
     for ax in range(4):
         e = np.zeros(4)
