@@ -19,8 +19,9 @@ from metricprobe.geometry import (BumpProfile, ChartDomainError, de_sitter,
                                   minkowski_component, schwarzschild)
 from metricprobe.quadrature import RegionSpec, integrate
 from metricprobe.scenarios import load_bundled
-from metricprobe.stress_energy import (StressEnergyField, em_plane_wave, em_uniform,
-                                       in_orthonormal_frame)
+from metricprobe.stress_energy import (StressEnergyField, covariant_divergence,
+                                       em_plane_wave, em_uniform, in_orthonormal_frame,
+                                       stencil_box)
 
 FOURPI = 4.0 * math.pi
 #: the bundled chart audit's region and its box
@@ -364,6 +365,30 @@ def test_coordinate_check_takes_one_volume_pass_beside_its_generators(monkeypatc
     assert _bits(rep.difference) == _bits(iso[0] - schw[0])
     assert _bits(rep.difference_half) == _bits(iso_half[0] - schw_half[0])
     assert _bits(rep.angular_integral) == _bits(routes[0])
+
+
+@pytest.mark.parametrize("make", [conserved_test_tensor, nonconserved_test_tensor],
+                         ids=["conserved", "nonconserved"])
+def test_divergence_route_keeps_the_bits_of_a_lone_pass(make):
+    # the divergence integrand, stacked beside the angular one, sums to
+    # the bits it has on its own over the stencil's reach of the support
+    T = make()
+    region = _check_region(5)
+    flat = schwarzschild(0.0)
+
+    def metric(pts):
+        return flat.eval(0.0, pts)
+
+    def div_r_density(pts):
+        vol = np.sqrt(np.abs(np.linalg.det(metric(pts))))
+        return vol * covariant_divergence(T, metric, pts, _FD_STEP)[..., 1]
+
+    div, div_est, _ = integrate(div_r_density, region, stencil_box(T, _FD_STEP))
+    rep = coordinate_independence_check(T, region)
+    assert _bits(rep.flux_minus_divergence) == _bits(boundary_term(T, region) - div)
+    est = rep.error_estimate
+    assert rep.consistent == (abs(rep.difference - rep.angular_integral) <= est
+                              and abs(rep.difference - rep.flux_minus_divergence) <= est)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from metricprobe.generator import conserved_test_tensor, nonconserved_test_tensor
 from metricprobe.geometry import box_grid, flrw_closed, schwarzschild
 from metricprobe.scenarios import load_bundled
-from metricprobe.stress_energy import (StressEnergyField, TensorGrid,
+from metricprobe.stress_energy import (StressEnergyField, TensorGrid, christoffel,
                                        covariant_divergence, divergence_residual,
                                        em_plane_wave, em_stress_tensor, em_uniform,
                                        in_orthonormal_frame, load_grid, save_grid,
@@ -262,6 +262,17 @@ def test_each_grid_interpolates_its_own_values():
         if got != k:
             wrong.append((k, got))
     assert not wrong
+
+
+@pytest.mark.parametrize("fd", [
+    lambda: christoffel(flat_metric, np.zeros(4)),
+    lambda: covariant_divergence(dust(1.0), flat_metric, np.zeros(4)),
+    lambda: divergence_residual(dust(1.0), flat_metric, np.zeros((1, 4))),
+], ids=["christoffel", "covariant_divergence", "divergence_residual"])
+def test_finite_differences_take_their_step_from_the_caller(fd):
+    # no default step: the chart audit's is the one every caller passes
+    with pytest.raises(TypeError, match="'h'"):
+        fd()
 
 
 @pytest.mark.parametrize("h", [1e-3], ids=["scalar"])
