@@ -21,8 +21,8 @@ import numpy as np
 
 from .geometry import BumpProfile, _per_distinct, box_grid, localize, schwarzschild, isotropic
 from .quadrature import RegionSpec, face_integral, integrate
-from .stress_energy import (StressEnergyField, covariant_divergence, divergence_residual,
-                            stencil_box)
+from .stress_energy import (StressEnergyField, christoffel, covariant_divergence,
+                            divergence_residual, stencil_box)
 
 _PLATEAU_EPS = 1e-12
 # finite-difference step of the coordinate check's covariant divergence,
@@ -36,6 +36,14 @@ _FLAT = schwarzschild(0.0)
 def _flat_metric(pts: np.ndarray) -> np.ndarray:
     """The flat spherical metric's components at points (..., 4)."""
     return _FLAT.eval(0.0, pts)
+
+
+def _flat_christoffel(pts: np.ndarray) -> np.ndarray:
+    """christoffel of the flat chart at points (..., 4), run once per
+    distinct (r, theta): t and phi set to +0.0 keep every node's bits."""
+    rth = np.array(pts, dtype=float)
+    rth[..., [0, 3]] = 0.0
+    return _per_distinct(lambda x: christoffel(_flat_metric, x, _FD_STEP), 1, rth)
 
 
 def _volume(g: np.ndarray) -> np.ndarray:
@@ -229,10 +237,14 @@ def coordinate_independence_check(testT: StressEnergyField,
     a nonzero value within quadrature error.  The source counts as
     conserved when its divergence residual is at most 1e-6.
 
-    The angular and the divergence integrands share one quadrature pass.
-    When testT declares a support, the generator integrals and the
-    boundary flux evaluate only inside it, and that pass and the residual
-    sample only within the stencil's reach of it.
+    The angular and the divergence integrands share one quadrature pass,
+    whose Christoffel symbols are broadcast over t and phi from one
+    evaluation per distinct (r, theta), with every node's bits: the flat
+    chart is static and axisymmetric, and the stencil moves one axis at
+    a time, so no metric value it takes depends on t or phi.  When testT
+    declares a support, the generator integrals and the boundary flux
+    evaluate only inside it, and that pass and the residual sample only
+    within the stencil's reach of it.
     """
     chi = bundled_coordinate_bump()
     res_s = integrate_generator(testT, localize(_FLAT, chi), region)
@@ -244,7 +256,7 @@ def coordinate_independence_check(testT: StressEnergyField,
         r = pts[..., 1]
         sth = np.sin(pts[..., 2])
         angular = (r * r * sth) * chi(pts) * r * (Tv[..., 2, 2] + sth ** 2 * Tv[..., 3, 3])
-        div = covariant_divergence(testT, _flat_metric, pts, _FD_STEP)
+        div = covariant_divergence(testT, _flat_christoffel, pts, _FD_STEP)
         return np.stack([angular, _volume(_flat_metric(pts)) * div[..., 1]])
 
     (angular, div_integral), (angular_est, div_est), _ = integrate(

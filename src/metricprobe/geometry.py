@@ -34,15 +34,16 @@ class ChartDomainError(ValueError):
 
 
 def _checked_box(box, name: str) -> np.ndarray:
-    """box as a float (4, 2) array of per-axis (lo, hi) bounds; raises
-    ValueError naming it unless every bound is finite and lo < hi."""
-    b = np.asarray(box, dtype=float)
+    """box as a fresh read-only float (4, 2) array of per-axis (lo, hi)
+    bounds; raises ValueError naming it unless each is finite and lo < hi."""
+    b = np.array(box, dtype=float)
     if b.shape != (4, 2):
         raise ValueError(f"{name} must have shape (4, 2)")
     if not np.all(np.isfinite(b)):
         raise ValueError(f"{name} must be finite")
     if np.any(b[:, 1] <= b[:, 0]):
         raise ValueError(f"{name} must have lo < hi on every axis")
+    b.setflags(write=False)
     return b
 
 

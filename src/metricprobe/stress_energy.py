@@ -138,10 +138,11 @@ class TensorGrid:
     """Uniform 4D grid of symmetric rank-2 components.
 
     values has shape (n0, n1, n2, n3, 4, 4); origin and spacing are
-    per-axis.  The text format is self-describing: a commented header
-    with chart, axes, origin, spacing, shape, units and component order,
-    then one row per node with the 4 node coordinates followed by the
-    10 independent components in row-major node order.
+    per-axis; each is kept as a read-only copy.  The text format is
+    self-describing: a commented header with chart, axes, origin,
+    spacing, shape, units and component order, then one row per node
+    with the 4 node coordinates followed by the 10 independent
+    components in row-major node order.
     """
 
     values: np.ndarray
@@ -151,20 +152,20 @@ class TensorGrid:
     units: str = "geometric (G=c=1)"
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim != 6 or v.shape[-2:] != (4, 4):
             raise ValueError("values must have shape (n0, n1, n2, n3, 4, 4)")
-        o = np.asarray(self.origin, dtype=float).reshape(4)
-        s = np.asarray(self.spacing, dtype=float).reshape(4)
+        o = np.array(self.origin, dtype=float).reshape(4)
+        s = np.array(self.spacing, dtype=float).reshape(4)
         if not all(np.all(np.isfinite(a)) for a in (v, o, s)):
             raise ValueError("grid values, origin and spacing must be finite")
         if not np.allclose(v, np.swapaxes(v, -1, -2), rtol=0, atol=0):
             raise ValueError("grid components must be symmetric")
         if np.any(s <= 0):
             raise ValueError("grid spacing must be positive")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "spacing", s)
+        for name, a in (("values", v), ("origin", o), ("spacing", s)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def shape(self):
@@ -301,19 +302,20 @@ def christoffel(metric_eval: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return np.einsum("...lr,...rmn->...lmn", ginv, lower)
 
 
-def covariant_divergence(field: StressEnergyField, metric_eval: Callable[[np.ndarray], np.ndarray],
+def covariant_divergence(field: StressEnergyField, gamma: Callable[[np.ndarray], np.ndarray],
                          x: np.ndarray, h: float) -> np.ndarray:
     """nabla_mu T^munu at x via central differences, returning (..., 4).
 
-    metric_eval maps points to metric components in the field's chart.
-    For grid-backed fields the stencil step should stay at or above the
-    grid spacing (interpolation is only piecewise linear); analytic
-    sources converge at fourth order as h shrinks.
+    gamma maps points to the Christoffel symbols, as christoffel of the
+    metric in the field's chart gives them.  For grid-backed fields the
+    stencil step should stay at or above the grid spacing (interpolation
+    is only piecewise linear); analytic sources converge at fourth order
+    as h shrinks.
     """
     x = np.asarray(x, dtype=float)
     dT = _partials(field.tensor, x, h)                 # (rho, ..., mu, nu) with rho = deriv axis
     div = np.einsum("m...mn->...n", dT)
-    gam = christoffel(metric_eval, x, h)
+    gam = gamma(x)
     gam_trace = np.einsum("...mml->...l", gam)         # Gamma^mu_mulam
     T = field.tensor(x)
     div = div + np.einsum("...l,...ln->...n", gam_trace, T)
@@ -355,5 +357,5 @@ def divergence_residual(field: StressEnergyField, metric_eval, x: np.ndarray,
     box = stencil_box(field, h)
     if box is not None:
         x = x[np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=-1)]
-    div = covariant_divergence(field, metric_eval, x, h)
+    div = covariant_divergence(field, lambda p: christoffel(metric_eval, p, h), x, h)
     return float(np.max(np.abs(div), initial=0.0) / (scale / L))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from metricprobe import generator
+from metricprobe import generator, stress_energy
 from metricprobe.generator import (_FD_STEP, _TEST_CENTER, _TEST_HALFW, _poly_bump,
                                    _poly_bump_derivs,
                                    CoordinateCheckReport, boundary_term,
@@ -18,8 +18,8 @@ from metricprobe.geometry import (BumpProfile, ChartDomainError, de_sitter,
                                   flrw_closed, gw_plane_wave, localize,
                                   minkowski_component, schwarzschild)
 from metricprobe.quadrature import RegionSpec, integrate
-from metricprobe.scenarios import load_bundled
-from metricprobe.stress_energy import (StressEnergyField, covariant_divergence,
+from metricprobe.scenarios import load_bundled, run_bound
+from metricprobe.stress_energy import (StressEnergyField, christoffel, covariant_divergence,
                                        em_plane_wave, em_uniform, in_orthonormal_frame,
                                        stencil_box)
 
@@ -379,9 +379,13 @@ def test_divergence_route_keeps_the_bits_of_a_lone_pass(make):
     def metric(pts):
         return flat.eval(0.0, pts)
 
+    def gamma(pts):
+        # at every node, not once per (r, theta) as in the audit
+        return christoffel(metric, pts, _FD_STEP)
+
     def div_r_density(pts):
         vol = np.sqrt(np.abs(np.linalg.det(metric(pts))))
-        return vol * covariant_divergence(T, metric, pts, _FD_STEP)[..., 1]
+        return vol * covariant_divergence(T, gamma, pts, _FD_STEP)[..., 1]
 
     div, div_est, _ = integrate(div_r_density, region, stencil_box(T, _FD_STEP))
     rep = coordinate_independence_check(T, region)
@@ -389,6 +393,73 @@ def test_divergence_route_keeps_the_bits_of_a_lone_pass(make):
     est = rep.error_estimate
     assert rep.consistent == (abs(rep.difference - rep.angular_integral) <= est
                               and abs(rep.difference - rep.flux_minus_divergence) <= est)
+
+
+def test_flat_metric_reads_neither_t_nor_phi():
+    # the audit's Christoffel symbols are broadcast over t and phi on this
+    # ground: points that differ only there, signed zeros and negative t
+    # included, get the bits of t = phi = +0.0
+    t = np.array([-1.3, -1e-300, -0.0, 0.0, 0.4, 1.3])
+    phi = np.array([-0.61, -0.0, 0.0, 0.3, 2.0 * math.pi])
+    r_theta = np.random.default_rng(8).uniform([1.6, 0.94], [4.6, 2.21], size=(4, 2))
+    pts = np.empty((4, len(t), len(phi), 4))
+    pts[..., 0] = t[:, None]
+    pts[..., 1:3] = r_theta[:, None, None, :]
+    pts[..., 3] = phi
+    zeroed = pts.copy()
+    zeroed[..., [0, 3]] = 0.0
+    g = generator._flat_metric(pts).view(np.uint64)
+    assert np.array_equal(g, generator._flat_metric(zeroed).view(np.uint64))
+    assert np.array_equal(g, np.broadcast_to(g[:, :1, :1], g.shape))
+
+
+@pytest.mark.parametrize("make", [conserved_test_tensor, nonconserved_test_tensor],
+                         ids=["conserved", "nonconserved"])
+def test_flat_christoffel_keeps_the_bits_of_every_node(monkeypatch, make):
+    # on every block of the audit's volume pass, the Christoffel symbols
+    # once per (r, theta) are those of christoffel at every node
+    blocks = []
+    real = generator._flat_christoffel
+
+    def spy(pts):
+        blocks.append(np.array(pts))
+        return real(pts)
+
+    monkeypatch.setattr(generator, "_flat_christoffel", spy)
+    coordinate_independence_check(make(), AUDIT_REGION.scaled(0.5))
+    # blocks of several t slices, so the t axis is collapsed too
+    assert blocks and max(pts.shape[0] for pts in blocks) > 1
+    for pts in blocks:
+        got = real(pts)
+        want = christoffel(generator._flat_metric, pts, _FD_STEP)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_audit_takes_christoffel_once_per_r_theta_pair(monkeypatch):
+    # in the bundled audit at --resolution 0.5, christoffel sees at most
+    # n1 * n2 points for a volume-pass block of shape (m, n1, n2, n3, 4)
+    blocks, inside = [], []
+    real_divergence, real_christoffel = covariant_divergence, christoffel
+
+    def divergence(field, gamma, x, h):
+        inside.append(0)
+        try:
+            return real_divergence(field, gamma, x, h)
+        finally:
+            blocks.append((np.shape(x), inside.pop()))
+
+    def counted(metric_eval, x, h):
+        if inside:
+            inside[-1] += math.prod(np.shape(x)[:-1])
+        return real_christoffel(metric_eval, x, h)
+
+    monkeypatch.setattr(generator, "covariant_divergence", divergence)
+    monkeypatch.setattr(stress_energy, "christoffel", counted)
+    monkeypatch.setattr(generator, "christoffel", counted, raising=False)
+    run_bound(load_bundled("schwarzschild-coordinate-check"), resolution_mult=0.5)
+    assert len(blocks) > 2 and all(len(shape) == 5 for shape, _ in blocks)
+    assert all(0 < n <= shape[1] * shape[2] for shape, n in blocks)
 
 
 # ---------------------------------------------------------------------------

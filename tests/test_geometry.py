@@ -352,6 +352,22 @@ def test_bump_rejects_non_finite_boxes(box, end):
         BumpProfile(**boxes)
 
 
+def test_bump_owns_its_boxes():
+    # a later write into the caller's boxes reaches neither the bump nor
+    # its values, and the bump's own boxes refuse writes
+    plateau = np.array([[-1.0, 1.0]] * 4)
+    support = np.array([[-2.0, 2.0]] * 4)
+    bump = BumpProfile(plateau=plateau, support=support)
+    pts = np.random.default_rng(2).uniform(-2.5, 2.5, size=(50, 4))
+    before = bump(pts).tobytes()
+    plateau[:] = [[0.0, 0.5]] * 4
+    support[:] = [[-0.1, 0.6]] * 4
+    assert bump(pts).tobytes() == before
+    for own in (bump.plateau, bump.support):
+        with pytest.raises(ValueError, match="read-only"):
+            own[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # localization
 # ---------------------------------------------------------------------------

@@ -28,6 +28,23 @@ def test_region_validation():
     assert r.resolution == (5, 5, 5, 5)
 
 
+def test_region_owns_its_box():
+    # a later write into the caller's box reaches neither the region nor
+    # its rules and integrals, and the region's own box refuses writes
+    box = np.array([[-0.5, 1.5], [2.0, 2.75], [0.1, 3.1], [-4.0, -1.0]])
+    region = RegionSpec(box=box, resolution=(3, 2, 5, 4))
+
+    def outputs():
+        rules = [a.tobytes() for rule in region_rules(region) for a in rule]
+        return rules, integrate(lambda p: p[..., 0] * p[..., 1], region)
+
+    before = outputs()
+    box[:] = [[1.0, 0.0]] * 4
+    assert outputs() == before
+    with pytest.raises(ValueError, match="read-only"):
+        region.box[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("axis", [0, 1, 3])
 def test_face_integral_is_exact_on_multilinear_integrands(axis):
     # the trapezoid rule integrates a function linear in each free axis

@@ -20,6 +20,11 @@ def flat_metric(x):
     return np.broadcast_to(ETA, np.asarray(x).shape[:-1] + (4, 4)).copy()
 
 
+def flat_gamma(h):
+    """The Christoffel symbols of flat_metric, as covariant_divergence takes them."""
+    return lambda x: christoffel(flat_metric, x, h)
+
+
 def dust(density):
     """Comoving pressureless dust: T^00 = density, all other components 0."""
     def fn(x):
@@ -96,6 +101,18 @@ def test_field_keeps_support_as_float_box():
     assert StressEnergyField(field.fn).support is None
 
 
+def test_field_owns_its_support():
+    # a later write into the caller's support reaches neither the field
+    # nor what is computed from it, and the field's own box refuses writes
+    support = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
+    field = StressEnergyField(dust(1.0).fn, support=support)
+    before = stencil_box(field, 1e-3).tobytes()
+    support[:] = [[-1.0, 9.0]] * 4
+    assert stencil_box(field, 1e-3).tobytes() == before
+    with pytest.raises(ValueError, match="read-only"):
+        field.support[0, 0] = 0.5
+
+
 def test_covariant_divergence_of_plane_wave_is_small():
     field = StressEnergyField(em_plane_wave(1.0, 3.0))
     rng = np.random.default_rng(4)
@@ -107,7 +124,7 @@ def test_covariant_divergence_of_plane_wave_is_small():
 def test_covariant_divergence_of_constant_dust_vanishes():
     field = dust(1.0)
     pts = np.array([[0.0, 0.1, 0.2, 0.3]])
-    div = covariant_divergence(field, flat_metric, pts, h=1e-3)
+    div = covariant_divergence(field, flat_gamma(1e-3), pts, h=1e-3)
     assert np.max(np.abs(div)) <= 1e-12
 
 
@@ -119,7 +136,8 @@ def test_nonconserved_tensor_divergence_component():
         return T
 
     field = StressEnergyField(fn)
-    div = covariant_divergence(field, flat_metric, np.array([[0.7, 0.0, 0.0, 0.0]]), h=1e-3)
+    div = covariant_divergence(field, flat_gamma(1e-3), np.array([[0.7, 0.0, 0.0, 0.0]]),
+                               h=1e-3)
     np.testing.assert_allclose(div[0], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
@@ -143,8 +161,8 @@ def test_divergence_residual_converges_at_stencil_order():
 
     field = StressEnergyField(crossed)
     pts = np.array([[0.3, -0.2, 0.5, 0.1], [0.9, 0.4, 0.0, 0.0]])
-    r1 = np.max(np.abs(covariant_divergence(field, flat_metric, pts, h=0.08)))
-    r2 = np.max(np.abs(covariant_divergence(field, flat_metric, pts, h=0.04)))
+    r1 = np.max(np.abs(covariant_divergence(field, flat_gamma(0.08), pts, h=0.08)))
+    r2 = np.max(np.abs(covariant_divergence(field, flat_gamma(0.04), pts, h=0.04)))
     assert 12.0 <= r1 / r2 <= 20.0
 
 
@@ -251,6 +269,29 @@ def test_grid_refuses_non_finite_numbers(field, bad):
         TensorGrid(**args)
 
 
+def test_grid_owns_its_arrays():
+    # a later write into the caller's arrays reaches neither the grid nor
+    # its axes and interpolated values, and the grid's own arrays refuse
+    # writes
+    values = np.arange(3 * 2 * 2 * 2 * 16, dtype=float).reshape(3, 2, 2, 2, 4, 4)
+    values = values + np.swapaxes(values, -1, -2)
+    origin, spacing = np.zeros(4), np.full(4, 0.5)
+    grid = TensorGrid(values=values, origin=origin, spacing=spacing)
+    pts = np.array([[0.3, 0.1, 0.45, 0.2], [1.0, 0.5, 0.0, 0.25]])
+
+    def outputs():
+        return [a.tobytes() for a in grid.axes()], grid.interpolate(pts).tobytes()
+
+    before = outputs()
+    values[:] = math.nan
+    origin[:] = 1.0
+    spacing[:] = -1.0
+    assert outputs() == before
+    for own in (grid.values, grid.origin, grid.spacing):
+        with pytest.raises(ValueError, match="read-only"):
+            own.flat[0] = 0.0
+
+
 def test_each_grid_interpolates_its_own_values():
     # grids made and dropped in turn reuse memory, and so ids; an
     # interpolator kept past its grid would answer for the next one
@@ -266,7 +307,7 @@ def test_each_grid_interpolates_its_own_values():
 
 @pytest.mark.parametrize("fd", [
     lambda: christoffel(flat_metric, np.zeros(4)),
-    lambda: covariant_divergence(dust(1.0), flat_metric, np.zeros(4)),
+    lambda: covariant_divergence(dust(1.0), flat_gamma(1e-3), np.zeros(4)),
     lambda: divergence_residual(dust(1.0), flat_metric, np.zeros((1, 4))),
 ], ids=["christoffel", "covariant_divergence", "divergence_residual"])
 def test_finite_differences_take_their_step_from_the_caller(fd):

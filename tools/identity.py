@@ -17,6 +17,23 @@ of it (of its header, for a compound statement) is; ``global`` and
 ``nonlocal`` statements, which run no code, and docstrings are left out.
 It takes about 20 s on a 2-core host.
 
+    python3 tools/identity.py --coverage --against REV
+
+does the same for this tree and for ``git archive REV``, and prints the
+statements that joined the list (uncovered here, not at REV) and those
+that left it (uncovered at REV, not here), each with its own tree's line
+number.  Statements are matched by file and source text, so a statement
+that only moved keeps its place and an edited one both leaves and joins.
+
+    python3 tools/identity.py --simd
+
+writes this tree's corpus three times: natively, and in children whose
+environment alone sets ``NPY_DISABLE_CPU_FEATURES`` to the AVX2 level and
+to the baseline level of numpy's SIMD dispatch (``SIMD_LEVELS``).  It
+prints ``N of N identical across SIMD levels``, then one line for each
+file that differs from the native one at a level, as ``--against`` does,
+and exits 0 when no file differs.
+
 The corpus (130 files), the same in both modes:
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
@@ -76,6 +93,7 @@ import sys
 import tempfile
 import trace
 import warnings
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -84,6 +102,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 OPS = {"bound-sweep": range(1, 9), "chart-audit": range(1, 7), "readout-mc": range(1, 7)}
+#: NPY_DISABLE_CPU_FEATURES of each SIMD level that --simd compares with
+#: the native one (numpy 2 feature names, x86-64)
+SIMD_LEVELS = {"avx2": "X86_V4 AVX512_ICL AVX512_SPR",
+               "baseline": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
 #: chart-audit box whose t and r faces cut both bundled sources
 FACE_CUTTING_BOX = [[-0.5, 0.5], [1.6, 3.5], [0.94, 2.21], [-0.61, 0.61]]
 #: chart-audit box that holds neither bundled source
@@ -284,21 +306,23 @@ def write_corpus(out_dir: str) -> None:
         (Path(out_dir) / f"cli_error_{name}.stderr").write_text(text)
 
 
-def traced_corpus(out_dir: str, lines_path: str) -> None:
+def traced_corpus(out_dir: str, lines_path: str, src: str) -> None:
     """Write the corpus under trace.Trace(count=1), and the [file, line]
-    pairs of src/ that it executes as JSON to lines_path (child side)."""
+    pairs under the library's source directory src that it executes as
+    JSON to lines_path (child side)."""
     tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
     tracer.runfunc(write_corpus, out_dir)
-    src = str(ROOT / "src")
     executed = sorted(key for key in tracer.results().counts if key[0].startswith(src))
     Path(lines_path).write_text(json.dumps(executed))
 
 
-def _run_tree(tree: Path, out_dir: Path, lines_path=None) -> subprocess.Popen:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _run_tree(tree: Path, out_dir: Path, lines_path=None, env=None) -> subprocess.Popen:
+    """A child writing tree's corpus into out_dir, traced when lines_path
+    is given; env holds variables set for the child alone."""
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         [str(tree / "src"), str(ROOT / "tools"), str(ROOT / "bench")]))
     call = ("identity.write_corpus(sys.argv[2])" if lines_path is None
-            else "identity.traced_corpus(sys.argv[2], sys.argv[3])")
+            else "identity.traced_corpus(sys.argv[2], sys.argv[3], sys.argv[1])")
     code = ("import sys, metricprobe, identity\n"
             "assert metricprobe.__file__.startswith(sys.argv[1]), metricprobe.__file__\n"
             f"{call}\n")
@@ -319,31 +343,74 @@ def _function_statements(node, inside: bool = False):
         yield from _function_statements(child, inside)
 
 
-def unexecuted(executed) -> list:
-    """'path:line: source' of every function-body statement of src/ with
-    no executed line; a compound statement's lines are its header's."""
+def unexecuted(executed, tree: Path = ROOT) -> list:
+    """'path:line: source' of every function-body statement of tree's
+    src/ with no executed line; a compound statement's lines are its
+    header's."""
     hit = {(path, line) for path, line in executed}
     out = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
+    for path in sorted((tree / "src").rglob("*.py")):
         text = path.read_text()
         source = text.splitlines()
         for stmt in _function_statements(ast.parse(text)):
             body = getattr(stmt, "body", None)
             last = body[0].lineno - 1 if body else stmt.end_lineno
             if not any((str(path), n) in hit for n in range(stmt.lineno, max(last, stmt.lineno) + 1)):
-                out.append(f"{path.relative_to(ROOT)}:{stmt.lineno}: {source[stmt.lineno - 1].strip()}")
+                out.append(f"{path.relative_to(tree)}:{stmt.lineno}: {source[stmt.lineno - 1].strip()}")
     return out
 
 
-def coverage() -> int:
+def _unpack(rev: str, dest: Path) -> Path:
+    """dest holding ``git archive rev`` of this repository."""
+    dest.mkdir()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def _missing(entries: list, others: list) -> list:
+    """The 'path:line: source' entries whose statement, matched by path
+    and source, others lack, once for each copy that others lack."""
+    def key(entry):
+        path, _, source = entry.split(":", 2)
+        return path, source
+
+    spare = Counter(map(key, others))
+    out = []
+    for entry in entries:
+        if spare[key(entry)]:
+            spare[key(entry)] -= 1
+        else:
+            out.append(entry)
+    return out
+
+
+def coverage(against=None) -> int:
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
-        lines_path = Path(tmp) / "executed.json"
-        if _run_tree(ROOT, Path(tmp), lines_path).wait() != 0:
-            print("the child process failed; see its traceback above", file=sys.stderr)
+        tmp = Path(tmp)
+        trees = {"this": ROOT}
+        if against is not None:
+            trees["against"] = _unpack(against, tmp / "tree")
+        procs = []
+        for label, tree in trees.items():
+            (tmp / label).mkdir()
+            procs.append(_run_tree(tree, tmp / label, tmp / f"{label}.json"))
+        if any([p.wait() != 0 for p in procs]):
+            print("a child process failed; see its traceback above", file=sys.stderr)
             return 2
-        missed = unexecuted(json.loads(lines_path.read_text()))
-    print("\n".join(missed + [f"{len(missed)} function-body statements of src/ "
-                               "that no corpus entry executes"]))
+        missed = {label: unexecuted(json.loads((tmp / f"{label}.json").read_text()), tree)
+                  for label, tree in trees.items()}
+    count = f"{len(missed['this'])} function-body statements of src/ that no corpus entry executes"
+    if against is None:
+        print("\n".join(missed["this"] + [count]))
+        return 0
+    joined = _missing(missed["this"], missed["against"])
+    left = _missing(missed["against"], missed["this"])
+    print("\n".join([f"joined: {entry}" for entry in joined]
+                    + [f"left ({against}): {entry}" for entry in left]))
+    print(f"{count} ({len(missed['against'])} at {against}): "
+          f"{len(joined)} joined, {len(left)} left")
     return 0
 
 
@@ -401,48 +468,69 @@ def _first_file_difference(pa: Path, pb: Path) -> str:
 
 
 def compare(dir_a: Path, dir_b: Path) -> tuple:
-    """(number identical, total, one line per differing file naming the
-    file and its first difference)."""
+    """(the corpus file names of either directory, {name: its first
+    difference} for each file that differs)."""
     names = sorted({p.name for d in (dir_a, dir_b) for suffix in ("json", "stdout", "stderr")
                     for p in d.glob(f"*.{suffix}")})
-    differ = []
+    differ = {}
     for name in names:
         pa, pb = dir_a / name, dir_b / name
         if not (pa.exists() and pb.exists() and pa.read_bytes() == pb.read_bytes()):
-            differ.append(f"{name}: {_first_file_difference(pa, pb)}")
-    return len(names) - len(differ), len(names), differ
+            differ[name] = _first_file_difference(pa, pb)
+    return names, differ
+
+
+def _write_corpora(runs: dict, tmp: Path):
+    """Write the corpus of every run, one child each, under tmp; runs maps
+    a label to (tree, env).  Returns {label: compare of the first run's
+    corpus with label's} for every later run, or None if a child failed."""
+    dirs = {label: tmp / f"corpus-{i}" for i, label in enumerate(runs)}
+    procs = []
+    for label, (tree, env) in runs.items():
+        dirs[label].mkdir()
+        procs.append(_run_tree(tree, dirs[label], env=env))
+    if any([p.wait() != 0 for p in procs]):
+        print("a child process failed; see its traceback above", file=sys.stderr)
+        return None
+    first, *rest = runs
+    return {label: compare(dirs[first], dirs[label]) for label in rest}
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--against", metavar="REV",
-                      help="git revision whose reports this tree must reproduce")
-    mode.add_argument("--coverage", action="store_true",
-                      help="print the function-body statements of src/ the corpus never runs")
+    ap.add_argument("--against", metavar="REV",
+                    help="git revision whose reports this tree must reproduce")
+    ap.add_argument("--coverage", action="store_true",
+                    help="print the function-body statements of src/ the corpus never runs, "
+                         "or with --against, those that joined or left that list")
+    ap.add_argument("--simd", action="store_true",
+                    help="compare this tree's corpus across numpy's SIMD levels")
     args = ap.parse_args(argv)
+    if args.simd and (args.coverage or args.against) \
+            or not (args.simd or args.coverage or args.against):
+        ap.error("give --against REV, --coverage [--against REV] or --simd")
     if args.coverage:
-        return coverage()
+        return coverage(args.against)
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         tmp = Path(tmp)
-        other = tmp / "tree"
-        other.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(other)], input=archive, check=True)
-        outs = {"against": tmp / "against", "this": tmp / "this"}
-        procs = []
-        for label, tree in (("against", other), ("this", ROOT)):
-            outs[label].mkdir()
-            procs.append(_run_tree(tree, outs[label]))
-        if any([p.wait() != 0 for p in procs]):
-            print("a child process failed; see its traceback above", file=sys.stderr)
-            return 2
-        same, total, differ = compare(outs["against"], outs["this"])
-    print(f"{same} of {total} identical")
-    for line in differ:
-        print(f"differs ({args.against} vs this tree): {line}")
-    return 0 if same == total else 1
+        if args.simd:
+            runs = {"native": (ROOT, None), **{
+                level: (ROOT, {"NPY_DISABLE_CPU_FEATURES": features})
+                for level, features in SIMD_LEVELS.items()}}
+        else:
+            runs = {args.against: (_unpack(args.against, tmp / "tree"), None),
+                    "this tree": (ROOT, None)}
+        compared = _write_corpora(runs, tmp)
+    if compared is None:
+        return 2
+    names = {name for files, _ in compared.values() for name in files}
+    same = len(names) - len({name for _, differ in compared.values() for name in differ})
+    print(f"{same} of {len(names)} identical" + (" across SIMD levels" if args.simd else ""))
+    first = next(iter(runs))
+    for label, (_, differ) in compared.items():
+        for name, text in differ.items():
+            print(f"differs ({first} vs {label}): {name}: {text}")
+    return 0 if same == len(names) else 1
 
 
 if __name__ == "__main__":
