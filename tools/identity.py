@@ -34,7 +34,7 @@ prints ``N of N identical across SIMD levels``, then one line for each
 file that differs from the native one at a level, as ``--against`` does,
 and exits 0 when no file differs.
 
-The corpus (130 files), the same in both modes:
+The corpus (130 files), the same in every mode:
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
@@ -343,7 +343,7 @@ def _function_statements(node, inside: bool = False):
         yield from _function_statements(child, inside)
 
 
-def unexecuted(executed, tree: Path = ROOT) -> list:
+def unexecuted(executed, tree: Path) -> list:
     """'path:line: source' of every function-body statement of tree's
     src/ with no executed line; a compound statement's lines are its
     header's."""
@@ -407,8 +407,10 @@ def coverage(against=None) -> int:
         return 0
     joined = _missing(missed["this"], missed["against"])
     left = _missing(missed["against"], missed["this"])
-    print("\n".join([f"joined: {entry}" for entry in joined]
-                    + [f"left ({against}): {entry}" for entry in left]))
+    for entry in joined:
+        print(f"joined: {entry}")
+    for entry in left:
+        print(f"left ({against}): {entry}")
     print(f"{count} ({len(missed['against'])} at {against}): "
           f"{len(joined)} joined, {len(left)} left")
     return 0
