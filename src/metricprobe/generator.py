@@ -237,14 +237,14 @@ def coordinate_independence_check(testT: StressEnergyField,
     a nonzero value within quadrature error.  The source counts as
     conserved when its divergence residual is at most 1e-6.
 
-    The angular and the divergence integrands share one quadrature pass,
-    whose Christoffel symbols are broadcast over t and phi from one
-    evaluation per distinct (r, theta), with every node's bits: the flat
-    chart is static and axisymmetric, and the stencil moves one axis at
-    a time, so no metric value it takes depends on t or phi.  When testT
-    declares a support, the generator integrals and the boundary flux
-    evaluate only inside it, and that pass and the residual sample only
-    within the stencil's reach of it.
+    The angular and divergence integrands share one pass and its T.  Its
+    Christoffel symbols, and the residual's, are broadcast over t and phi
+    from one evaluation per distinct (r, theta), with every node's bits:
+    the flat chart is static and axisymmetric and the stencil moves one
+    axis at a time, so no metric value it takes depends on t or phi.
+    When testT declares a support, the generator integrals and the
+    boundary flux evaluate only inside it, and that pass and the residual
+    sample only within the stencil's reach of it.
     """
     chi = bundled_coordinate_bump()
     res_s = integrate_generator(testT, localize(_FLAT, chi), region)
@@ -256,7 +256,7 @@ def coordinate_independence_check(testT: StressEnergyField,
         r = pts[..., 1]
         sth = np.sin(pts[..., 2])
         angular = (r * r * sth) * chi(pts) * r * (Tv[..., 2, 2] + sth ** 2 * Tv[..., 3, 3])
-        div = covariant_divergence(testT, _flat_christoffel, pts, _FD_STEP)
+        div = covariant_divergence(testT, _flat_christoffel, pts, Tv, _FD_STEP)
         return np.stack([angular, _volume(_flat_metric(pts)) * div[..., 1]])
 
     (angular, div_integral), (angular_est, div_est), _ = integrate(
@@ -265,7 +265,7 @@ def coordinate_independence_check(testT: StressEnergyField,
 
     # conservation diagnostic on a moderate interior sample
     sample = box_grid(region.box, 7)[1:-1, 1:-1, 1:-1, 1:-1]
-    resid = divergence_residual(testT, _flat_metric, sample, _FD_STEP)
+    resid = divergence_residual(testT, _flat_christoffel, sample, _FD_STEP)
 
     diff = res_i.P_total - res_s.P_total
     angular, routes = float(angular), float(flux - div_integral)
@@ -364,10 +364,11 @@ def conserved_test_tensor() -> StressEnergyField:
         Jpx, Jpy = -sph / (r * sth), cph / (r * sth)
         T = np.zeros(pts.shape[:-1] + (4, 4))
         rows = ((1, Jrx, Jry), (2, Jtx, Jty), (3, Jpx, Jpy))
-        for (i, Jix, Jiy) in rows:
-            for (j, Jjx, Jjy) in rows:
-                T[..., i, j] = (Jix * Jjx * Txx + Jiy * Jjy * Tyy
-                                + (Jix * Jjy + Jiy * Jjx) * Txy)
+        for a, (i, Jix, Jiy) in enumerate(rows):
+            # each pair once: IEEE products and sums commute, so T^ji has T^ij's bits
+            for (j, Jjx, Jjy) in rows[a:]:
+                T[..., i, j] = T[..., j, i] = (Jix * Jjx * Txx + Jiy * Jjy * Tyy
+                                               + (Jix * Jjy + Jiy * Jjx) * Txy)
         return T
 
     return StressEnergyField(fn, support=_CONSERVED_SUPPORT.copy())

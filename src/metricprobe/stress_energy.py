@@ -12,12 +12,12 @@ probe module.  Components are contravariant T^munu in the chart of the
 metric they are paired with, units with G = c = 1 and Gaussian
 electromagnetic units (energy density (E^2 + B^2) / 8 pi).
 
-Pointwise kernels run once per distinct input: the Maxwell tensor of the
-sources here, and det and inv of the metric where the generator and the
-divergence take them.  So T, and those kernels' outputs, may be
-read-only broadcast views that repeat one point's value along the axes
-on which the input repeats; callers build new arrays from them and never
-write into them.
+The plane wave's Maxwell tensor runs once per distinct input and the
+uniform field's once at construction; the generator runs det once per
+distinct input and the audit's Christoffel symbols once per distinct
+(r, theta).  So T, and those values, may be read-only broadcast views
+that repeat one point's value along the axes on which it repeats;
+callers build new arrays from them and never write into them.
 """
 from __future__ import annotations
 
@@ -86,18 +86,15 @@ def em_plane_wave(amplitude: float, omega: float,
 
 
 def em_uniform(E_vec, B_vec) -> Callable[[np.ndarray], np.ndarray]:
-    """T^munu of spatially uniform static field vectors."""
+    """T^munu of spatially uniform static field vectors: one read-only
+    (4, 4) array, broadcast to each call's points."""
     E0 = np.asarray(E_vec, dtype=float)
     B0 = np.asarray(B_vec, dtype=float)
     if E0.shape != (3,) or B0.shape != (3,):
         raise ValueError("E_vec and B_vec must be 3-vectors")
-
-    def fn(x):
-        shape = x.shape[:-1] + (3,)
-        return _per_distinct(em_stress_tensor, 1, np.broadcast_to(E0, shape),
-                             np.broadcast_to(B0, shape))
-
-    return fn
+    T0 = em_stress_tensor(E0, B0)
+    T0.setflags(write=False)
+    return lambda x: np.broadcast_to(T0, x.shape[:-1] + (4, 4))
 
 
 def _require_diagonal(g: np.ndarray) -> None:
@@ -293,7 +290,7 @@ def christoffel(metric_eval: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     Returns shape (..., 4, 4, 4) indexed [lam, mu, nu]."""
     x = np.asarray(x, dtype=float)
     g = metric_eval(x)
-    ginv = _per_distinct(np.linalg.inv, 2, g)
+    ginv = np.linalg.inv(g)
     dg = np.moveaxis(_partials(metric_eval, x, h), 0, -3)
     # dg[..., rho, mu, nu] = d_rho g_munu
     lower = 0.5 * (np.einsum("...mrn->...rmn", dg)      # d_mu g_rhonu
@@ -303,21 +300,21 @@ def christoffel(metric_eval: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def covariant_divergence(field: StressEnergyField, gamma: Callable[[np.ndarray], np.ndarray],
-                         x: np.ndarray, h: float) -> np.ndarray:
+                         x: np.ndarray, T: np.ndarray, h: float) -> np.ndarray:
     """nabla_mu T^munu at x via central differences, returning (..., 4).
 
-    gamma maps points to the Christoffel symbols, as christoffel of the
-    metric in the field's chart gives them.  For grid-backed fields the
-    stencil step should stay at or above the grid spacing (interpolation
-    is only piecewise linear); analytic sources converge at fourth order
-    as h shrinks.
+    T is field.tensor(x), which every caller already holds; gamma maps
+    points to the Christoffel symbols, as christoffel of the metric in
+    the field's chart gives them.  For grid-backed fields the stencil
+    step should stay at or above the grid spacing (interpolation is only
+    piecewise linear); analytic sources converge at fourth order as h
+    shrinks.
     """
     x = np.asarray(x, dtype=float)
     dT = _partials(field.tensor, x, h)                 # (rho, ..., mu, nu) with rho = deriv axis
     div = np.einsum("m...mn->...n", dT)
     gam = gamma(x)
     gam_trace = np.einsum("...mml->...l", gam)         # Gamma^mu_mulam
-    T = field.tensor(x)
     div = div + np.einsum("...l,...ln->...n", gam_trace, T)
     div = div + np.einsum("...nml,...ml->...n", gam, T)
     return div
@@ -333,18 +330,19 @@ def stencil_box(field: StressEnergyField, h: float) -> Optional[np.ndarray]:
     return field.support + np.array([-reach, reach])
 
 
-def divergence_residual(field: StressEnergyField, metric_eval, x: np.ndarray,
-                        h: float) -> float:
+def divergence_residual(field: StressEnergyField, gamma: Callable[[np.ndarray], np.ndarray],
+                        x: np.ndarray, h: float) -> float:
     """Max |nabla_mu T^munu| over the sample points, normalized by the
     local component scale max|T| / L with L the smallest coordinate range
-    spanned by the samples (or 1 for a single point).
+    spanned by the samples (or 1 for a single point), with gamma as
+    covariant_divergence takes it.
 
-    max|T| and L come from the whole sample.  When the field declares a
-    support, the divergence is evaluated only at the sample points
-    within the stencil's reach of it: at every other point each stencil
-    value of T is exactly 0, and so is the divergence wherever the
-    Christoffel symbols are finite, so the residual has the same bits as
-    without support."""
+    T, max|T| and L come from the whole sample.  When the field declares
+    a support, the divergence is evaluated only at the sample points
+    within the stencil's reach of it, with their rows of T: at every
+    other point each stencil value of T is exactly 0, and so is the
+    divergence wherever the Christoffel symbols are finite, so the
+    residual has the same bits as without support."""
     x = np.asarray(x, dtype=float)
     T = field.tensor(x)
     scale = float(np.max(np.abs(T)))
@@ -356,6 +354,7 @@ def divergence_residual(field: StressEnergyField, metric_eval, x: np.ndarray,
     L = float(spans.min()) if spans.size else 1.0
     box = stencil_box(field, h)
     if box is not None:
-        x = x[np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=-1)]
-    div = covariant_divergence(field, lambda p: christoffel(metric_eval, p, h), x, h)
+        near = np.all((x >= box[:, 0]) & (x <= box[:, 1]), axis=-1)
+        x, T = x[near], T[near]
+    div = covariant_divergence(field, gamma, x, T, h)
     return float(np.max(np.abs(div), initial=0.0) / (scale / L))

@@ -385,7 +385,7 @@ def test_divergence_route_keeps_the_bits_of_a_lone_pass(make):
 
     def div_r_density(pts):
         vol = np.sqrt(np.abs(np.linalg.det(metric(pts))))
-        return vol * covariant_divergence(T, gamma, pts, _FD_STEP)[..., 1]
+        return vol * covariant_divergence(T, gamma, pts, T.tensor(pts), _FD_STEP)[..., 1]
 
     div, div_est, _ = integrate(div_r_density, region, stencil_box(T, _FD_STEP))
     rep = coordinate_independence_check(T, region)
@@ -442,10 +442,10 @@ def test_audit_takes_christoffel_once_per_r_theta_pair(monkeypatch):
     blocks, inside = [], []
     real_divergence, real_christoffel = covariant_divergence, christoffel
 
-    def divergence(field, gamma, x, h):
+    def divergence(field, gamma, x, T, h):
         inside.append(0)
         try:
-            return real_divergence(field, gamma, x, h)
+            return real_divergence(field, gamma, x, T, h)
         finally:
             blocks.append((np.shape(x), inside.pop()))
 
@@ -460,6 +460,62 @@ def test_audit_takes_christoffel_once_per_r_theta_pair(monkeypatch):
     run_bound(load_bundled("schwarzschild-coordinate-check"), resolution_mult=0.5)
     assert len(blocks) > 2 and all(len(shape) == 5 for shape, _ in blocks)
     assert all(0 < n <= shape[1] * shape[2] for shape, n in blocks)
+
+
+def test_audit_takes_christoffel_only_through_the_flat_chart(monkeypatch):
+    # the volume pass and the residual sample both take their Christoffel
+    # symbols from _flat_christoffel, once per distinct (r, theta)
+    real_flat, real_christoffel = generator._flat_christoffel, christoffel
+    inside, outside, shapes = [], [], []
+
+    def flat(pts):
+        shapes.append(np.shape(pts))
+        inside.append(True)
+        try:
+            return real_flat(pts)
+        finally:
+            inside.pop()
+
+    def counted(metric_eval, x, h):
+        if not inside:
+            outside.append(np.shape(x))
+        return real_christoffel(metric_eval, x, h)
+
+    monkeypatch.setattr(generator, "_flat_christoffel", flat)
+    monkeypatch.setattr(generator, "christoffel", counted)
+    monkeypatch.setattr(stress_energy, "christoffel", counted)
+    run_bound(load_bundled("schwarzschild-coordinate-check"), resolution_mult=0.5)
+    assert shapes and not outside
+    # the residual's sample, a flat list of points after the support filter
+    assert any(len(shape) == 2 for shape in shapes)
+
+
+@pytest.mark.parametrize("make", [conserved_test_tensor, nonconserved_test_tensor],
+                         ids=["conserved", "nonconserved"])
+def test_volume_pass_takes_t_at_17_points_per_node(monkeypatch, make):
+    # the angular integrand and the divergence share T at the node, so
+    # each node costs T there and at its 16 stencil points
+    T = make()
+    taken, per_node = [0], []
+
+    def fn(x):
+        taken[0] += math.prod(np.shape(x)[:-1])
+        return T.fn(x)
+
+    real = generator.integrate
+
+    def spy(f, region, support=None):
+        def counted(pts):
+            before = taken[0]
+            out = f(pts)
+            if np.array_equal(support, stencil_box(T, _FD_STEP)):
+                per_node.append((taken[0] - before) / math.prod(pts.shape[:-1]))
+            return out
+        return real(counted, region, support)
+
+    monkeypatch.setattr(generator, "integrate", spy)
+    coordinate_independence_check(StressEnergyField(fn, T.support), AUDIT_REGION.scaled(0.5))
+    assert per_node and set(per_node) == {17.0}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metricprobe import stress_energy
 from metricprobe.generator import conserved_test_tensor, nonconserved_test_tensor
 from metricprobe.geometry import box_grid, flrw_closed, schwarzschild
 from metricprobe.scenarios import load_bundled
@@ -70,6 +71,28 @@ def test_maxwell_trace_free_on_flat_background():
     assert np.max(np.abs(np.einsum("...ij,...ij->...", g, T))) <= 1e-12 * np.max(t00)
 
 
+def test_uniform_field_takes_the_maxwell_tensor_once_at_construction(monkeypatch):
+    # every call broadcasts the one read-only tensor made at construction
+    E, B = np.array([0.6, -0.8, 0.5]), np.array([0.2, 0.7, -0.4])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return em_stress_tensor(*args)
+
+    monkeypatch.setattr(stress_energy, "em_stress_tensor", counted)
+    fn = em_uniform(E, B)
+    assert len(calls) == 1
+    want = em_stress_tensor(E, B).view(np.uint64)
+    for x in (np.zeros(4), np.zeros((3, 4)), np.ones((2, 5, 1, 4))):
+        T = fn(x)
+        assert T.shape == x.shape[:-1] + (4, 4)
+        assert np.array_equal(T.view(np.uint64), np.broadcast_to(want, T.shape))
+        with pytest.raises(ValueError, match="read-only"):
+            T[...] = 0.0
+    assert len(calls) == 1
+
+
 def test_plane_wave_trace_free_against_curved_metric_in_orthonormal_frame():
     # tetrad conversion keeps the null structure: the chart-frame trace
     # against the curved metric is exact float zero
@@ -117,14 +140,14 @@ def test_covariant_divergence_of_plane_wave_is_small():
     field = StressEnergyField(em_plane_wave(1.0, 3.0))
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1.0, 1.0, size=(30, 4))
-    res = divergence_residual(field, flat_metric, pts, h=1e-3)
+    res = divergence_residual(field, flat_gamma(1e-3), pts, h=1e-3)
     assert res <= 1e-6
 
 
 def test_covariant_divergence_of_constant_dust_vanishes():
     field = dust(1.0)
     pts = np.array([[0.0, 0.1, 0.2, 0.3]])
-    div = covariant_divergence(field, flat_gamma(1e-3), pts, h=1e-3)
+    div = covariant_divergence(field, flat_gamma(1e-3), pts, field.tensor(pts), h=1e-3)
     assert np.max(np.abs(div)) <= 1e-12
 
 
@@ -136,8 +159,8 @@ def test_nonconserved_tensor_divergence_component():
         return T
 
     field = StressEnergyField(fn)
-    div = covariant_divergence(field, flat_gamma(1e-3), np.array([[0.7, 0.0, 0.0, 0.0]]),
-                               h=1e-3)
+    pt = np.array([[0.7, 0.0, 0.0, 0.0]])
+    div = covariant_divergence(field, flat_gamma(1e-3), pt, field.tensor(pt), h=1e-3)
     np.testing.assert_allclose(div[0], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
@@ -161,8 +184,9 @@ def test_divergence_residual_converges_at_stencil_order():
 
     field = StressEnergyField(crossed)
     pts = np.array([[0.3, -0.2, 0.5, 0.1], [0.9, 0.4, 0.0, 0.0]])
-    r1 = np.max(np.abs(covariant_divergence(field, flat_gamma(0.08), pts, h=0.08)))
-    r2 = np.max(np.abs(covariant_divergence(field, flat_gamma(0.04), pts, h=0.04)))
+    T = field.tensor(pts)
+    r1 = np.max(np.abs(covariant_divergence(field, flat_gamma(0.08), pts, T, h=0.08)))
+    r2 = np.max(np.abs(covariant_divergence(field, flat_gamma(0.04), pts, T, h=0.04)))
     assert 12.0 <= r1 / r2 <= 20.0
 
 
@@ -188,19 +212,22 @@ def test_divergence_residual_keeps_every_bit_with_the_support(source, sample, h)
     else:
         pts = box_grid(_straddling_box(T.support), 9)
     metric = lambda x: schwarzschild(0.0).eval(0.0, x)
+    gamma = lambda x: christoffel(metric, x, h)
     counts = []
 
     def counted(x):
         counts.append(x[..., 0].size)
         return T.fn(x)
 
-    full = divergence_residual(StressEnergyField(T.fn), metric, pts, h=h)
-    pruned = divergence_residual(StressEnergyField(counted, T.support), metric, pts, h=h)
+    full = divergence_residual(StressEnergyField(T.fn), gamma, pts, h=h)
+    pruned = divergence_residual(StressEnergyField(counted, T.support), gamma, pts, h=h)
     assert full > 0.0
     assert np.float64(pruned).tobytes() == np.float64(full).tobytes()
-    # T once on the whole sample, then the divergence on fewer points
+    # T once on the whole sample, then only the stencil points of fewer
+    # points: the divergence takes T at its points from that sample
     assert counts[0] == pts[..., 0].size
-    assert 0 < sum(counts[1:]) < 17 * pts[..., 0].size
+    assert 0 < sum(counts[1:]) < 16 * pts[..., 0].size
+    assert sum(counts[1:]) % 16 == 0
 
 
 def test_divergence_residual_sees_the_support_from_two_steps_out():
@@ -216,9 +243,9 @@ def test_divergence_residual_sees_the_support_from_two_steps_out():
 
     h = 1e-3
     pts = np.array([[0.0, -1.0 - d * h, 0.0, 0.0] for d in (2.5, 1.9)] + [[0.0] * 4])
-    full = divergence_residual(StressEnergyField(step), flat_metric, pts, h=h)
+    full = divergence_residual(StressEnergyField(step), flat_gamma(h), pts, h=h)
     assert full > 0.0
-    assert divergence_residual(StressEnergyField(step, box), flat_metric, pts, h=h) == full
+    assert divergence_residual(StressEnergyField(step, box), flat_gamma(h), pts, h=h) == full
 
 
 def _sampled_grid(fn, shape):
@@ -307,8 +334,8 @@ def test_each_grid_interpolates_its_own_values():
 
 @pytest.mark.parametrize("fd", [
     lambda: christoffel(flat_metric, np.zeros(4)),
-    lambda: covariant_divergence(dust(1.0), flat_gamma(1e-3), np.zeros(4)),
-    lambda: divergence_residual(dust(1.0), flat_metric, np.zeros((1, 4))),
+    lambda: covariant_divergence(dust(1.0), flat_gamma(1e-3), np.zeros(4), np.zeros((4, 4))),
+    lambda: divergence_residual(dust(1.0), flat_gamma(1e-3), np.zeros((1, 4))),
 ], ids=["christoffel", "covariant_divergence", "divergence_residual"])
 def test_finite_differences_take_their_step_from_the_caller(fd):
     # no default step: the chart audit's is the one every caller passes

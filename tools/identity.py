@@ -34,7 +34,7 @@ prints ``N of N identical across SIMD levels``, then one line for each
 file that differs from the native one at a level, as ``--against`` does,
 and exits 0 when no file differs.
 
-The corpus (130 files), the same in every mode:
+The corpus (131 files), the same in every mode:
 
 * ``run_bound`` of every bundled scenario at resolution 1.0 and 0.5;
 * ``run_simulate`` of every bundled scenario with a simulation block;
@@ -46,7 +46,7 @@ The corpus (130 files), the same in every mode:
   on a box that holds neither source, where every support-restricted
   integral misses the grid and the divergence residual's sample is all
   zero;
-* ``run_bound`` of fourteen ``VARIANTS`` of bundled scenarios, which take
+* ``run_bound`` of fifteen ``VARIANTS`` of bundled scenarios, which take
   the ``build_*`` branches no bundled scenario takes: a source read from a
   grid file and a probe spectrum read from a table, with real or complex
   alpha or with one off-axis mode (the non-paraxial warning), which each
@@ -54,9 +54,9 @@ The corpus (130 files), the same in every mode:
   reports; a ``bump:`` section with ``stress_energy.frame: orthonormal``;
   a uniform EM field along the axes and one along no axis; a flat-band spectrum; squeezed unruh-component
   and proper-time-reduction; a g00 profile of kind bump; the off-diagonal
-  minkowski_component (mu0 0, nu0 1); a probe without photons; and
+  minkowski_component (mu0 0, nu0 1); a probe without photons;
   flrw-em-probe in the chart frame with a box corner on the closed chi
-  axis's lower bound, 0;
+  axis's lower bound, 0; and flrw-em-probe with a zero field amplitude;
 * ``cli.main`` in the child's directory: ``bound`` and ``simulate`` of
   gw-monochromatic-coherent and ``verify --suite reductions``, each with
   ``--out``, ``list-scenarios``, and ``bound --resolution 0.5`` of every
@@ -74,7 +74,8 @@ The corpus (130 files), the same in every mode:
 The workload inputs come from this tree's ``bench/workloads.py`` for both
 trees, so both libraries see the same scenario dicts.  The script prints
 ``N of N identical``, then one line for each file that differs with its
-first difference: the JSON key path, both values and, for floats, their
+number of differing leaves (lines, for stdout and stderr) and its first
+difference: the JSON key path, both values and, for floats, their
 distance in ulps.  It exits 0 when every file is identical and 1
 otherwise.
 """
@@ -155,6 +156,8 @@ VARIANTS = {
     "unruh-component-mu0-nu0": ("unruh-component",
                                 {"family.parameters.mu0": 0, "family.parameters.nu0": 1}),
     "gw-zero-mean-field": ("gw-monochromatic-coherent", {"probe.spectrum.n_photons": 0.0}),
+    # a zero source, whose trace-null check has no scale to normalize by
+    "flrw-zero-field": ("flrw-em-probe", {"stress_energy.em.amplitude": 0.0}),
 }
 #: command lines run through cli.main; an --out path is relative to the
 #: child's working directory
@@ -422,47 +425,47 @@ def _ordered(x: float) -> int:
     return i if i >= 0 else -(1 << 63) - i
 
 
-def _first_difference(a, b, path: str = ""):
-    """(key path, value a, value b) of the first differing leaf, or None."""
+def _differences(a, b, path: str = ""):
+    """(key path, value a, value b) of every differing leaf, in document
+    order, so the first difference is the first item."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in dict.fromkeys([*a, *b]):
             if key not in a or key not in b:
-                return f"{path}.{key}", a.get(key, "<absent>"), b.get(key, "<absent>")
-            found = _first_difference(a[key], b[key], f"{path}.{key}")
-            if found:
-                return found
-        if list(a) != list(b):
-            return f"{path} (key order)", list(a), list(b)
-        return None
-    if isinstance(a, list) and isinstance(b, list):
+                yield f"{path}.{key}", a.get(key, "<absent>"), b.get(key, "<absent>")
+            else:
+                yield from _differences(a[key], b[key], f"{path}.{key}")
+        if a.keys() == b.keys() and list(a) != list(b):
+            yield f"{path} (key order)", list(a), list(b)
+    elif isinstance(a, list) and isinstance(b, list):
         for i, (x, y) in enumerate(zip(a, b)):
-            found = _first_difference(x, y, f"{path}[{i}]")
-            if found:
-                return found
+            yield from _differences(x, y, f"{path}[{i}]")
         if len(a) != len(b):
-            return f"{path} (length)", len(a), len(b)
-        return None
-    if type(a) is not type(b) or a != b:
+            yield f"{path} (length)", len(a), len(b)
+    elif type(a) is not type(b) or a != b:
         # NaN != NaN, but the texts already say whether they differ
-        if isinstance(a, float) and isinstance(b, float) and a != a and b != b:
-            return None
-        return path or "<root>", a, b
-    return None
+        if not (isinstance(a, float) and isinstance(b, float) and a != a and b != b):
+            yield path or "<root>", a, b
 
 
-def _first_file_difference(pa: Path, pb: Path) -> str:
-    """Where the corpus file pa first differs from pb."""
+def _file_differences(pa: Path, pb: Path) -> str:
+    """How many leaves (lines, for stdout and stderr) of the corpus file
+    pa differ from pb's, and where the first one does."""
     if not (pa.exists() and pb.exists()):
         return "written by only one tree"
     if pa.suffix in (".stdout", ".stderr"):
         la, lb = pa.read_text().splitlines(), pb.read_text().splitlines()
-        i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
-        return f"line {i + 1}: {la[i:i + 1]!r} != {lb[i:i + 1]!r}"
-    found = _first_difference(json.loads(pa.read_text()), json.loads(pb.read_text()))
-    if found is None:
+        lines = [i for i, (x, y) in enumerate(zip(la, lb)) if x != y]
+        lines += range(min(len(la), len(lb)), max(len(la), len(lb)))
+        if not lines:
+            return "same lines, different text"
+        i = lines[0]
+        return (f"{len(lines)} differing lines, first line {i + 1}: "
+                f"{la[i:i + 1]!r} != {lb[i:i + 1]!r}")
+    found = list(_differences(json.loads(pa.read_text()), json.loads(pb.read_text())))
+    if not found:
         return "same values, different text"
-    path, va, vb = found
-    text = f"{path}: {va!r} != {vb!r}"
+    path, va, vb = found[0]
+    text = f"{len(found)} differing leaves, first {path}: {va!r} != {vb!r}"
     if all(type(v) in (int, float) for v in (va, vb)):
         # the writer prints an integral float such as 0.0 as "0"
         text += f" ({abs(_ordered(float(va)) - _ordered(float(vb)))} ulp)"
@@ -470,15 +473,15 @@ def _first_file_difference(pa: Path, pb: Path) -> str:
 
 
 def compare(dir_a: Path, dir_b: Path) -> tuple:
-    """(the corpus file names of either directory, {name: its first
-    difference} for each file that differs)."""
+    """(the corpus file names of either directory, {name: its
+    differences} for each file that differs)."""
     names = sorted({p.name for d in (dir_a, dir_b) for suffix in ("json", "stdout", "stderr")
                     for p in d.glob(f"*.{suffix}")})
     differ = {}
     for name in names:
         pa, pb = dir_a / name, dir_b / name
         if not (pa.exists() and pb.exists() and pa.read_bytes() == pb.read_bytes()):
-            differ[name] = _first_file_difference(pa, pb)
+            differ[name] = _file_differences(pa, pb)
     return names, differ
 
 
