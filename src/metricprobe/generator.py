@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BumpProfile, _per_distinct, box_grid, localize, schwarzschild, isotropic
+from .geometry import (BumpProfile, _ipow, _per_distinct, box_grid, localize, schwarzschild,
+                       isotropic)
 from .quadrature import RegionSpec, face_integral, integrate
 from .stress_energy import (StressEnergyField, christoffel, covariant_divergence,
                             divergence_residual, stencil_box)
@@ -288,24 +289,18 @@ _POLY_P = 6
 
 
 def _poly_bump(u: np.ndarray) -> np.ndarray:
-    """(1 - u^2)^p on |u| < 1, else 0; C^(p-1) at the edges."""
-    inside = np.abs(u) < 1.0
-    out = np.zeros_like(u)
-    out[inside] = (1.0 - u[inside] ** 2) ** _POLY_P
-    return out
+    """(1 - u^2)^p on |u| < 1, else +0.0; C^(p-1) at the edges."""
+    return _ipow(np.maximum(1.0 - u * u, 0.0), _POLY_P)
 
 
 def _poly_bump_derivs(u: np.ndarray) -> np.ndarray:
     """_poly_bump(u) and its first and second u-derivatives, stacked."""
-    p, inside = _POLY_P, np.abs(u) < 1.0
-    ui = u[inside]
-    q = 1.0 - ui ** 2
-    qp1 = q ** (p - 1)
-    out = np.zeros((3,) + u.shape)
-    out[0][inside] = q ** p
-    out[1][inside] = -2.0 * p * ui * qp1
-    out[2][inside] = -2.0 * p * qp1 + 4.0 * p * (p - 1) * ui ** 2 * q ** (p - 2)
-    return out
+    p, q = _POLY_P, np.maximum(1.0 - u * u, 0.0)
+    qp1 = _ipow(q, p - 1)
+    out = np.stack([_ipow(q, p), -2.0 * p * u * qp1,
+                    -2.0 * p * qp1 + 4.0 * p * (p - 1) * (u * u) * _ipow(q, p - 2)])
+    # off the bump q is +0.0, and the derivatives' products -0.0 or NaN there
+    return np.where(q > 0.0, out, 0.0)
 
 
 #: Cartesian center and half-widths of the bundled sources, placed on the

@@ -170,6 +170,19 @@ def finite_difference_derivative(family: MetricFamily, x: np.ndarray) -> np.ndar
 # built-in families
 # ---------------------------------------------------------------------------
 
+def _ipow(q, n: int):
+    """q ** n for an integer n >= 1 by repeated squaring: products alone,
+    whose bits, unlike np.power's, do not depend on numpy's SIMD level."""
+    out = None
+    while n:
+        if n & 1:
+            out = q if out is None else out * q
+        n >>= 1
+        if n:
+            q = q * q
+    return out
+
+
 def _sym_zeros(x: np.ndarray) -> np.ndarray:
     return np.zeros(x.shape[:-1] + (4, 4))
 
@@ -284,7 +297,7 @@ def isotropic(theta0: float = 0.0) -> MetricFamily:
         rho = x[..., 1]
         th = x[..., 2]
         u = theta / (2.0 * rho)
-        psi4 = (1.0 + u) ** 4
+        psi4 = _ipow(1.0 + u, 4)
         g = _sym_zeros(x)
         g[..., 0, 0] = -((1.0 - u) / (1.0 + u)) ** 2
         g[..., 1, 1] = psi4
@@ -298,8 +311,8 @@ def isotropic(theta0: float = 0.0) -> MetricFamily:
         u = m0 / (2.0 * rho)
         d = _sym_zeros(x)
         # d/dm [-((1-u)/(1+u))^2] = (2/rho) (1-u)/(1+u)^3
-        d[..., 0, 0] = (2.0 / rho) * (1.0 - u) / (1.0 + u) ** 3
-        dpsi4 = (2.0 / rho) * (1.0 + u) ** 3
+        d[..., 0, 0] = (2.0 / rho) * (1.0 - u) / _ipow(1.0 + u, 3)
+        dpsi4 = (2.0 / rho) * _ipow(1.0 + u, 3)
         d[..., 1, 1] = dpsi4
         d[..., 2, 2] = dpsi4 * rho ** 2
         d[..., 3, 3] = dpsi4 * (rho * np.sin(th)) ** 2

@@ -243,6 +243,8 @@ def load_grid(path) -> TensorGrid:
 class StressEnergyField:
     """A queryable T^munu(x): fn maps points (..., 4) to contravariant
     components (..., 4, 4) in the chart of the metric they are paired with.
+    It maps each point on its own, whatever the batch shape around it, so
+    the finite-difference stencil may stack its points in one call.
 
     support, when given, is a closed (4, 2) chart-coordinate box outside
     which every component of T is exactly 0, so integrals of densities
@@ -270,17 +272,16 @@ class StressEnergyField:
 # covariant divergence (finite differences)
 # ---------------------------------------------------------------------------
 
-def _partials(fn, x: np.ndarray, h: float):
-    """Fourth-order central differences, of step h on every axis, of a
-    (..., 4) -> (...)+tail map: its partials stacked along a new axis 0."""
-    outs = []
-    for ax in range(4):
-        e = np.zeros(4)
-        e[ax] = 1.0
-        d = (8.0 * (fn(x + h * e) - fn(x - h * e))
-             - (fn(x + 2.0 * h * e) - fn(x - 2.0 * h * e))) / (12.0 * h)
-        outs.append(d)
-    return np.stack(outs, axis=0)
+def _partial(fn, x: np.ndarray, h: float, ax: int) -> np.ndarray:
+    """Fourth-order central difference, of step h along axis ax, of a
+    (..., 4) -> (...)+tail map that maps each point on its own, from one
+    fn call on x + h e, x - h e, x + 2h e and x - 2h e stacked along a new
+    axis 0.  Each minus side adds the negated shift, which is exact."""
+    e = np.zeros(4)
+    e[ax] = 1.0
+    shifts = np.stack([h * e, -(h * e), 2.0 * h * e, -(2.0 * h * e)])
+    f = fn(x + shifts.reshape((4,) + (1,) * (x.ndim - 1) + (4,)))
+    return (8.0 * (f[0] - f[1]) - (f[2] - f[3])) / (12.0 * h)
 
 
 def christoffel(metric_eval: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -291,7 +292,7 @@ def christoffel(metric_eval: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     x = np.asarray(x, dtype=float)
     g = metric_eval(x)
     ginv = np.linalg.inv(g)
-    dg = np.moveaxis(_partials(metric_eval, x, h), 0, -3)
+    dg = np.moveaxis(np.stack([_partial(metric_eval, x, h, ax) for ax in range(4)]), 0, -3)
     # dg[..., rho, mu, nu] = d_rho g_munu
     lower = 0.5 * (np.einsum("...mrn->...rmn", dg)      # d_mu g_rhonu
                    + np.einsum("...nrm->...rmn", dg)    # d_nu g_rhomu
@@ -305,14 +306,16 @@ def covariant_divergence(field: StressEnergyField, gamma: Callable[[np.ndarray],
 
     T is field.tensor(x), which every caller already holds; gamma maps
     points to the Christoffel symbols, as christoffel of the metric in
-    the field's chart gives them.  For grid-backed fields the stencil
-    step should stay at or above the grid spacing (interpolation is only
-    piecewise linear); analytic sources converge at fourth order as h
-    shrinks.
+    the field's chart gives them.  d_mu T^munu differences only row mu of
+    T along axis mu, from one field call per axis on its four stencil
+    points, and sums the rows in axis order.  For grid-backed fields the
+    stencil step should stay at or above the grid spacing (interpolation
+    is only piecewise linear); analytic sources converge at fourth order
+    as h shrinks.
     """
     x = np.asarray(x, dtype=float)
-    dT = _partials(field.tensor, x, h)                 # (rho, ..., mu, nu) with rho = deriv axis
-    div = np.einsum("m...mn->...n", dT)
+    # sum() starts from 0, so rows that are all -0.0 sum to +0.0
+    div = sum(_partial(lambda p, m=m: field.tensor(p)[..., m, :], x, h, m) for m in range(4))
     gam = gamma(x)
     gam_trace = np.einsum("...mml->...l", gam)         # Gamma^mu_mulam
     div = div + np.einsum("...l,...ln->...n", gam_trace, T)
