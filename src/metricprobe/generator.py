@@ -297,9 +297,11 @@ def _poly_bump_derivs(u: np.ndarray) -> np.ndarray:
     """_poly_bump(u) and its first and second u-derivatives, stacked."""
     p, q = _POLY_P, np.maximum(1.0 - u * u, 0.0)
     qp1 = _ipow(q, p - 1)
-    out = np.stack([_ipow(q, p), -2.0 * p * u * qp1,
-                    -2.0 * p * qp1 + 4.0 * p * (p - 1) * (u * u) * _ipow(q, p - 2)])
-    # off the bump q is +0.0, and the derivatives' products -0.0 or NaN there
+    # off the bump q is +0.0, and the derivatives' products -0.0, or NaN at
+    # u = +-inf: masked to +0.0
+    with np.errstate(invalid="ignore"):
+        out = np.stack([_ipow(q, p), -2.0 * p * u * qp1,
+                        -2.0 * p * qp1 + 4.0 * p * (p - 1) * (u * u) * _ipow(q, p - 2)])
     return np.where(q > 0.0, out, 0.0)
 
 

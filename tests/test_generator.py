@@ -624,8 +624,9 @@ def test_declared_support_is_sound(make):
 
 
 def test_poly_bump_derivs_keep_every_bit_of_the_separate_kernels():
-    # the masked (1 - u^2)^6 and its two derivatives as three separate
-    # kernels computed them
+    # the masked (1 - u^2)^6 and its two derivatives, each power of
+    # q = 1 - u^2 written as the products of repeated squaring, and +0.0
+    # off the bump: at |u| = 1, beyond it and at +-inf
     rng = np.random.default_rng(3)
     u = np.concatenate([rng.uniform(-1.5, 1.5, 3990), [-1.0, 1.0, 0.0, -0.0],
                         np.nextafter([-1.0, -1.0, 1.0, 1.0], [-2.0, 0.0, 0.0, 2.0]),
@@ -633,17 +634,20 @@ def test_poly_bump_derivs_keep_every_bit_of_the_separate_kernels():
     p = 6
     inside = np.abs(u) < 1.0
     ui = u[inside]
-    d1, d2 = np.zeros_like(u), np.zeros_like(u)
-    d1[inside] = -2.0 * p * ui * (1.0 - ui ** 2) ** (p - 1)
-    d2[inside] = (-2.0 * p * (1.0 - ui ** 2) ** (p - 1)
-                  + 4.0 * p * (p - 1) * ui ** 2 * (1.0 - ui ** 2) ** (p - 2))
+    q = 1.0 - ui * ui
+    q2 = q * q
+    q4 = q2 * q2
+    b, d1, d2 = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    b[inside] = q2 * q4
+    d1[inside] = -2.0 * p * ui * (q * q4)
+    d2[inside] = -2.0 * p * (q * q4) + 4.0 * p * (p - 1) * (ui * ui) * q4
     got = _poly_bump_derivs(u)
     assert got.shape == (3,) + u.shape
-    for have, want in zip(got, (_poly_bump(u), d1, d2)):
+    for have, want in zip(got, (b, d1, d2)):
         assert np.array_equal(have.view(np.int64), want.view(np.int64))
-    b = np.zeros_like(u)
-    b[inside] = (1.0 - ui ** 2) ** p
     assert np.array_equal(_poly_bump(u).view(np.int64), b.view(np.int64))
+    assert not np.any(got[:, ~inside].view(np.int64))
+    assert not np.any(_poly_bump(u)[~inside].view(np.int64))
 
 
 def test_conserved_support_covers_its_cartesian_cube():

@@ -5,7 +5,7 @@ import pytest
 
 from metricprobe import stress_energy
 from metricprobe.generator import conserved_test_tensor, nonconserved_test_tensor
-from metricprobe.geometry import box_grid, flrw_closed, schwarzschild
+from metricprobe.geometry import box_grid, flrw_closed, isotropic, schwarzschild
 from metricprobe.scenarios import load_bundled
 from metricprobe.stress_energy import (StressEnergyField, TensorGrid, christoffel,
                                        covariant_divergence, divergence_residual,
@@ -162,6 +162,85 @@ def test_nonconserved_tensor_divergence_component():
     pt = np.array([[0.7, 0.0, 0.0, 0.0]])
     div = covariant_divergence(field, flat_gamma(1e-3), pt, field.tensor(pt), h=1e-3)
     np.testing.assert_allclose(div[0], [1.0, 0.0, 0.0, 0.0], atol=1e-10)
+
+
+def _sixteen_call_partials(fn, x, h):
+    """The order-4 partials on every axis, stacked along axis 0, from one
+    fn call per stencil point: four per axis."""
+    outs = []
+    for ax in range(4):
+        e = np.zeros(4)
+        e[ax] = 1.0
+        outs.append((8.0 * (fn(x + h * e) - fn(x - h * e))
+                     - (fn(x + 2.0 * h * e) - fn(x - 2.0 * h * e))) / (12.0 * h))
+    return np.stack(outs, axis=0)
+
+
+def _sixteen_call_christoffel(metric_eval, x, h):
+    ginv = np.linalg.inv(metric_eval(x))
+    dg = np.moveaxis(_sixteen_call_partials(metric_eval, x, h), 0, -3)
+    lower = 0.5 * (np.einsum("...mrn->...rmn", dg) + np.einsum("...nrm->...rmn", dg) - dg)
+    return np.einsum("...lr,...rmn->...lmn", ginv, lower)
+
+
+def _sixteen_call_divergence(field, gamma, x, T, h):
+    # every row of T differenced on every axis, then the trace over
+    # (derivative axis, row)
+    div = np.einsum("m...mn->...n", _sixteen_call_partials(field.tensor, x, h))
+    gam = gamma(x)
+    div = div + np.einsum("...l,...ln->...n", np.einsum("...mml->...l", gam), T)
+    return div + np.einsum("...nml,...ml->...n", gam, T)
+
+
+STENCIL_SHAPES = {"block": (3, 4, 5, 2), "flat": (37,), "point": ()}
+
+
+@pytest.mark.parametrize("shape", list(STENCIL_SHAPES.values()), ids=list(STENCIL_SHAPES))
+@pytest.mark.parametrize("make", [conserved_test_tensor, nonconserved_test_tensor,
+                                  lambda: StressEnergyField(em_plane_wave(0.3, 2.0, 0.4))],
+                         ids=["conserved", "nonconserved", "plane-wave"])
+def test_stacked_stencil_keeps_the_bits_of_one_call_per_point(make, shape):
+    # the stencil's four points per axis in one call, and only the row of
+    # T that each axis differentiates, give the bits of a call per point
+    field = make()
+    # the middle half of the conserved source's box, inside its cube
+    lo, hi = conserved_test_tensor().support.T
+    x = np.random.default_rng(11).uniform(0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi,
+                                          size=shape + (4,))
+    h = 1e-3
+    metrics = [lambda p, fam=fam: fam.eval(fam.theta0, p)
+               for fam in (schwarzschild(0.0), isotropic(0.2))]
+    for metric in metrics:
+        want = _sixteen_call_christoffel(metric, x, h)
+        assert np.array_equal(christoffel(metric, x, h).view(np.uint64), want.view(np.uint64))
+    gamma = lambda p: _sixteen_call_christoffel(metrics[0], p, h)
+    T = field.tensor(x)
+    got = covariant_divergence(field, gamma, x, T, h)
+    want = _sixteen_call_divergence(field, gamma, x, T, h)
+    assert np.any(want != 0.0)
+    assert got.shape == shape + (4,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_stencil_takes_one_call_of_four_points_per_axis():
+    # 4 field calls for the divergence, and the metric at the point plus
+    # 4 metric calls for the Christoffel symbols, each on 4x the points
+    calls = []
+
+    def spy(fn):
+        def counted(p):
+            calls.append(np.shape(p)[:-1])
+            return fn(p)
+        return counted
+
+    x = np.random.default_rng(12).uniform(-1.0, 1.0, size=(5, 3, 4))
+    gamma = flat_gamma(1e-3)
+    covariant_divergence(StressEnergyField(spy(dust(1.0).fn)), gamma, x,
+                         np.zeros((5, 3, 4, 4)), 1e-3)
+    assert calls == [(4, 5, 3)] * 4
+    calls.clear()
+    christoffel(spy(flat_metric), x, 1e-3)
+    assert calls == [(5, 3)] + [(4, 5, 3)] * 4
 
 
 def test_divergence_residual_converges_at_stencil_order():

@@ -19,11 +19,14 @@ It takes about 20 s on a 2-core host.
 
     python3 tools/identity.py --coverage --against REV
 
-does the same for this tree and for ``git archive REV``, and prints the
-statements that joined the list (uncovered here, not at REV) and those
-that left it (uncovered at REV, not here), each with its own tree's line
-number.  Statements are matched by file and source text, so a statement
-that only moved keeps its place and an edited one both leaves and joins.
+does the same for this tree and for ``git archive REV``, each corpus
+written by its own tree's ``tools/identity.py`` and ``bench/workloads.py``,
+so a statement that only a corpus entry new here reaches shows as left.
+It prints the statements that joined the list (uncovered here, not at
+REV) and those that left it (uncovered at REV, not here), each with its
+own tree's line number.  Statements are matched by file and source text,
+so a statement that only moved keeps its place and an edited one both
+leaves and joins.
 
     python3 tools/identity.py --simd
 
@@ -319,11 +322,13 @@ def traced_corpus(out_dir: str, lines_path: str, src: str) -> None:
     Path(lines_path).write_text(json.dumps(executed))
 
 
-def _run_tree(tree: Path, out_dir: Path, lines_path=None, env=None) -> subprocess.Popen:
-    """A child writing tree's corpus into out_dir, traced when lines_path
-    is given; env holds variables set for the child alone."""
+def _run_tree(tree: Path, out_dir: Path, lines_path=None, env=None,
+              writer: Path = ROOT) -> subprocess.Popen:
+    """A child writing tree's corpus into out_dir with writer's
+    tools/identity.py and bench/workloads.py, traced when lines_path is
+    given; env holds variables set for the child alone."""
     env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
-        [str(tree / "src"), str(ROOT / "tools"), str(ROOT / "bench")]))
+        [str(tree / "src"), str(writer / "tools"), str(writer / "bench")]))
     call = ("identity.write_corpus(sys.argv[2])" if lines_path is None
             else "identity.traced_corpus(sys.argv[2], sys.argv[3], sys.argv[1])")
     code = ("import sys, metricprobe, identity\n"
@@ -398,7 +403,7 @@ def coverage(against=None) -> int:
         procs = []
         for label, tree in trees.items():
             (tmp / label).mkdir()
-            procs.append(_run_tree(tree, tmp / label, tmp / f"{label}.json"))
+            procs.append(_run_tree(tree, tmp / label, tmp / f"{label}.json", writer=tree))
         if any([p.wait() != 0 for p in procs]):
             print("a child process failed; see its traceback above", file=sys.stderr)
             return 2
