@@ -12,12 +12,15 @@ probe module.  Components are contravariant T^munu in the chart of the
 metric they are paired with, units with G = c = 1 and Gaussian
 electromagnetic units (energy density (E^2 + B^2) / 8 pi).
 
-The plane wave's Maxwell tensor runs once per distinct input and the
-uniform field's once at construction; the generator runs det once per
-distinct input and the audit's Christoffel symbols once per distinct
+The plane wave's Maxwell tensor runs once per distinct phase x - t and
+the uniform field's once at construction; the generator runs det once
+per distinct input and the audit's Christoffel symbols once per distinct
 (r, theta).  So T, and those values, may be read-only broadcast views
 that repeat one point's value along the axes on which it repeats;
-callers build new arrays from them and never write into them.
+callers build new arrays from them and never write into them.  Maxwell
+takes whole blocks of components in a few array operations, and the
+orthonormal frame multiplies in loops that run over the batch of points,
+not over 4 components.
 """
 from __future__ import annotations
 
@@ -52,19 +55,16 @@ def em_stress_tensor(E: np.ndarray, B: np.ndarray) -> np.ndarray:
     if E.shape != B.shape or E.shape[-1] != 3:
         raise ValueError("E and B must both have shape (..., 3)")
     u = np.sum(E * E, axis=-1) + np.sum(B * B, axis=-1)
-    T = np.zeros(E.shape[:-1] + (4, 4))
+    T = np.empty(E.shape[:-1] + (4, 4))
     T[..., 0, 0] = u / (8.0 * math.pi)
-    S = np.cross(E, B) / (4.0 * math.pi)
-    for i in range(3):
-        T[..., 0, i + 1] = S[..., i]
-        T[..., i + 1, 0] = S[..., i]
-    for i in range(3):
-        for j in range(i, 3):
-            val = -(E[..., i] * E[..., j] + B[..., i] * B[..., j]) / (4.0 * math.pi)
-            if i == j:
-                val = val + u / (8.0 * math.pi)
-            T[..., i + 1, j + 1] = val
-            T[..., j + 1, i + 1] = val
+    # (E x B)_i = E_j B_k - E_k B_j over cyclic (i, j, k), as np.cross forms it
+    j, k = [1, 2, 0], [2, 0, 1]
+    T[..., 0, 1:] = T[..., 1:, 0] = (E[..., j] * B[..., k] - E[..., k] * B[..., j]) / (4.0 * math.pi)
+    # all 9 pairs at once: E_i E_j and E_j E_i are the same product
+    T[..., 1:, 1:] = -(E[..., :, None] * E[..., None, :] + B[..., :, None] * B[..., None, :]) \
+        / (4.0 * math.pi)
+    for i in range(1, 4):
+        T[..., i, i] += T[..., 0, 0]    # u / 8 pi
     return T
 
 
@@ -74,15 +74,13 @@ def em_plane_wave(amplitude: float, omega: float,
     (E_y = B_z), the probe-beam geometry used against a z-propagating
     gravitational wave."""
 
-    def fn(x):
-        f = amplitude * np.cos(omega * (x[..., 1] - x[..., 0]) + phase)
-        E = np.zeros(x.shape[:-1] + (3,))
-        B = np.zeros(x.shape[:-1] + (3,))
-        E[..., 1] = f
-        B[..., 2] = f
-        return _per_distinct(em_stress_tensor, 1, E, B)
+    def maxwell(xi):
+        E = np.zeros(xi.shape + (3,))
+        B = np.zeros(xi.shape + (3,))
+        E[..., 1] = B[..., 2] = amplitude * np.cos(omega * xi + phase)
+        return em_stress_tensor(E, B)
 
-    return fn
+    return lambda x: _per_distinct(maxwell, 0, x[..., 1] - x[..., 0])
 
 
 def em_uniform(E_vec, B_vec) -> Callable[[np.ndarray], np.ndarray]:
@@ -98,8 +96,10 @@ def em_uniform(E_vec, B_vec) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _require_diagonal(g: np.ndarray) -> None:
-    off = g * (1.0 - np.eye(4))
-    if np.max(np.abs(off)) > 1e-12 * max(1.0, float(np.max(np.abs(g)))):
+    a = np.abs(g)
+    off = a[..., ~np.eye(4, dtype=bool)]
+    # NaN fails both comparisons and an infinity the second
+    if not np.all((off <= 1e-12 * max(1.0, float(np.max(a)))) & (off < math.inf)):
         raise ValueError("orthonormal-frame conversion requires a diagonal metric")
 
 
@@ -111,7 +111,8 @@ def in_orthonormal_frame(fn: Callable[[np.ndarray], np.ndarray],
     The conversion keeps a traceless tensor traceless against the curved
     metric exactly.  Raises ValueError at once when the metric is not
     diagonal at the corners of the family's sample_box, and at any later
-    call on points where it is not."""
+    call on points where it is not, a NaN or infinite off-diagonal
+    component included."""
 
     _require_diagonal(family.eval(family.theta0, box_grid(family.sample_box, 2)))
 
@@ -119,9 +120,12 @@ def in_orthonormal_frame(fn: Callable[[np.ndarray], np.ndarray],
         T_frame = fn(x)
         g = family.eval(family.theta0, x)
         _require_diagonal(g)
-        diag = np.stack([g[..., k, k] for k in range(4)], axis=-1)
-        e = 1.0 / np.sqrt(np.abs(diag))
-        return T_frame * e[..., :, None] * e[..., None, :]
+        # (T^mn e_m) e_n with the components leading, so that each product
+        # loops over the batch, not over 4 components
+        e = np.moveaxis(1.0 / np.sqrt(np.abs(np.diagonal(g, axis1=-2, axis2=-1))), -1, 0)
+        T = np.multiply(np.moveaxis(T_frame, (-2, -1), (0, 1)), e[:, None], order="C")
+        T *= e[None, :]
+        return np.ascontiguousarray(np.moveaxis(T, (0, 1), (-2, -1)))
 
     return chart_fn
 

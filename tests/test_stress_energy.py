@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,162 @@ def test_plane_wave_trace_free_against_curved_metric_in_orthonormal_frame():
     T = field.tensor(pts)
     g = fam.eval(fam.theta0, pts)
     assert np.max(np.abs(np.einsum("...ij,...ij->...", g, T))) == 0.0
+
+
+def _bits(a):
+    """The uint64 bits of a, with the sign bit of every NaN cleared: where
+    two NaNs of opposite sign meet in an addition, numpy's loops return
+    either, depending on the array's length, so the sign of a NaN output
+    is not a property of the formula.  Its payload is."""
+    a = np.asarray(a)
+    bits = a.view(np.uint64).copy()
+    bits[np.isnan(a)] &= np.uint64(0x7FFFFFFFFFFFFFFF)
+    return bits
+
+
+def _per_component_maxwell(E, B):
+    """em_stress_tensor as a loop over components: np.cross for the
+    Poynting row, then each of the 6 pairs i <= j of the spatial block
+    computed once and written to both of its places."""
+    u = np.sum(E * E, axis=-1) + np.sum(B * B, axis=-1)
+    T = np.zeros(E.shape[:-1] + (4, 4))
+    T[..., 0, 0] = u / (8.0 * math.pi)
+    S = np.cross(E, B) / (4.0 * math.pi)
+    for i in range(3):
+        T[..., 0, i + 1] = S[..., i]
+        T[..., i + 1, 0] = S[..., i]
+    for i in range(3):
+        for j in range(i, 3):
+            val = -(E[..., i] * E[..., j] + B[..., i] * B[..., j]) / (4.0 * math.pi)
+            if i == j:
+                val = val + u / (8.0 * math.pi)
+            T[..., i + 1, j + 1] = val
+            T[..., j + 1, i + 1] = val
+    return T
+
+
+def test_em_stress_tensor_keeps_the_bits_of_the_per_component_loop():
+    # signed zeros, infinities, NaN of both signs, subnormals and values
+    # whose squares overflow, among random fields of unit and of every
+    # magnitude
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-310,
+                        1e308, -1.7e308, 1.4e154, -1.0])
+    rng = np.random.default_rng(23)
+    for trial in range(300):
+        shape = [(), (rng.integers(1, 40),), (2, 3, 1, 4)][trial % 3] + (3,)
+        with np.errstate(all="ignore"):
+            E, B = (np.select([rng.random(shape) < 0.25, rng.random(shape) < 0.3],
+                              [rng.choice(special, shape),
+                               rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 309, shape)],
+                              rng.standard_normal(shape))
+                    for _ in range(2))
+            got, want = em_stress_tensor(E, B), _per_component_maxwell(E, B)
+        assert got.shape == shape[:-1] + (4, 4)
+        assert np.array_equal(_bits(got), _bits(want)), trial
+
+
+def _phase_points(shape, rng):
+    """Points of a block of the given batch shape whose t varies along
+    axis 0 alone and x along axis 1 alone, at random values, so that
+    every (t, x) pair has its own phase x - t."""
+    x = np.empty(shape + (4,))
+    for ax in range(4):
+        line = rng.uniform(-2.0, 2.0, shape[ax])
+        x[..., ax] = line.reshape((-1,) + (1,) * (len(shape) - ax - 1))
+    return x
+
+
+@pytest.mark.parametrize("stencil_axis", [None, 0, 2], ids=["block", "stencil-t", "stencil-y"])
+def test_plane_wave_keeps_the_bits_of_maxwell_per_point(monkeypatch, stencil_axis):
+    # each point gets the bits of em_stress_tensor of its own fields, and
+    # Maxwell sees at most one point per distinct phase
+    amplitude, omega, phase = -0.7, 2.3, 0.4
+    x = _phase_points((3, 5, 4, 2), np.random.default_rng(31))
+    if stencil_axis is not None:
+        # the four points of the finite-difference stencil, stacked first
+        e = np.zeros(4)
+        e[stencil_axis] = 1e-3
+        x = x + np.stack([e, -e, 2.0 * e, -(2.0 * e)]).reshape((4, 1, 1, 1, 1, 4))
+    seen = []
+
+    def counted(E, B):
+        seen.append(math.prod(E.shape[:-1]))
+        return em_stress_tensor(E, B)
+
+    monkeypatch.setattr(stress_energy, "em_stress_tensor", counted)
+    T = em_plane_wave(amplitude, omega, phase)(x)
+    assert T.shape == x.shape[:-1] + (4, 4)
+    for idx in np.ndindex(x.shape[:-1]):
+        f = amplitude * np.cos(omega * (x[idx][1] - x[idx][0]) + phase)
+        want = em_stress_tensor(np.array([0.0, f, 0.0]), np.array([0.0, 0.0, f]))
+        assert np.array_equal(T[idx].view(np.uint64), want.view(np.uint64)), idx
+    distinct = np.unique(x[..., 1] - x[..., 0]).size
+    assert len(seen) == 1 and seen[0] <= distinct < math.prod(x.shape[:-1])
+
+
+def _grid_field(fam, region_box, rng):
+    """The interpolant of a grid of random symmetric components on fam's
+    chart that covers region_box."""
+    lo, hi = region_box.T
+    values = rng.standard_normal((3, 3, 3, 3, 4, 4))
+    return TensorGrid(values=values + np.swapaxes(values, -1, -2), origin=lo - 0.1,
+                      spacing=(hi - lo + 0.2) / 2, chart=fam.chart_name).interpolate
+
+
+@pytest.mark.parametrize("points", ["block", "trace-null-grid"])
+@pytest.mark.parametrize("source", ["plane-wave", "grid"])
+def test_orthonormal_frame_keeps_the_bits_of_the_broadcast_product(source, points):
+    # (T^mn e_m) e_n for a read-only broadcast T (the plane wave) and a
+    # contiguous one (a grid interpolant), on a random block of the
+    # bundled de Sitter region and on the 9^4 grid of its trace-null check
+    sc = load_bundled("desitter-em-probe")
+    fam, box = sc.family, sc.region.box
+    rng = np.random.default_rng(37)
+    fn = (em_plane_wave(1.0, 3.0, 0.2) if source == "plane-wave"
+          else _grid_field(fam, box, rng))
+    x = (rng.uniform(box[:, 0], box[:, 1], size=(2, 7, 5, 3, 4)) if points == "block"
+         else box_grid(box, 9))
+    T_frame = fn(x)
+    assert T_frame.flags.writeable == (source == "grid")
+    g = fam.eval(fam.theta0, x)
+    e = 1.0 / np.sqrt(np.abs(np.stack([g[..., k, k] for k in range(4)], axis=-1)))
+    want = T_frame * e[..., :, None] * e[..., None, :]
+    got = in_orthonormal_frame(fn, fam)(x)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _with_off_diagonal(fam, value, x3):
+    """fam with g_01 = g_10 = value at the points whose x^3 is x3."""
+    def eval_fn(theta, x):
+        g = fam.eval_fn(theta, x).copy()
+        hit = x[..., 3] == x3
+        g[hit, 0, 1] = g[hit, 1, 0] = value
+        return g
+
+    return dataclasses.replace(fam, eval_fn=eval_fn)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_orthonormal_frame_refuses_a_non_finite_off_diagonal_component(value):
+    # the sample box's corners are clean, so only the call on the bad
+    # point can refuse
+    fam = _with_off_diagonal(flrw_closed(2.0), value, 0.25)
+    chart_fn = in_orthonormal_frame(em_plane_wave(1.0, 3.0), fam)
+    chart_fn(np.array([[1.3, 0.9, 1.4, 0.1]]))
+    with pytest.raises(ValueError, match="requires a diagonal metric"):
+        chart_fn(np.array([[1.3, 0.9, 1.4, 0.1], [2.0, 0.6, 1.9, 0.25]]))
+
+
+def test_orthonormal_frame_keeps_its_finite_off_diagonal_bound():
+    # |g_01| up to 1e-12 max(1, max|g|) passes, one ulp more does not
+    pts = np.array([[1.3, 0.9, 1.4, 0.1], [2.0, 0.6, 1.9, 0.25]])
+    base = flrw_closed(2.0)
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(base.eval(base.theta0, pts)))))
+    fn = em_plane_wave(1.0, 3.0)
+    in_orthonormal_frame(fn, _with_off_diagonal(base, -bound, 0.25))(pts)
+    with pytest.raises(ValueError, match="requires a diagonal metric"):
+        in_orthonormal_frame(fn, _with_off_diagonal(base, np.nextafter(bound, 1.0), 0.25))(pts)
 
 
 @pytest.mark.parametrize("support", [
