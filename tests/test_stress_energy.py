@@ -13,6 +13,7 @@ from metricprobe.stress_energy import (StressEnergyField, TensorGrid, christoffe
                                        em_plane_wave, em_stress_tensor, em_uniform,
                                        in_orthonormal_frame, load_grid, save_grid,
                                        stencil_box)
+from test_geometry import _bits
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 FOUR_PI = 4.0 * math.pi
@@ -103,17 +104,6 @@ def test_plane_wave_trace_free_against_curved_metric_in_orthonormal_frame():
     T = field.tensor(pts)
     g = fam.eval(fam.theta0, pts)
     assert np.max(np.abs(np.einsum("...ij,...ij->...", g, T))) == 0.0
-
-
-def _bits(a):
-    """The uint64 bits of a, with the sign bit of every NaN cleared: where
-    two NaNs of opposite sign meet in an addition, numpy's loops return
-    either, depending on the array's length, so the sign of a NaN output
-    is not a property of the formula.  Its payload is."""
-    a = np.asarray(a)
-    bits = a.view(np.uint64).copy()
-    bits[np.isnan(a)] &= np.uint64(0x7FFFFFFFFFFFFFFF)
-    return bits
 
 
 def _per_component_maxwell(E, B):
